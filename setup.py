@@ -1,49 +1,16 @@
 """Build script.
 
-The compiled row-reduction kernel is optional: if Cython or a C compiler is
-unavailable the build still succeeds and the package falls back to the pure
-Python kernel at import time.
+The compiled row-reduction kernel is built from the shipped C source
+``src/koszul_lift/_modp.c`` and is optional: without a C compiler the build
+still succeeds and the package falls back to the pure Python kernel at
+import time.  Regenerate the C after editing the ``.pyx`` with
+``cython -3 src/koszul_lift/_modp.pyx``.
 """
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Build extensions, but never fail the install over them."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"warning: compiled kernel skipped ({exc}); "
-            "using the pure Python fallback",
-            file=sys.stderr,
-        )
-
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/koszul_lift/_modp.pyx"],
-        language_level=3,
-    )
-except Exception as exc:
-    print(f"warning: cythonize unavailable ({exc})", file=sys.stderr)
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension("koszul_lift._modp", ["src/koszul_lift/_modp.c"], optional=True)
+    ]
+)

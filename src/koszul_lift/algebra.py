@@ -308,7 +308,6 @@ class GradedRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._span_cache: dict[int, list] = {}
-        self._member_cache: dict[int, object] = {}
 
         seq = []
         for f in sequence:
@@ -494,20 +493,22 @@ class GradedRing:
             vec[index[m]] = c
         return vec
 
+    def sequence_span_rows(self, d: int) -> list:
+        """The k-matrix W_d of the map (f_1 .. f_c) : (+)_i Q(-deg f_i) -> Q
+        on degree-d pieces: rows follow the monomial basis of Q_d, column
+        f_i * m for each basis monomial m of degree d - deg(f_i).  Cached
+        per degree; callers must not mutate the rows."""
+        rows = self._span_cache.get(d)
+        if rows is None:
+            fmap = PolyMatrix(1, self.c, [self.sequence])
+            rows = graded_matrix_rows(self, fmap, self.seq_degrees, (0,), d)
+            self._span_cache[d] = rows
+        return rows
+
     def sequence_span_columns(self, d: int) -> list:
-        """Coordinate columns spanning (f_1..f_c)_d inside Q_d: all products
-        f_i * m with m a basis monomial of degree d - deg(f_i)."""
-        cols = self._span_cache.get(d)
-        if cols is None:
-            cols = []
-            for f, fd in zip(self.sequence, self.seq_degrees):
-                for m in self.monomial_basis(d - fd):
-                    shifted = self.normal_form(
-                        Poly(self, {mono_mul(m0, m): c for m0, c in f.terms.items()})
-                    )
-                    cols.append(tuple(self.coords(shifted, d)))
-            self._span_cache[d] = cols
-        return cols
+        """Coordinate columns spanning (f_1..f_c)_d inside Q_d: the columns
+        of ``sequence_span_rows(d)``."""
+        return list(zip(*self.sequence_span_rows(d)))
 
     def in_sequence_ideal(self, p: Poly) -> bool:
         """Membership of p (taken mod J) in the ideal (f_1..f_c) of Q."""
@@ -518,16 +519,9 @@ class GradedRing:
         for m, c in p.terms.items():
             by_degree.setdefault(sum(m), {})[m] = c
         for d, terms in sorted(by_degree.items()):
-            rows = self._member_cache.get(d)
-            if rows is None:
-                cols = self.sequence_span_columns(d)
-                rows = [
-                    [col[i] for col in cols] for i in range(self.dim(d))
-                ]
-                self._member_cache[d] = rows
+            rows = self.sequence_span_rows(d)
             vec = self.coords(Poly(self, terms), d)
-            ncols = len(rows[0]) if rows else 0
-            if linalg.solve_min(self.field, rows, vec, ncols) is None:
+            if linalg.solve_min(self.field, rows, vec, len(rows[0])) is None:
                 return False
         return True
 
@@ -703,6 +697,49 @@ def block_matrix(
             for j in range(blk.ncols):
                 out[r0 + i][c0 + j] = blk.rows[i][j]
     return PolyMatrix(nrows, ncols, out)
+
+
+# -- graded coordinates ----------------------------------------------------------
+
+
+def module_dim(ring: GradedRing, twists, d: int) -> int:
+    return sum(ring.dim(d - a) for a in twists)
+
+
+def graded_matrix_rows(
+    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
+):
+    """The k-linear matrix of a degree-0 module map on degree-d pieces.
+
+    Column j of ``mat`` is the image of the generator of degree
+    ``src_twists[j]``.  Rows follow the generator-major monomial basis of
+    the degree-d piece of the target (generator index, then monomial in
+    descending order), columns that of the source.
+    """
+    field = ring.field
+    targets = []
+    nrows = 0
+    for b in tgt_twists:
+        targets.append((nrows, ring.basis_index(d - b)))
+        nrows += ring.dim(d - b)
+    ncols = module_dim(ring, src_twists, d)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    col = 0
+    for j, a in enumerate(src_twists):
+        entries = [
+            (targets[i], row[j].terms) for i, row in enumerate(mat.rows)
+            if row[j].terms
+        ]
+        for mu in ring.monomial_basis(d - a):
+            for (r0, index), terms in entries:
+                for m0, c0 in terms.items():
+                    m = mono_mul(m0, mu)
+                    if ring._mono_is_zero_in_q(m):
+                        continue
+                    r = r0 + index[m]
+                    rows[r][col] = field.add(rows[r][col], c0)
+            col += 1
+    return rows
 
 
 def solve_graded_linear(

@@ -24,23 +24,13 @@ itself.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, Poly, PolyMatrix, mono_mul
+from .algebra import GradedRing, Poly, PolyMatrix, graded_matrix_rows, module_dim
 from .errors import InvalidInputError, ParseError
 
 SUPPORTS = ("window", "bounded_below", "finite")
-
-
-def _threads() -> int:
-    try:
-        n = int(os.environ.get("KOSZUL_LIFT_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 class FreeComplex:
@@ -301,10 +291,6 @@ def check_complex(C: FreeComplex) -> ComplexReport:
 # -- graded piece machinery ----------------------------------------------------
 
 
-def module_dim(ring: GradedRing, twists, d: int) -> int:
-    return sum(ring.dim(d - a) for a in twists)
-
-
 def module_basis(ring: GradedRing, twists, d: int):
     """Basis of the degree-d piece of the free module with the given
     twists: pairs (generator index, monomial), generator-major order."""
@@ -315,54 +301,29 @@ def module_basis(ring: GradedRing, twists, d: int):
     return out
 
 
-def graded_matrix_rows(
-    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
-):
-    """The k-linear matrix of a degree-0 module map on degree-d pieces.
-
-    Rows follow module_basis(tgt_twists, d), columns module_basis(src).
-    """
-    field = ring.field
-    nrows = module_dim(ring, tgt_twists, d)
-    ncols = module_dim(ring, src_twists, d)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
-    tgt_offsets = []
-    off = 0
-    for b in tgt_twists:
-        tgt_offsets.append(off)
-        off += ring.dim(d - b)
-    col = 0
-    for j, a in enumerate(src_twists):
-        for mu in ring.monomial_basis(d - a):
-            for i, b in enumerate(tgt_twists):
-                p = mat.rows[i][j]
-                if p.is_zero():
-                    continue
-                index_t = ring.basis_index(d - b)
-                for m0, c0 in p.terms.items():
-                    m = mono_mul(m0, mu)
-                    if ring._mono_is_zero_in_q(m):
-                        continue
-                    r = tgt_offsets[i] + index_t[m]
-                    rows[r][col] = field.add(rows[r][col], c0)
-            col += 1
-    return rows
+def module_span_rows(ring: GradedRing, twists, d: int):
+    """Rows spanning the degree-d piece of (f) * F inside F for the free
+    module F with the given twists: block-diagonal copies of the ring's
+    W_{d-a}, rows in module_basis(twists, d) order."""
+    blocks = [
+        (ring.sequence_span_rows(d - a), module_dim(ring, ring.seq_degrees, d - a))
+        for a in twists
+    ]
+    zero = ring.field.zero
+    right = sum(width for _, width in blocks)
+    out = []
+    left = 0
+    for rows, width in blocks:
+        right -= width
+        for row in rows:
+            out.append([zero] * left + row + [zero] * right)
+        left += width
+    return out
 
 
 def module_span_columns(ring: GradedRing, twists, d: int):
-    """Columns spanning the degree-d piece of (f) * F for the free module F
-    with the given twists (block-diagonal copies of the scalar spans)."""
-    dim = module_dim(ring, twists, d)
-    cols = []
-    off = 0
-    for a in twists:
-        block_dim = ring.dim(d - a)
-        for col in ring.sequence_span_columns(d - a):
-            vec = [ring.field.zero] * dim
-            vec[off:off + block_dim] = list(col)
-            cols.append(vec)
-        off += block_dim
-    return cols
+    """The columns of module_span_rows(ring, twists, d)."""
+    return list(zip(*module_span_rows(ring, twists, d)))
 
 
 def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
@@ -376,31 +337,7 @@ def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
     return [Poly(ring, terms) for terms in out]
 
 
-def shift_coords_by_monomial(ring: GradedRing, twists, d_from: int, vec, mono):
-    """Coordinates of (monomial * element) at degree d_from + deg(mono)."""
-    field = ring.field
-    d_to = d_from + sum(mono)
-    out = [field.zero] * module_dim(ring, twists, d_to)
-    offsets = []
-    off = 0
-    for a in twists:
-        offsets.append(off)
-        off += ring.dim(d_to - a)
-    for (j, m), c in zip(module_basis(ring, twists, d_from), vec):
-        if field.is_zero(c):
-            continue
-        mm = mono_mul(m, mono)
-        if ring._mono_is_zero_in_q(mm):
-            continue
-        a = twists[j]
-        r = offsets[j] + ring.basis_index(d_to - a)[mm]
-        out[r] = field.add(out[r], c)
-    return out
-
-
-def homology_dims(
-    C: FreeComplex, positions, degree_bound: int, threads: int | None = None
-) -> dict:
+def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
     """Graded homology dimensions dim_k H_n(C)_d for the requested interior
     positions and all internal degrees up to ``degree_bound``.
 
@@ -430,22 +367,14 @@ def homology_dims(
     span_rank_cache: dict = {}
     mw_rank_cache: dict = {}
 
-    def span_cols(n, d):
-        if not over_r:
-            return []
+    def span_rows(n, d):
         tw = C.known_twist(n)
-        return module_span_columns(ring, tw, d) if tw else []
+        return module_span_rows(ring, tw, d) if over_r and tw else []
 
     def span_rank(n, d):
         key = (n, d)
         if key not in span_rank_cache:
-            cols = span_cols(n, d)
-            if not cols:
-                span_rank_cache[key] = 0
-            else:
-                dim = len(cols[0])
-                rows = [[col[i] for col in cols] for i in range(dim)]
-                span_rank_cache[key] = linalg.rank(field, rows, len(cols))
+            span_rank_cache[key] = linalg.rank(field, span_rows(n, d))
         return span_rank_cache[key]
 
     def mw_rank(n, d):
@@ -456,34 +385,19 @@ def homology_dims(
             tgt = C.known_twist(n - 1)
             if src is None or tgt is None:
                 raise InvalidInputError(f"differential at {n} undetermined")
-            mat = C.differential(n)
-            rows = graded_matrix_rows(ring, mat, src, tgt, d)
-            wcols = span_cols(n - 1, d)
-            if wcols:
-                for i, row in enumerate(rows):
-                    row.extend(col[i] for col in wcols)
-            ncols = module_dim(ring, src, d) + len(wcols)
-            mw_rank_cache[key] = linalg.rank(field, rows, ncols)
+            rows = graded_matrix_rows(ring, C.differential(n), src, tgt, d)
+            for row, wrow in zip(rows, span_rows(n - 1, d)):
+                row.extend(wrow)
+            mw_rank_cache[key] = linalg.rank(field, rows)
         return mw_rank_cache[key]
 
-    def one(task):
-        n, d = task
-        ncols = module_dim(ring, C.known_twist(n), d)
-        if ncols == 0:
-            return task, 0
-        h = ncols - mw_rank(n, d) + span_rank(n - 1, d) - mw_rank(n + 1, d)
-        return task, h
-
-    tasks = [(n, d) for n in positions for d in degrees]
-    nthreads = _threads() if threads is None else max(1, threads)
     out: dict = {}
-    if nthreads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for task, h in pool.map(one, tasks):
-                out[task] = h
-    else:
-        for task in tasks:
-            out[task] = one(task)[1]
+    for n in positions:
+        for d in degrees:
+            dim = module_dim(ring, C.known_twist(n), d)
+            if dim:
+                dim += span_rank(n - 1, d) - mw_rank(n, d) - mw_rank(n + 1, d)
+            out[(n, d)] = dim
     return out
 
 

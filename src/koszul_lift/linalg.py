@@ -151,12 +151,6 @@ def extend_pivots(field, base_cols, extra_cols, dim: int):
     total = nbase + len(extra_cols)
     if total == 0 or dim == 0:
         return []
-    rows = [
-        [
-            (base_cols[j][i] if j < nbase else extra_cols[j - nbase][i])
-            for j in range(total)
-        ]
-        for i in range(dim)
-    ]
+    rows = list(zip(*base_cols, *extra_cols))
     _, pivots = rref(field, rows, total)
     return [c - nbase for c in pivots if c >= nbase]

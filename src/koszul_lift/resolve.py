@@ -19,15 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, Poly, PolyMatrix
+from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
 from .complexes import (
     FreeComplex,
     coords_to_column,
-    graded_matrix_rows,
-    module_basis,
-    module_dim,
     module_span_columns,
-    shift_coords_by_monomial,
+    module_span_rows,
 )
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -96,35 +93,14 @@ class Presentation:
         return cls(twists, PolyMatrix(len(twists), ncols, rows))
 
 
-def _column_coords(ring, twists, col, d):
-    """Coordinates of a polynomial column (one entry per generator) inside
-    the degree-d piece of the module with the given twists."""
-    field = ring.field
-    vec = [field.zero] * module_dim(ring, twists, d)
-    offsets = []
-    off = 0
-    for a in twists:
-        offsets.append(off)
-        off += ring.dim(d - a)
-    for i, p in enumerate(col):
-        p = ring.normal_form(p)
-        if p.is_zero():
-            continue
-        index = ring.basis_index(d - twists[i])
-        for m, cval in p.terms.items():
-            vec[offsets[i] + index[m]] = field.add(
-                vec[offsets[i] + index[m]], cval
-            )
-    return vec
-
-
-def _variable_monomials(ring):
-    out = []
-    for k in range(ring.nvars):
-        e = [0] * ring.nvars
-        e[k] = 1
-        out.append(tuple(e))
-    return out
+def _multiple_columns(ring, cols, col_degrees, twists, d):
+    """Coordinate columns, in the degree-d piece of the free module with the
+    given twists, of every monomial multiple of the polynomial columns
+    ``cols`` (column j homogeneous of degree ``col_degrees[j]``)."""
+    mat = PolyMatrix(
+        len(twists), len(cols), [[col[i] for col in cols] for i in range(len(twists))]
+    )
+    return list(zip(*graded_matrix_rows(ring, mat, col_degrees, twists, d)))
 
 
 def resolve_over_R(
@@ -152,28 +128,21 @@ def resolve_over_R(
         raise DegreeBoundTooLowError(
             f"degree bound {degree_bound} cannot even hold the presentation"
         )
-    var_monos = _variable_monomials(ring)
 
     # step one: a minimal generating set of the relation submodule
     chosen_cols = []
     chosen_degs = []
     for d in sorted(set(dd for dd, _ in live)):
-        here = [(dd, col) for dd, col in live if dd == d]
-        base = list(module_span_columns(ring, f0_twists, d))
-        for dd, col in live:
-            gap = d - dd
-            if gap < 1:
-                continue
-            cvec = _column_coords(ring, f0_twists, col, dd)
-            for mono in _all_monomials(ring, gap):
-                base.append(
-                    shift_coords_by_monomial(ring, f0_twists, dd, cvec, mono)
-                )
-        extras = [_column_coords(ring, f0_twists, col, d) for _, col in here]
+        lower = [(dd, col) for dd, col in live if dd < d]
+        here = [col for dd, col in live if dd == d]
+        base = module_span_columns(ring, f0_twists, d) + _multiple_columns(
+            ring, [col for _, col in lower], [dd for dd, _ in lower], f0_twists, d
+        )
+        extras = _multiple_columns(ring, here, [d] * len(here), f0_twists, d)
         dim = module_dim(ring, f0_twists, d)
         picked = linalg.extend_pivots(field, base, extras, dim)
         for k in picked:
-            chosen_cols.append(here[k][1])
+            chosen_cols.append(here[k])
             chosen_degs.append(d)
 
     twists = {0: tuple(f0_twists)}
@@ -196,32 +165,25 @@ def resolve_over_R(
         mat = diffs[step - 1]
         new_degs = []
         new_cols = []
-        reps: dict[int, list] = {}
+        prev_cols = []  # kernel representatives modulo W at degree d - 1
         start = min(src_twists) if src_twists else degree_bound + 1
         for d in range(start, degree_bound + 1):
             ns = module_dim(ring, src_twists, d)
             if ns == 0:
-                reps[d] = []
+                prev_cols = []
                 continue
             rows = graded_matrix_rows(ring, mat, src_twists, tgt_twists, d)
-            wt = module_span_columns(ring, tgt_twists, d)
-            if wt:
-                for i, row in enumerate(rows):
-                    row.extend(col[i] for col in wt)
-            null = linalg.nullspace(field, rows, ns + len(wt))
+            for row, wrow in zip(rows, module_span_rows(ring, tgt_twists, d)):
+                row.extend(wrow)
+            null = linalg.nullspace(field, rows, len(rows[0]) if rows else ns)
             kcols = [vec[:ns] for vec in null]
             ws = module_span_columns(ring, src_twists, d)
-            rep_idx = linalg.extend_pivots(field, ws, kcols, ns)
-            reps[d] = [kcols[k] for k in rep_idx]
-            base = list(ws)
-            for u in reps.get(d - 1, []):
-                for mono in var_monos:
-                    base.append(
-                        shift_coords_by_monomial(
-                            ring, src_twists, d - 1, u, mono
-                        )
-                    )
-            picked = linalg.extend_pivots(field, base, reps[d], ns)
+            rep_vecs = [kcols[k] for k in linalg.extend_pivots(field, ws, kcols, ns)]
+            rep_cols = [coords_to_column(ring, src_twists, d, u) for u in rep_vecs]
+            base = ws + _multiple_columns(
+                ring, prev_cols, [d - 1] * len(prev_cols), src_twists, d
+            )
+            picked = linalg.extend_pivots(field, base, rep_vecs, ns)
             if picked and d == degree_bound:
                 raise DegreeBoundTooLowError(
                     f"new syzygy generators still appear at degree "
@@ -229,9 +191,8 @@ def resolve_over_R(
                 )
             for k in picked:
                 new_degs.append(d)
-                new_cols.append(
-                    coords_to_column(ring, src_twists, d, reps[d][k])
-                )
+                new_cols.append(rep_cols[k])
+            prev_cols = rep_cols
         twists[step] = tuple(new_degs)
         diffs[step] = PolyMatrix(
             len(src_twists),
@@ -250,7 +211,3 @@ def resolve_over_R(
         diffs,
         support="bounded_below",
     )
-
-
-def _all_monomials(ring: GradedRing, d: int):
-    return ring.monomial_basis(d) if d >= 0 else ()

@@ -148,6 +148,26 @@ def test_resolve_text():
     assert "b_0 = 1, b_1 = 2, b_2 = 3, b_3 = 4, b_4 = 5, b_5 = 6" in out.stdout
 
 
+@pytest.mark.parametrize("name, length", [("residue", 5), ("mixed", 4)])
+def test_resolve_json_golden(name, length):
+    # the whole payload, differentials included: a change in which syzygy
+    # generators are chosen shows up here, not only a change of Betti numbers
+    out = run_cli(
+        "resolve",
+        "--ring",
+        str(FIXTURES / f"{name}_ring.json"),
+        "--presentation",
+        str(FIXTURES / f"{name}_presentation.json"),
+        "--length",
+        str(length),
+        "--format",
+        "json",
+    )
+    assert out.returncode == 0, out.stderr
+    golden = FIXTURES / f"resolve_{name}_length{length}.json"
+    assert out.stdout == golden.read_text(encoding="utf-8")
+
+
 def test_regularity_pass_and_fail(tmp_path):
     out = run_cli("regularity", "--ring", RING)
     assert out.returncode == 0
