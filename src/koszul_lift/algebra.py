@@ -597,25 +597,35 @@ class PolyMatrix:
         return all(p.is_zero() for _, _, p in self.entries())
 
     def mul(self, other: "PolyMatrix", ring: GradedRing) -> "PolyMatrix":
-        """Matrix product with J-reduction of every entry."""
+        """Matrix product with J-reduction of every entry.
+
+        Only nonzero entries are visited: entry ``(i, j)`` sums ``a * b``
+        over the nonzero pairs ``a = self[i][k]``, ``b = other[k][j]`` in
+        increasing ``k`` and is reduced once; untouched entries are zero.
+        """
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
+        right = [
+            [(j, b) for j, b in enumerate(row) if not b.is_zero()]
+            for row in other.rows
+        ]
+        zero = ring.zero
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = ring.zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(ring.normal_form(acc))
-            out.append(row)
+        for row in self.rows:
+            acc = {}
+            for a, pairs in zip(row, right):
+                if a.is_zero():
+                    continue
+                for j, b in pairs:
+                    prev = acc.get(j)
+                    acc[j] = a * b if prev is None else prev + a * b
+            out_row = [zero] * other.ncols
+            for j, p in acc.items():
+                out_row[j] = ring.normal_form(p)
+            out.append(out_row)
         return PolyMatrix(self.nrows, other.ncols, out)
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":

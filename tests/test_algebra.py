@@ -270,20 +270,91 @@ def test_poly_matrix_ops():
     assert prod.entry(1, 0) == RING.normal_form(RING.parse("x^2*y"))
 
 
+def _random_matrix(rng, nrows, ncols, density):
+    """Random matrix over RING; below full density one row and one column
+    are forced to zero."""
+    rows = [
+        [
+            _random_poly(rng, RING, maxdeg=2, nterms=2)
+            if rng.random() < density
+            else RING.zero
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+    if density < 1 and nrows and ncols:
+        rows[rng.randrange(nrows)] = [RING.zero] * ncols
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = RING.zero
+    return PolyMatrix.from_rows(rows, ncols=ncols)
+
+
+def _reference_product(a, b):
+    """The plain triple sum of reduced products, entry by entry."""
+    return [
+        [
+            sum(
+                (RING.mul(a.entry(i, k), b.entry(k, j)) for k in range(a.ncols)),
+                RING.zero,
+            )
+            for j in range(b.ncols)
+        ]
+        for i in range(a.nrows)
+    ]
+
+
+def _assert_matches_reference(a, b):
+    prod = a.mul(b, RING)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert [list(row) for row in prod.rows] == _reference_product(a, b)
+    return prod
+
+
 def test_poly_matrix_mul_associative_random():
     rng = Random(108)
-    for _ in range(25):
-        dims = [rng.randint(1, 3) for _ in range(4)]
-        mats = []
-        for k in range(3):
-            rows = [
-                [_random_poly(rng, RING, maxdeg=2, nterms=2) for _ in range(dims[k + 1])]
-                for _ in range(dims[k])
-            ]
-            mats.append(PolyMatrix.from_rows(rows, ncols=dims[k + 1]))
-        left = mats[0].mul(mats[1], RING).mul(mats[2], RING)
-        right = mats[0].mul(mats[1].mul(mats[2], RING), RING)
+    for trial in range(120):
+        # dense, then sparse (about 15% nonzero) with zero dimensions allowed
+        if trial < 40:
+            dims, density = [rng.randint(1, 3) for _ in range(4)], 1.0
+        else:
+            dims, density = [rng.randint(0, 6) for _ in range(4)], 0.15
+        mats = [_random_matrix(rng, dims[k], dims[k + 1], density) for k in range(3)]
+        ab = _assert_matches_reference(mats[0], mats[1])
+        bc = _assert_matches_reference(mats[1], mats[2])
+        left = _assert_matches_reference(ab, mats[2])
+        right = _assert_matches_reference(mats[0], bc)
         assert left == right
+
+    # rank-zero blocks survive composition: 0xn, nx0 and an inner 0
+    x, y = RING.parse("x"), RING.parse("y")
+    m = PolyMatrix.from_rows([[x, y], [y, RING.zero]])
+    empty_rows = PolyMatrix.from_rows([], ncols=2)
+    empty_cols = PolyMatrix.from_rows([[], []])
+    for a, b in [
+        (empty_rows, m),
+        (m, empty_cols),
+        (empty_cols, empty_rows),
+        (empty_rows, empty_cols),
+    ]:
+        _assert_matches_reference(a, b)
+
+    # products that vanish in Q = k[x, y]/(x^2), alone or by cancellation
+    assert _assert_matches_reference(
+        PolyMatrix.from_rows([[x, y]]), PolyMatrix.from_rows([[x], [RING.zero]])
+    ).is_zero()
+    assert _assert_matches_reference(
+        PolyMatrix.from_rows([[x, y]]), PolyMatrix.from_rows([[y], [-x]])
+    ).is_zero()
+    assert _assert_matches_reference(m, m).rows == (
+        (y * y, x * y),
+        (x * y, y * y),
+    )
+
+    with pytest.raises(ValueError, match="cannot multiply 2x2 by 0x2"):
+        m.mul(empty_rows, RING)
+    with pytest.raises(ValueError, match="cannot multiply 2x0 by 2x2"):
+        empty_cols.mul(m, RING)
 
 
 def test_block_matrix_layout():

@@ -168,6 +168,28 @@ def test_resolve_json_golden(name, length):
     assert out.stdout == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["lift", "assemble"])
+@pytest.mark.parametrize("name, length", [("residue", 5), ("mixed", 4)])
+def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
+    # both commands compose matrices with PolyMatrix.mul: every homotopy and
+    # every product block is pinned, not only that the checks pass
+    resolution = FIXTURES / f"resolve_{name}_length{length}.json"
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(json.dumps(json.loads(resolution.read_text())["complex"]))
+    out = run_cli(
+        command,
+        "--ring",
+        str(FIXTURES / f"{name}_ring.json"),
+        "--complex",
+        str(complex_path),
+        "--format",
+        "json",
+    )
+    assert out.returncode == 0, out.stderr
+    golden = FIXTURES / f"{command}_{name}_length{length}.json"
+    assert out.stdout == golden.read_text(encoding="utf-8")
+
+
 def test_regularity_pass_and_fail(tmp_path):
     out = run_cli("regularity", "--ring", RING)
     assert out.returncode == 0
