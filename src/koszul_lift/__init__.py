@@ -65,7 +65,7 @@ from .koszul import (
     koszul_differential,
     wedge,
 )
-from .linalg import HAVE_COMPILED, backend_name
+from .linalg import backend_name
 from .resolve import Presentation, resolve_over_R
 from .samples import (
     random_finite_complex,
@@ -88,7 +88,6 @@ __all__ = [
     "FreeComplex",
     "GF",
     "GradedRing",
-    "HAVE_COMPILED",
     "HomotopyFamily",
     "InvalidInputError",
     "KoszulLiftError",

@@ -544,6 +544,8 @@ class GradedRing:
             sequence = data.get("sequence", [])
         except KeyError as exc:
             raise ParseError(f"ring JSON missing key {exc}") from exc
+        if not isinstance(sequence, list) or not all(isinstance(f, str) for f in sequence):
+            raise ParseError("ring JSON sequence must be a list of polynomial strings")
         return cls(field, variables, relations, sequence)
 
 

@@ -160,13 +160,16 @@ class FreeComplex:
             raise ParseError(f"complex JSON missing key: {exc}") from exc
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ParseError(f"bad window {window!r}")
-        lo, hi = int(window[0]), int(window[1])
-        twists = {}
-        for key, val in raw_twists.items():
-            twists[int(key)] = tuple(int(a) for a in val)
+        try:
+            lo, hi = int(window[0]), int(window[1])
+            twists = {
+                int(key): tuple(int(a) for a in val) for key, val in raw_twists.items()
+            }
+            raw_diffs = {int(key): rows for key, rows in data.get("diffs", {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad complex JSON window, twists or diffs: {exc}") from exc
         diffs = {}
-        for key, rows in data.get("diffs", {}).items():
-            n = int(key)
+        for n, rows in raw_diffs.items():
             if not (lo < n <= hi) or (n - 1) not in twists or n not in twists:
                 raise ParseError(f"differential key {n} outside window")
             nrows, ncols = len(twists[n - 1]), len(twists[n])

@@ -2,7 +2,7 @@
 
 Elements are plain Python values (``Fraction`` over the rationals, ints in
 ``[0, p)`` over a prime field); a ``Field`` object supplies the operations.
-Keeping elements unboxed keeps the dense linear algebra cheap.
+Keeping elements unboxed keeps the linear algebra cheap.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ def _is_prime(n: int) -> bool:
 class PrimeField(Field):
     """F_p with p an odd-or-even prime below 2**31.
 
-    The bound keeps every product of two reduced elements inside int64,
-    which the compiled row-reduction kernel relies on.
+    F_p matrices reach the row reduction as int64 arrays
+    (``_kernel.rref_mod``), and the bound keeps every element well inside
+    int64.  The elimination itself runs on Python ints.
     """
 
     def __init__(self, p: int):
@@ -201,12 +202,13 @@ def GF(p: int) -> PrimeField:
 
 def field_from_spec(spec) -> Field:
     """Inverse of ``Field.to_spec``; also accepts "QQ" and digit strings."""
-    if isinstance(spec, str):
-        if spec in ("Q", "QQ"):
-            return QQ
-        if spec.isdigit():
-            return GF(int(spec))
-        raise ParseError(f"unknown field spec {spec!r}")
+    if spec in ("Q", "QQ"):
+        return QQ
+    if isinstance(spec, str) and spec.isdigit():
+        spec = int(spec)
     if isinstance(spec, int):
-        return GF(spec)
+        try:
+            return GF(spec)
+        except ValueError as exc:
+            raise ParseError(f"bad field spec: {exc}") from exc
     raise ParseError(f"unknown field spec {spec!r}")

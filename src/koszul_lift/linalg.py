@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-Prime-field reductions run through the compiled kernel when the extension
-is available and through its pure Python mirror otherwise; both implement
-the same elimination and agree bit for bit.  Rational reductions always use
-Fraction arithmetic, which cannot overflow.
+Both fields reduce through the one sparse Gauss-Jordan in ``_kernel``.  Over
+F_p the rows pass through an int64 array and ``_kernel.rref_mod``; over Q
+they go to ``_rref_qq`` with Fraction entries, which cannot overflow.  The
+array round trip is not needed by the elimination: it stays because
+``perfbench/tracing.py`` probes ``_kernel.rref_mod`` and ``_rref_qq`` and
+reads the array's size and shape.
 
 Matrices are lists of rows.  Column counts are passed explicitly wherever a
 matrix may have zero rows.
@@ -15,64 +17,38 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from . import _modp as _kernel
+from . import _kernel
 
-    HAVE_COMPILED = True
-except ImportError:  # extension not built; mirror kernel
-    from . import _modp_py as _kernel
-
-    HAVE_COMPILED = False
+_ZERO = Fraction(0)
 
 
 def backend_name() -> str:
-    return _kernel.BACKEND
+    return "pure-python"
 
 
-def _to_array(rows, ncols: int, p: int) -> np.ndarray:
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    return arr % p
+def _to_array(rows, ncols: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
 def _rref_modp(rows, ncols: int, p: int):
     nrows = len(rows)
     if nrows == 0 or ncols == 0:
         return [list(r) for r in rows], []
-    arr = _to_array(rows, ncols, p)
+    arr = _to_array(rows, ncols)
     pivots = np.zeros(min(nrows, ncols), dtype=np.int64)
     rank = _kernel.rref_mod(arr, p, pivots)
     return arr.tolist(), [int(c) for c in pivots[:rank]]
 
 
 def _rref_qq(rows, ncols: int):
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-        lead = a[rank][col]
-        if lead != 1:
-            row_r = a[rank]
-            for j in range(col, ncols):
-                row_r[j] /= lead
-        for r in range(nrows):
-            if r == rank:
-                continue
-            f = a[r][col]
-            if f:
-                row, prow = a[r], a[rank]
-                for j in range(col, ncols):
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-        rank += 1
-    return a, pivots
+    reduced = _kernel.gauss_jordan(
+        [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows], 0
+    )
+    out = [[_ZERO] * ncols for _ in rows]
+    for out_row, (_, row) in zip(out, reduced):
+        for j, v in row.items():
+            out_row[j] = v
+    return out, [col for col, _ in reduced]
 
 
 def rref(field, rows, ncols: int):
@@ -91,7 +67,7 @@ def rank(field, rows, ncols=None) -> int:
         return 0
     if field.char == 0:
         return len(_rref_qq(rows, ncols)[1])
-    arr = _to_array(rows, ncols, field.char)
+    arr = _to_array(rows, ncols)
     pivots = np.zeros(min(len(rows), ncols), dtype=np.int64)
     return int(_kernel.rref_mod(arr, field.char, pivots))
 
@@ -109,7 +85,7 @@ def solve_min(field, rows, b, ncols: int):
         return None
     x = [field.zero] * ncols
     for r, c in enumerate(pivots):
-        x[c] = field(red[r][ncols]) if field.char == 0 else red[r][ncols]
+        x[c] = red[r][ncols]
     return x
 
 
@@ -133,9 +109,7 @@ def nullspace(field, rows, ncols: int):
         v = [field.zero] * ncols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(
-                field(red[r][fc]) if field.char == 0 else red[r][fc]
-            )
+            v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used as oracles.
 
 Everything here is written naively from first principles, on purpose:
-dict-based polynomials, textbook row reduction over Fraction, brute-force
-permutation signs. Tests compare the package against these, never the
-package against itself.
+dict-based polynomials, textbook row reduction over Fraction and mod p,
+brute-force permutation signs. Tests compare the package against these,
+never the package against itself.
 """
 
 from fractions import Fraction
@@ -39,6 +39,32 @@ def naive_rref(rows):
         r += 1
         if r == nrows:
             break
+    return mat, pivots
+
+
+def naive_rref_mod(rows, p):
+    """Textbook Gauss-Jordan mod p on a copy of ``rows``, entries reduced
+    first.  Returns (rref_rows, pivot_cols); rows past the rank are zero."""
+    mat = [[x % p for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [v * inv % p for v in mat[r]]
+        for i in range(nrows):
+            factor = mat[i][c]
+            if i != r and factor:
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
     return mat, pivots
 
 

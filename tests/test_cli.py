@@ -95,6 +95,27 @@ def test_malformed_input_is_exit_2(tmp_path):
     out2 = run_cli("lift", "--ring", str(tmp_path / "missing.json"), "--complex", COMPLEX)
     assert out2.returncode == 2
 
+    # well-formed JSON with invalid ring or complex data
+    golden_ring = json.loads(Path(RING).read_text())
+    bad_rings = [
+        {"field": 4},
+        {"field": "4"},
+        {"field": 2147483659},
+        {"sequence": [7]},
+    ]
+    for change in bad_rings:
+        bad.write_text(json.dumps({**golden_ring, **change}))
+        out = run_cli("regularity", "--ring", str(bad))
+        assert out.returncode == 2, change
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+    cpx = json.loads(Path(COMPLEX).read_text())
+    cpx["twists"]["a"] = [0]
+    bad.write_text(json.dumps(cpx))
+    out = run_cli("verify", "--ring", RING, "--complex", str(bad))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
 
 def test_lift_json_payload():
     out = run_cli("lift", "--ring", RING, "--complex", COMPLEX, "--format", "json")

@@ -1,16 +1,13 @@
-"""Exact row reduction: the two kernels against each other and against a
-naive reference."""
+"""Exact row reduction against naive textbook references."""
 
 from fractions import Fraction
 from random import Random
 
 import numpy as np
-import pytest
 
-from koszul_lift import _modp_py
+from koszul_lift import _kernel
 from koszul_lift.fields import GF, QQ
 from koszul_lift.linalg import (
-    HAVE_COMPILED,
     backend_name,
     extend_pivots,
     nullspace,
@@ -19,7 +16,13 @@ from koszul_lift.linalg import (
     solve_min,
 )
 
-from oracles import naive_nullspace_dim, naive_rank, naive_rref, naive_solve
+from oracles import (
+    naive_nullspace_dim,
+    naive_rank,
+    naive_rref,
+    naive_rref_mod,
+    naive_solve,
+)
 
 P = 32003
 F = GF(P)
@@ -54,6 +57,57 @@ def test_qq_rref_matches_naive():
         assert [[Fraction(v) for v in r] for r in got_red][: len(want_piv)] == [
             r for r in want_red[: len(want_piv)]
         ]
+
+    # the second row is 3 times the first and cancels completely; the third
+    # loses its first two entries; the fourth is the sum of the first and
+    # third and cancels after both are pivots
+    third = Fraction(1, 3)
+    rows = [
+        [third, 2 * third, 0, 1],
+        [1, 2, 0, 3],
+        [Fraction(1, 2), 1, Fraction(5, 2), 7],
+        [Fraction(5, 6), Fraction(5, 3), Fraction(5, 2), 8],
+    ]
+    got_red, got_piv = rref(QQ, rows, 4)
+    want_red, want_piv = naive_rref(rows)
+    assert want_piv == [0, 2]
+    assert got_piv == want_piv
+    assert got_red == want_red
+
+
+def _random_modp_array(rng, p, nrows, ncols, fill):
+    """Entries in [0, 3p), each nonzero with probability ``fill``; some rows
+    are zero and some repeat an earlier row."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.1:
+            rows.append(list(rng.choice(rows)))
+        elif roll < 0.2:
+            rows.append([0] * ncols)
+        else:
+            rows.append(
+                [rng.randrange(1, 3 * p) if rng.random() < fill else 0 for _ in range(ncols)]
+            )
+    return rows
+
+
+def test_rref_mod_matches_textbook_gauss_jordan():
+    rng = Random(207)
+    shapes = [(0, 0), (0, 5), (5, 0)] + [
+        (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)
+    ] + [(80, 120), (120, 80)]
+    for p in (2, 3, P):
+        for nrows, ncols in shapes:
+            for fill in (0.01, 0.5):
+                rows = _random_modp_array(rng, p, nrows, ncols, fill)
+                a = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+                pivots = np.zeros(min(nrows, ncols), dtype=np.int64)
+                got_rank = _kernel.rref_mod(a, p, pivots)
+                want_red, want_piv = naive_rref_mod(rows, p)
+                assert got_rank == len(want_piv)
+                assert pivots[:got_rank].tolist() == want_piv
+                assert a.tolist() == want_red
 
 
 def test_rank_matches_naive_both_fields():
@@ -145,28 +199,5 @@ def test_extend_pivots_spans():
         assert len(picked) == full - base_rank  # and none is redundant
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_and_pure_kernels_agree():
-    from koszul_lift import _modp
-
-    rng = Random(206)
-    for _ in range(200):
-        nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 8)
-        a = np.array(
-            [[rng.randrange(P) for _ in range(ncols)] for _ in range(nrows)],
-            dtype=np.int64,
-        )
-        b = a.copy()
-        piv_a = np.zeros(ncols, dtype=np.int64)
-        piv_b = np.zeros(ncols, dtype=np.int64)
-        ra = _modp.rref_mod(a, P, piv_a)
-        rb = _modp_py.rref_mod(b, P, piv_b)
-        assert ra == rb
-        assert (a == b).all()
-        assert (piv_a[:ra] == piv_b[:rb]).all()
-
-
 def test_backend_name_is_consistent():
-    assert backend_name() in ("compiled", "pure-python")
-    assert (backend_name() == "compiled") == HAVE_COMPILED
+    assert backend_name() == "pure-python"
