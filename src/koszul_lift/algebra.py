@@ -544,6 +544,17 @@ class GradedRing:
             sequence = data.get("sequence", [])
         except KeyError as exc:
             raise ParseError(f"ring JSON missing key {exc}") from exc
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ParseError("ring JSON variables must be a list of strings")
+        if not isinstance(relations, list) or not all(
+            isinstance(r, str)
+            or (isinstance(r, list) and all(isinstance(e, int) and e >= 0 for e in r))
+            for r in relations
+        ):
+            raise ParseError(
+                "ring JSON relations must be a list of monomial strings or "
+                "lists of non-negative exponents"
+            )
         if not isinstance(sequence, list) or not all(isinstance(f, str) for f in sequence):
             raise ParseError("ring JSON sequence must be a list of polynomial strings")
         return cls(field, variables, relations, sequence)
@@ -754,96 +765,55 @@ def graded_matrix_rows(
     return rows
 
 
+def module_basis(ring: GradedRing, twists, d: int):
+    """Basis of the degree-d piece of the free module with the given
+    twists: pairs (generator index, monomial), generator-major order."""
+    out = []
+    for j, a in enumerate(twists):
+        for m in ring.monomial_basis(d - a):
+            out.append((j, m))
+    return out
+
+
+def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
+    """Turn a coordinate vector over module_basis(twists, d) into a column
+    of polynomials, one per generator."""
+    field = ring.field
+    out = [dict() for _ in twists]
+    for (j, m), c in zip(module_basis(ring, twists, d), vec):
+        if not field.is_zero(c):
+            out[j][m] = c
+    return [Poly(ring, terms) for terms in out]
+
+
 def solve_graded_linear(
-    ring: GradedRing,
-    unknown_degrees: Mapping[object, int],
-    constraints: Iterable[tuple[list, Poly]],
-) -> dict | None:
-    """Solve a Q-linear system whose unknowns are homogeneous elements of Q
-    of forced degrees.
+    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int, rhs: PolyMatrix
+) -> list:
+    """Solve ``mat * x = b`` in degree d for every column b of ``rhs``.
 
-    ``unknown_degrees`` maps an unknown's name to its degree (iteration
-    order fixes the column order).  Each constraint is ``(terms, rhs)``
-    with ``terms`` a list of ``(coefficient, name)`` pairs, asserting
-    sum(coefficient * unknown) == rhs in Q.  Coefficients and rhs must be
-    homogeneous.
-
-    Returns the assignment from the reduced row echelon solution with all
-    free variables set to zero, or None when inconsistent.  Unknowns whose
-    degree admits no monomials are assigned zero.
+    ``mat`` is a degree-0 map between the free modules with the given
+    twists, and each column of ``rhs`` is a degree-d element of the target.
+    The k-matrix of ``[mat | rhs]`` is built and row reduced once.  Returns
+    one entry per column of ``rhs``: the degree-d column x of the reduced
+    row echelon solution with every free variable set to zero, or None
+    when b is not in the image.
     """
     field = ring.field
-    names = list(unknown_degrees.keys())
-    col_owner: list[tuple[object, Monomial]] = []
-    col_start: dict[object, int] = {}
-    for name in names:
-        col_start[name] = len(col_owner)
-        d = unknown_degrees[name]
-        if d >= 0:
-            for m in ring.monomial_basis(d):
-                col_owner.append((name, m))
-    ncols = len(col_owner)
-
-    a_rows: list[list] = []
-    b: list = []
-    for terms, rhs in constraints:
-        rhs = ring.normal_form(rhs)
-        live = []
-        target = None
-        for coeff, name in terms:
-            coeff = ring.normal_form(coeff)
-            if coeff.is_zero():
-                continue
-            t = coeff.homogeneous_degree() + unknown_degrees[name]
-            if target is None:
-                target = t
-            elif target != t:
-                raise ValueError("constraint mixes target degrees")
-            live.append((coeff, name))
-        if not rhs.is_zero():
-            t = rhs.homogeneous_degree()
-            if target is None:
-                target = t
-            elif target != t:
-                raise ValueError("constraint mixes target degrees")
-        if target is None:
-            continue  # 0 == 0
-        basis_t = ring.monomial_basis(target)
-        index_t = ring.basis_index(target)
-        block = [[field.zero] * ncols for _ in range(len(basis_t))]
-        for coeff, name in live:
-            du = unknown_degrees[name]
-            if du < 0:
-                continue
-            start = col_start[name]
-            for k, mu in enumerate(ring.monomial_basis(du)):
-                for m0, c0 in coeff.terms.items():
-                    m = mono_mul(m0, mu)
-                    if ring._mono_is_zero_in_q(m):
-                        continue
-                    row = index_t[m]
-                    block[row][start + k] = field.add(block[row][start + k], c0)
-        rhs_vec = ring.coords(rhs, target)
-        if not basis_t:
-            continue  # the whole graded piece is zero
-        a_rows.extend(block)
-        b.extend(rhs_vec)
-
-    solution = linalg.solve_min(field, a_rows, b, ncols)
-    if solution is None:
-        return None
-    out: dict = {}
-    for name in names:
-        d = unknown_degrees[name]
-        if d < 0:
-            out[name] = ring.zero
+    aug = PolyMatrix(
+        mat.nrows, mat.ncols + rhs.ncols, [a + b for a, b in zip(mat.rows, rhs.rows)]
+    )
+    src_twists = tuple(src_twists)
+    rows = graded_matrix_rows(ring, aug, src_twists + (d,) * rhs.ncols, tgt_twists, d)
+    width = module_dim(ring, src_twists, d)
+    red, pivots = linalg.rref(field, rows, width + rhs.ncols)
+    rank = sum(1 for col in pivots if col < width)
+    out = []
+    for k in range(width, width + rhs.ncols):
+        if any(not field.is_zero(red[r][k]) for r in range(rank, len(pivots))):
+            out.append(None)
             continue
-        start = col_start[name]
-        basis_d = ring.monomial_basis(d)
-        terms = {
-            m: solution[start + k]
-            for k, m in enumerate(basis_d)
-            if not field.is_zero(solution[start + k])
-        }
-        out[name] = Poly(ring, terms)
+        vec = [field.zero] * width
+        for r, col in enumerate(pivots[:rank]):
+            vec[col] = red[r][k]
+        out.append(coords_to_column(ring, src_twists, d, vec))
     return out

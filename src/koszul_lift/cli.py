@@ -46,12 +46,7 @@ from .complexes import (
 )
 from .errors import KoszulLiftError, ParseError
 from .fields import GF
-from .homotopy import (
-    HomotopyFamily,
-    checkable_gammas,
-    solve_homotopies,
-    verify_relation,
-)
+from .homotopy import checkable_gammas, solve_homotopies, verify_relation
 from .koszul import check_regular_up_to
 from .resolve import Presentation, resolve_over_R
 from .samples import random_regular_ring, random_resolved_complex

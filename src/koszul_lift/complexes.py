@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, Poly, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import coords_to_column, module_basis  # noqa: F401 (re-exported)
 from .errors import InvalidInputError, ParseError
 
 SUPPORTS = ("window", "bounded_below", "finite")
@@ -246,31 +247,35 @@ class ComplexReport:
         return self.failures[0] if self.failures else None
 
 
+def homogeneity_failures(C: FreeComplex):
+    """Yield a failure for every differential entry that is not homogeneous
+    of its forced degree (source twist minus target twist), position by
+    position in row-major order."""
+    lo, hi = C.window
+    for n in range(lo + 1, hi + 1):
+        src = C.twists[n]
+        tgt = C.twists[n - 1]
+        for i, j, p in C.diffs[n].entries():
+            if p.is_zero():
+                continue
+            want = src[j] - tgt[i]
+            if not p.is_homogeneous() or p.homogeneous_degree() != want:
+                yield ComplexFailure(
+                    "homogeneity",
+                    n,
+                    (i, j),
+                    f"entry {p} at ({i},{j}) of d_{n} should be "
+                    f"homogeneous of degree {want}",
+                )
+
+
 def check_complex(C: FreeComplex) -> ComplexReport:
     """Structural validation: every entry homogeneous of its forced degree,
     and consecutive differentials compose to zero (over R / for lifts: to
     zero modulo (f))."""
     ring = C.ring
-    failures = []
+    failures = list(homogeneity_failures(C))
     lo, hi = C.window
-    for n in range(lo + 1, hi + 1):
-        mat = C.diffs[n]
-        src = C.twists[n]
-        tgt = C.twists[n - 1]
-        for i, j, p in mat.entries():
-            if p.is_zero():
-                continue
-            want = src[j] - tgt[i]
-            if not p.is_homogeneous() or p.homogeneous_degree() != want:
-                failures.append(
-                    ComplexFailure(
-                        "homogeneity",
-                        n,
-                        (i, j),
-                        f"entry {p} at ({i},{j}) of d_{n} should be "
-                        f"homogeneous of degree {want}",
-                    )
-                )
     weak = C.over == "R" or C.is_lift
     for n in range(lo + 2, hi + 1):
         comp = C.diffs[n - 1].mul(C.diffs[n], ring)
@@ -292,16 +297,6 @@ def check_complex(C: FreeComplex) -> ComplexReport:
 
 
 # -- graded piece machinery ----------------------------------------------------
-
-
-def module_basis(ring: GradedRing, twists, d: int):
-    """Basis of the degree-d piece of the free module with the given
-    twists: pairs (generator index, monomial), generator-major order."""
-    out = []
-    for j, a in enumerate(twists):
-        for m in ring.monomial_basis(d - a):
-            out.append((j, m))
-    return out
 
 
 def module_span_rows(ring: GradedRing, twists, d: int):
@@ -327,17 +322,6 @@ def module_span_rows(ring: GradedRing, twists, d: int):
 def module_span_columns(ring: GradedRing, twists, d: int):
     """The columns of module_span_rows(ring, twists, d)."""
     return list(zip(*module_span_rows(ring, twists, d)))
-
-
-def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
-    """Turn a coordinate vector over module_basis(twists, d) into a column
-    of polynomials, one per generator."""
-    field = ring.field
-    out = [dict() for _ in twists]
-    for (j, m), c in zip(module_basis(ring, twists, d), vec):
-        if not field.is_zero(c):
-            out[j][m] = c
-    return [Poly(ring, terms) for terms in out]
 
 
 def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:

@@ -14,23 +14,27 @@ that for every subset gamma:
 At gamma = () this says d o d = -sum f_i t^{e_i}; higher gamma are the
 coherences.  ``solve_homotopies`` builds the family level by level: the
 maps of size < L determine the pair sums, and the size-L maps enter
-linearly with coefficients f_i, giving one small graded linear system per
-position and matrix entry.  Echelon form with free variables pinned to
-zero makes the result deterministic.
+linearly.  At matrix entry (r, s) of entry degree e, the unknowns
+t^mu[r][s] are hit by (-1)**(L-1) times the Koszul differential
+K_L -> K_{L-1} on f, so the system is its degree-e strand with the
+negated pair sums on the right.  One position's entries of one entry
+degree share that strand and are eliminated together.  Echelon form with
+free variables pinned to zero makes the result deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import GradedRing, Poly, PolyMatrix, solve_graded_linear
-from .complexes import FreeComplex
+from .algebra import PolyMatrix, solve_graded_linear
+from .complexes import FreeComplex, homogeneity_failures
 from .errors import InvalidInputError, ParseError
 from .koszul import (
     insert_index,
     insertion_count,
     inversions,
+    koszul_complex,
     subsets_of_size,
     validate_index,
 )
@@ -156,7 +160,8 @@ def relation_lhs(H: HomotopyFamily, gamma, n: int):
 def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
     """Construct the homotopy family on a lift F up to the given level.
 
-    Raises InvalidInputError when some graded system is inconsistent,
+    Raises InvalidInputError when a differential entry is not homogeneous
+    of its forced degree, or when some graded system is inconsistent,
     which happens exactly when F is not a lift of a genuine R-complex up
     to the requested level.
     """
@@ -166,59 +171,57 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
         raise InvalidInputError("solve_homotopies expects a complex over Q")
     if not (0 <= level <= c):
         raise InvalidInputError(f"level must lie in 0..{c}, got {level}")
+    bad = next(homogeneity_failures(F), None)
+    if bad is not None:
+        raise InvalidInputError(bad.detail)
 
+    kos = koszul_complex(ring)
     H = HomotopyFamily(F, 0, {})
     for size in range(1, level + 1):
-        new_maps = {mu: {} for mu in subsets_of_size(c, size)}
+        coeffs = kos.diffs[size] if size % 2 else kos.diffs[size].neg()
+        gammas = list(subsets_of_size(c, size - 1))
+        mus = list(subsets_of_size(c, size))
+        new_maps = {mu: {} for mu in mus}
         for n in F.positions():
             src_rank = F.known_rank(n)
             tgt_rank = F.known_rank(n - size - 1)
             if not src_rank or not tgt_rank:
                 continue
-            gammas = list(subsets_of_size(c, size - 1))
-            residuals = {}
-            ready = True
-            for gamma in gammas:
-                s = pair_sum(H, gamma, n)
-                if s is None:
-                    ready = False
-                    break
-                residuals[gamma] = s
-            if not ready:
+            residuals = [pair_sum(H, gamma, n) for gamma in gammas]
+            if None in residuals:
                 continue
             src_tw = F.twists[n]
             tgt_tw = F.known_twist(n - size - 1)
-            mus = list(subsets_of_size(c, size))
+            groups = {}
+            for r in range(tgt_rank):
+                for s_ in range(src_rank):
+                    groups.setdefault(src_tw[s_] - tgt_tw[r], []).append((r, s_))
             entries = {
                 mu: [[None] * src_rank for _ in range(tgt_rank)] for mu in mus
             }
-            for r in range(tgt_rank):
-                for s_ in range(src_rank):
-                    unknowns = {}
-                    for mu in mus:
-                        drop = sum(ring.seq_degrees[i - 1] for i in mu)
-                        unknowns[mu] = src_tw[s_] - tgt_tw[r] - drop
-                    constraints = []
-                    for gamma in gammas:
-                        terms = []
-                        for i in range(1, c + 1):
-                            if i in gamma:
-                                continue
-                            coeff = ring.sequence[i - 1]
-                            if (len(gamma) + insertion_count(i, gamma)) % 2:
-                                coeff = -coeff
-                            terms.append((coeff, insert_index(i, gamma)))
-                        rhs = -residuals[gamma].entry(r, s_)
-                        constraints.append((terms, rhs))
-                    sol = solve_graded_linear(ring, unknowns, constraints)
+            failed = []
+            for e, cells in groups.items():
+                rhs = PolyMatrix(
+                    len(gammas),
+                    len(cells),
+                    [[-res.entry(r, s_) for r, s_ in cells] for res in residuals],
+                )
+                sols = solve_graded_linear(
+                    ring, coeffs, kos.twists[size], kos.twists[size - 1], e, rhs
+                )
+                for (r, s_), sol in zip(cells, sols):
                     if sol is None:
-                        raise InvalidInputError(
-                            f"homotopy system inconsistent at level {size}, "
-                            f"position {n}, entry ({r},{s_}); the input is "
-                            "not a lift of an R-complex"
-                        )
-                    for mu in mus:
-                        entries[mu][r][s_] = sol[mu]
+                        failed.append((r, s_))
+                        continue
+                    for mu, p in zip(mus, sol):
+                        entries[mu][r][s_] = p
+            if failed:
+                r, s_ = min(failed)
+                raise InvalidInputError(
+                    f"homotopy system inconsistent at level {size}, "
+                    f"position {n}, entry ({r},{s_}); the input is "
+                    "not a lift of an R-complex"
+                )
             for mu in mus:
                 new_maps[mu][n] = PolyMatrix(tgt_rank, src_rank, entries[mu])
         merged = dict(H.maps)

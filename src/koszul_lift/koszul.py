@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError
-from .algebra import GradedRing, Poly, PolyMatrix
+from .algebra import GradedRing, PolyMatrix
 
 MAX_C = 16
 

@@ -5,11 +5,15 @@ from random import Random
 
 import pytest
 
+from koszul_lift import linalg
 from koszul_lift.algebra import (
     GradedRing,
     Poly,
     PolyMatrix,
     block_matrix,
+    coords_to_column,
+    graded_matrix_rows,
+    module_dim,
     parse_poly,
     solve_graded_linear,
 )
@@ -204,51 +208,102 @@ def test_sequence_span_columns_are_coordinates_of_multiples():
     assert cols == expected
 
 
+def _column(ring, *polys):
+    return PolyMatrix(len(polys), 1, [[ring.parse(p)] for p in polys])
+
+
 def test_solve_graded_linear_hand_case():
     ring = GradedRing(QQ, ["x", "y"], sequence=["x^2", "y^2"])
-    f1, f2 = ring.sequence
-    rhs = ring.parse("x^2*y + x*y^2")
-    sol = solve_graded_linear(
-        ring,
-        {"w1": 1, "w2": 1},
-        [([(f1, "w1"), (f2, "w2")], rhs)],
-    )
-    assert sol is not None
-    assert sol["w1"] == ring.parse("y")
-    assert sol["w2"] == ring.parse("x")
+    mat = PolyMatrix(1, 2, [ring.sequence])
+    rhs = _column(ring, "x^2*y + x*y^2")
+    (sol,) = solve_graded_linear(ring, mat, (2, 2), (0,), 3, rhs)
+    assert sol == [ring.parse("y"), ring.parse("x")]
 
 
 def test_solve_graded_linear_inconsistent():
     ring = GradedRing(QQ, ["x", "y"], sequence=["x^2"])
-    f = ring.sequence[0]
-    # x*y has no multiple of x^2 in it
-    sol = solve_graded_linear(ring, {"w": 0}, [([(f, "w")], ring.parse("x*y"))])
-    assert sol is None
+    mat = PolyMatrix(1, 1, [ring.sequence])
+    # x*y has no multiple of x^2 in it; the zero column is still solvable
+    rhs = PolyMatrix(1, 2, [[ring.parse("x*y"), ring.zero]])
+    assert solve_graded_linear(ring, mat, (2,), (0,), 2, rhs) == [
+        None,
+        [ring.zero],
+    ]
 
 
 def test_solve_graded_linear_random_substitution():
-    # build rhs from known witnesses, then check the returned solution by
-    # substituting back (it need not equal the witnesses)
+    # build each rhs column from known witnesses, then check the returned
+    # solution by substituting back (it need not equal the witnesses)
     rng = Random(107)
     ring = GradedRing(QQ, ["x", "y"], relations=["x^4"], sequence=["x^2", "x*y"])
     f1, f2 = ring.sequence
-    for _ in range(40):
+    mat = PolyMatrix(1, 2, [ring.sequence])
+    for _ in range(15):
         d = rng.randint(0, 3)
-        g1 = _homogeneous(rng, ring, d)
-        g2 = _homogeneous(rng, ring, d)
-        rhs = ring.mul(f1, g1) + ring.mul(f2, g2)
-        sol = solve_graded_linear(
-            ring, {"w1": d, "w2": d}, [([(f1, "w1"), (f2, "w2")], rhs)]
+        rhs = [
+            ring.mul(f1, _homogeneous(rng, ring, d))
+            + ring.mul(f2, _homogeneous(rng, ring, d))
+            for _ in range(3)
+        ]
+        sols = solve_graded_linear(
+            ring, mat, (2, 2), (0,), d + 2, PolyMatrix(1, 3, [rhs])
         )
-        assert sol is not None
-        back = ring.mul(f1, sol["w1"]) + ring.mul(f2, sol["w2"])
-        assert back == ring.normal_form(rhs)
+        for b, sol in zip(rhs, sols):
+            assert sol is not None
+            assert ring.mul(f1, sol[0]) + ring.mul(f2, sol[1]) == b
 
 
-def _homogeneous(rng, ring, d):
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_solve_graded_linear_matches_per_column_solve_min(field):
+    # each batched column must be exactly the minimal solution that one
+    # elimination of [A | b] gives, consistent or not
+    rng = Random(211)
+    ring = GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=[])
+    seen = set()
+    for _ in range(12):
+        src = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        tgt = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        top = max(src) + 1
+        mat = PolyMatrix(
+            len(tgt),
+            len(src),
+            [
+                [
+                    _homogeneous(rng, ring, a - b, 0.3) if a >= b else ring.zero
+                    for a in src
+                ]
+                for b in tgt
+            ],
+        )
+        cols = []
+        for _ in range(4):
+            if rng.random() < 0.5:
+                x = PolyMatrix(
+                    len(src), 1, [[_homogeneous(rng, ring, top - a)] for a in src]
+                )
+                cols.append([row[0] for row in mat.mul(x, ring).rows])
+            else:
+                cols.append([_homogeneous(rng, ring, top - b) for b in tgt])
+        rhs = PolyMatrix(len(tgt), len(cols), list(zip(*cols)))
+        sols = solve_graded_linear(ring, mat, src, tgt, top, rhs)
+        a_rows = graded_matrix_rows(ring, mat, src, tgt, top)
+        width = module_dim(ring, src, top)
+        for k, sol in enumerate(sols):
+            b_col = PolyMatrix(len(tgt), 1, [[p] for p in cols[k]])
+            b = [row[0] for row in graded_matrix_rows(ring, b_col, (top,), tgt, top)]
+            expected = linalg.solve_min(field, a_rows, b, width)
+            seen.add(expected is None)
+            if expected is None:
+                assert sol is None
+            else:
+                assert sol == coords_to_column(ring, src, top, expected)
+    assert seen == {True, False}
+
+
+def _homogeneous(rng, ring, d, density=0.6):
     terms = {}
     for m in ring.monomial_basis(d):
-        if rng.random() < 0.6:
+        if rng.random() < density:
             terms[m] = Fraction(rng.randint(-3, 3))
     return Poly(ring, terms)
 

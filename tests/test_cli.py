@@ -102,6 +102,11 @@ def test_malformed_input_is_exit_2(tmp_path):
         {"field": "4"},
         {"field": 2147483659},
         {"sequence": [7]},
+        {"relations": [7]},
+        {"relations": [["a", 1]]},
+        {"relations": "xy"},
+        {"variables": 5},
+        {"variables": "xy"},
     ]
     for change in bad_rings:
         bad.write_text(json.dumps({**golden_ring, **change}))
@@ -115,6 +120,21 @@ def test_malformed_input_is_exit_2(tmp_path):
     out = run_cli("verify", "--ring", RING, "--complex", str(bad))
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_wrong_degree_entry_is_exit_2_in_lift_and_assemble(tmp_path):
+    cpx = json.loads((FIXTURES / "resolve_residue_length5.json").read_text())["complex"]
+    cpx["diffs"]["2"][0][0] = "x^3"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cpx))
+    message = "entry x^3 at (0,0) of d_2 should be homogeneous of degree 1"
+    for cmd in ("lift", "assemble"):
+        out = run_cli(cmd, "--ring", RES_RING, "--complex", str(bad))
+        assert out.returncode == 2, (cmd, out.stderr)
+        assert out.stderr == f"error: {message}\n"
+    out = run_cli("verify", "--ring", RES_RING, "--complex", str(bad))
+    assert out.returncode == 1
+    assert f"[FAIL] input complex structure: {message}" in out.stdout
 
 
 def test_lift_json_payload():

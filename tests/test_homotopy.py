@@ -95,6 +95,43 @@ def test_solver_rejects_non_lift():
         solve_homotopies(F, 1)
 
 
+def test_solver_names_first_inconsistent_entry_across_entry_degrees():
+    # d_1 d_2 = [[x^2, x*y^2], [x*y, 0]] over Q = k[x,y]/(y^3), f = x^2:
+    # entries (0,1) (degree 3) and (1,0) (degree 2) are not in (f); the
+    # degree-2 entries come first in row-major order, but (0,1) is the
+    # first inconsistent entry
+    ring = GradedRing(QQ, ["x", "y"], relations=["y^3"], sequence=["x^2"])
+    F = FreeComplex(
+        ring,
+        "Q",
+        (0, 2),
+        {0: (0, 0), 1: (1,), 2: (2, 3)},
+        {1: PolyMatrix.from_rows([[ring.parse("x")], [ring.parse("y")]]),
+         2: PolyMatrix.from_rows([[ring.parse("x"), ring.parse("y^2")]])},
+        is_lift=True,
+    )
+    with pytest.raises(InvalidInputError) as exc:
+        solve_homotopies(F, 1)
+    assert str(exc.value) == (
+        "homotopy system inconsistent at level 1, position 2, entry (0,1); "
+        "the input is not a lift of an R-complex"
+    )
+
+
+def test_solver_rejects_wrong_degree_entry_before_solving():
+    _, cbar, _ = paper_5_2()
+    rows = [list(row) for row in cbar.diffs[1].rows]
+    rows[0][0] = cbar.ring.parse("y^3")
+    diffs = dict(cbar.diffs)
+    diffs[1] = PolyMatrix.from_rows(rows)
+    bad = FreeComplex(cbar.ring, "R", cbar.window, cbar.twists, diffs, cbar.support)
+    expected = check_complex(bad).first()
+    assert expected.kind == "homogeneity"
+    with pytest.raises(InvalidInputError) as exc:
+        solve_homotopies(lift_to_Q(bad), 1)
+    assert str(exc.value) == expected.detail
+
+
 def test_solver_level_bounds():
     _, cbar, _ = paper_5_2()
     F = lift_to_Q(cbar)
