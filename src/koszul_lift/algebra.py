@@ -219,6 +219,8 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
     """Parse the grammar ``term (('+'|'-') term)*`` where a term is a
     '*'-separated product of an optional integer-or-a/b coefficient and
     variable powers ``x^k``.  The result is J-reduced."""
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial must be text, got {text!r}")
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise ParseError("empty polynomial text")

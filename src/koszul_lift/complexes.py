@@ -173,6 +173,8 @@ class FreeComplex:
         for n, rows in raw_diffs.items():
             if not (lo < n <= hi) or (n - 1) not in twists or n not in twists:
                 raise ParseError(f"differential key {n} outside window")
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise ParseError(f"differential at {n} must be a list of rows")
             nrows, ncols = len(twists[n - 1]), len(twists[n])
             parsed = [[ring.parse(cell) for cell in row] for row in rows]
             if len(parsed) != nrows or any(len(r) != ncols for r in parsed):

@@ -7,6 +7,10 @@ array round trip is not needed by the elimination: it stays because
 ``perfbench/tracing.py`` probes ``_kernel.rref_mod`` and ``_rref_qq`` and
 reads the array's size and shape.
 
+``rank`` and ``extend_pivots`` need only the pivot columns.  They go through
+``_pivots``, which takes the same route but never copies the reduced F_p
+array back into Python rows.
+
 Matrices are lists of rows.  Column counts are passed explicitly wherever a
 matrix may have zero rows.
 """
@@ -26,18 +30,13 @@ def backend_name() -> str:
     return "pure-python"
 
 
-def _to_array(rows, ncols: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-
-
-def _rref_modp(rows, ncols: int, p: int):
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return [list(r) for r in rows], []
-    arr = _to_array(rows, ncols)
-    pivots = np.zeros(min(nrows, ncols), dtype=np.int64)
+def _reduce_modp(rows, ncols: int, p: int):
+    """The int64 array of ``rows`` reduced by ``_kernel.rref_mod``, and its
+    pivot columns."""
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    pivots = np.zeros(min(len(rows), ncols), dtype=np.int64)
     rank = _kernel.rref_mod(arr, p, pivots)
-    return arr.tolist(), [int(c) for c in pivots[:rank]]
+    return arr, pivots[:rank].tolist()
 
 
 def _rref_qq(rows, ncols: int):
@@ -55,21 +54,26 @@ def rref(field, rows, ncols: int):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     if field.char == 0:
         return _rref_qq(rows, ncols)
-    return _rref_modp(rows, ncols, field.char)
+    if not rows or ncols == 0:
+        return [list(r) for r in rows], []
+    arr, pivots = _reduce_modp(rows, ncols, field.char)
+    return arr.tolist(), pivots
+
+
+def _pivots(field, rows, ncols: int):
+    """Pivot columns of the reduced row echelon form; the reduced rows are
+    never copied out."""
+    if not rows or ncols == 0:
+        return []
+    if field.char == 0:
+        return _rref_qq(rows, ncols)[1]
+    return _reduce_modp(rows, ncols, field.char)[1]
 
 
 def rank(field, rows, ncols=None) -> int:
-    if not rows:
-        return 0
     if ncols is None:
-        ncols = len(rows[0])
-    if ncols == 0:
-        return 0
-    if field.char == 0:
-        return len(_rref_qq(rows, ncols)[1])
-    arr = _to_array(rows, ncols)
-    pivots = np.zeros(min(len(rows), ncols), dtype=np.int64)
-    return int(_kernel.rref_mod(arr, field.char, pivots))
+        ncols = len(rows[0]) if rows else 0
+    return len(_pivots(field, rows, ncols))
 
 
 def solve_min(field, rows, b, ncols: int):
@@ -122,9 +126,7 @@ def extend_pivots(field, base_cols, extra_cols, dim: int):
     base columns first, so the selected extras are exactly the greedy
     left-to-right choices."""
     nbase = len(base_cols)
-    total = nbase + len(extra_cols)
-    if total == 0 or dim == 0:
-        return []
     rows = list(zip(*base_cols, *extra_cols))
-    _, pivots = rref(field, rows, total)
-    return [c - nbase for c in pivots if c >= nbase]
+    return [
+        c - nbase for c in _pivots(field, rows, nbase + len(extra_cols)) if c >= nbase
+    ]

@@ -2,11 +2,13 @@
 
 Everything happens in Q-coordinates: the degree-d piece of a free
 R-module with given twists is V_d/W_d where W_d is the span of the
-f-multiples.  Kernels of the induced maps are found as nullspaces of
-[matrix | span] blocks, and new generators are chosen by graded Nakayama:
-a kernel element becomes a generator exactly when it adds a pivot beyond
-W_d + (variables * kernel at degree d-1).  Free variables never enter:
-pivot selection is the greedy left-to-right echelon choice, so the output
+f-multiples.  Every step picks its generators by one graded Nakayama rule,
+degree by degree: a candidate becomes a generator exactly when it adds a
+pivot beyond W_d plus the multiples of every generator already chosen at
+that step.  The candidates are the presentation columns at step one and,
+later, the source parts of a nullspace basis of the [matrix | span] block.
+Free variables never enter: pivot selection is the greedy left-to-right
+echelon choice, which depends only on the span of the base, so the output
 is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
@@ -88,8 +90,17 @@ class Presentation:
             raw = data["relations"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"presentation JSON missing key: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"bad presentation twist: {exc}") from exc
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+            raise ParseError("presentation relations must be a list of rows")
+        ncols = len(raw[0]) if raw else 0
+        if len(raw) != len(twists) or any(len(row) != ncols for row in raw):
+            raise ParseError(
+                f"presentation relations must have {len(twists)} rows of "
+                "equal length, one per twist"
+            )
         rows = [[ring.parse(cell) for cell in row] for row in raw]
-        ncols = len(rows[0]) if rows else 0
         return cls(twists, PolyMatrix(len(twists), ncols, rows))
 
 
@@ -103,6 +114,50 @@ def _multiple_columns(ring, cols, col_degrees, twists, d):
     return list(zip(*graded_matrix_rows(ring, mat, col_degrees, twists, d)))
 
 
+def _minimal_generators(ring, twists, candidates):
+    """Graded Nakayama, one degree at a time.
+
+    ``candidates`` yields (d, coordinate vectors in the degree-d piece of the
+    free module with the given twists) in increasing d.  A vector becomes a
+    generator exactly when it is not in W_d plus the multiples of the
+    generators already chosen plus the vectors before it.  Returns the
+    generators' degrees and polynomial columns."""
+    degs, cols = [], []
+    for d, vecs in candidates:
+        base = module_span_columns(ring, twists, d) + _multiple_columns(
+            ring, cols, degs, twists, d
+        )
+        dim = module_dim(ring, twists, d)
+        for k in linalg.extend_pivots(ring.field, base, vecs, dim):
+            degs.append(d)
+            cols.append(coords_to_column(ring, twists, d, vecs[k]))
+    return degs, cols
+
+
+def _relation_candidates(ring, presentation, col_degs):
+    """The presentation columns of each degree, as coordinate vectors."""
+    twists = presentation.twists
+    rows = presentation.relations.rows
+    for d in sorted(set(col_degs) - {None}):
+        here = [[row[j] for row in rows] for j, dj in enumerate(col_degs) if dj == d]
+        yield d, _multiple_columns(ring, here, [d] * len(here), twists, d)
+
+
+def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
+    """Source parts of a nullspace basis of [mat | W] in each degree: they
+    span W_d together with lifts of the kernel of mat over R."""
+    start = min(src_twists) if src_twists else degree_bound + 1
+    for d in range(start, degree_bound + 1):
+        ns = module_dim(ring, src_twists, d)
+        if ns == 0:
+            continue
+        rows = graded_matrix_rows(ring, mat, src_twists, tgt_twists, d)
+        for row, wrow in zip(rows, module_span_rows(ring, tgt_twists, d)):
+            row.extend(wrow)
+        null = linalg.nullspace(ring.field, rows, len(rows[0]) if rows else ns)
+        yield d, [vec[:ns] for vec in null]
+
+
 def resolve_over_R(
     ring: GradedRing,
     presentation: Presentation,
@@ -114,93 +169,35 @@ def resolve_over_R(
     degree ``degree_bound``."""
     if length < 1:
         raise InvalidInputError("length must be >= 1")
-    field = ring.field
     f0_twists = presentation.twists
     col_degs = presentation.column_degrees(ring)
-
-    live = [
-        (d, [presentation.relations.rows[i][j] for i in range(len(f0_twists))])
-        for j, d in enumerate(col_degs)
-        if d is not None
-    ]
-    max_given = max((d for d, _ in live), default=0)
+    max_given = max((d for d in col_degs if d is not None), default=0)
     if degree_bound < max(max_given, max(f0_twists, default=0)) + 1:
         raise DegreeBoundTooLowError(
             f"degree bound {degree_bound} cannot even hold the presentation"
         )
 
-    # step one: a minimal generating set of the relation submodule
-    chosen_cols = []
-    chosen_degs = []
-    for d in sorted(set(dd for dd, _ in live)):
-        lower = [(dd, col) for dd, col in live if dd < d]
-        here = [col for dd, col in live if dd == d]
-        base = module_span_columns(ring, f0_twists, d) + _multiple_columns(
-            ring, [col for _, col in lower], [dd for dd, _ in lower], f0_twists, d
-        )
-        extras = _multiple_columns(ring, here, [d] * len(here), f0_twists, d)
-        dim = module_dim(ring, f0_twists, d)
-        picked = linalg.extend_pivots(field, base, extras, dim)
-        for k in picked:
-            chosen_cols.append(here[k])
-            chosen_degs.append(d)
-
-    twists = {0: tuple(f0_twists)}
+    twists = {0: f0_twists}
     diffs = {}
-    prev_twists = tuple(chosen_degs)
-    twists[1] = prev_twists
-    diffs[1] = PolyMatrix(
-        len(f0_twists),
-        len(chosen_cols),
-        [
-            [ring.normal_form(chosen_cols[j][i]) for j in range(len(chosen_cols))]
-            for i in range(len(f0_twists))
-        ],
-    )
-
-    # later steps: syzygies of the previous differential
-    for step in range(2, length + 1):
+    for step in range(1, length + 1):
         src_twists = twists[step - 1]
-        tgt_twists = twists[step - 2]
-        mat = diffs[step - 1]
-        new_degs = []
-        new_cols = []
-        prev_cols = []  # kernel representatives modulo W at degree d - 1
-        start = min(src_twists) if src_twists else degree_bound + 1
-        for d in range(start, degree_bound + 1):
-            ns = module_dim(ring, src_twists, d)
-            if ns == 0:
-                prev_cols = []
-                continue
-            rows = graded_matrix_rows(ring, mat, src_twists, tgt_twists, d)
-            for row, wrow in zip(rows, module_span_rows(ring, tgt_twists, d)):
-                row.extend(wrow)
-            null = linalg.nullspace(field, rows, len(rows[0]) if rows else ns)
-            kcols = [vec[:ns] for vec in null]
-            ws = module_span_columns(ring, src_twists, d)
-            rep_vecs = [kcols[k] for k in linalg.extend_pivots(field, ws, kcols, ns)]
-            rep_cols = [coords_to_column(ring, src_twists, d, u) for u in rep_vecs]
-            base = ws + _multiple_columns(
-                ring, prev_cols, [d - 1] * len(prev_cols), src_twists, d
+        if step == 1:
+            candidates = _relation_candidates(ring, presentation, col_degs)
+        else:
+            candidates = _syzygy_candidates(
+                ring, diffs[step - 1], src_twists, twists[step - 2], degree_bound
             )
-            picked = linalg.extend_pivots(field, base, rep_vecs, ns)
-            if picked and d == degree_bound:
-                raise DegreeBoundTooLowError(
-                    f"new syzygy generators still appear at degree "
-                    f"{degree_bound} (position {step}); raise the bound"
-                )
-            for k in picked:
-                new_degs.append(d)
-                new_cols.append(rep_cols[k])
-            prev_cols = rep_cols
-        twists[step] = tuple(new_degs)
+        degs, cols = _minimal_generators(ring, src_twists, candidates)
+        if degs and degs[-1] == degree_bound:
+            raise DegreeBoundTooLowError(
+                f"new syzygy generators still appear at degree "
+                f"{degree_bound} (position {step}); raise the bound"
+            )
+        twists[step] = tuple(degs)
         diffs[step] = PolyMatrix(
             len(src_twists),
-            len(new_cols),
-            [
-                [new_cols[j][i] for j in range(len(new_cols))]
-                for i in range(len(src_twists))
-            ],
+            len(cols),
+            [[col[i] for col in cols] for i in range(len(src_twists))],
         )
 
     return FreeComplex(

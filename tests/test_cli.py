@@ -121,6 +121,36 @@ def test_malformed_input_is_exit_2(tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
+    cpx = json.loads(Path(COMPLEX).read_text())
+    key = min(cpx["diffs"], key=int)
+    cpx["diffs"][key][0][0] = 7  # a number where a polynomial string belongs
+    bad.write_text(json.dumps(cpx))
+    out = run_cli("verify", "--ring", RING, "--complex", str(bad))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+    cpx = json.loads(Path(COMPLEX).read_text())
+    cpx["diffs"]["1"] = ["xy"]  # a string row, not the row ["x", "y"]
+    bad.write_text(json.dumps(cpx))
+    out = run_cli("verify", "--ring", RING, "--complex", str(bad))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+    bad_presentations = [
+        {"twists": [0], "relations": [["x", 7]]},  # numeric cell
+        {"twists": [0, 0], "relations": [["x", "y"], ["x"]]},  # ragged rows
+        {"twists": [0], "relations": 5},  # scalar relations
+        {"twists": [0, 0], "relations": [["x", "y"]]},  # rows != twists
+        {"twists": ["a"], "relations": [["x"]]},  # twist not an integer
+    ]
+    for pres in bad_presentations:
+        bad.write_text(json.dumps(pres))
+        out = run_cli(
+            "resolve", "--ring", RES_RING, "--presentation", str(bad), "--length", "2"
+        )
+        assert out.returncode == 2, pres
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
 
 def test_wrong_degree_entry_is_exit_2_in_lift_and_assemble(tmp_path):
     cpx = json.loads((FIXTURES / "resolve_residue_length5.json").read_text())["complex"]

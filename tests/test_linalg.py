@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+import pytest
 
 from koszul_lift import _kernel
 from koszul_lift.fields import GF, QQ
@@ -182,21 +183,34 @@ def test_extend_pivots_greedy():
     assert extend_pivots(QQ, base, [], 2) == []
 
 
-def test_extend_pivots_spans():
+@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
+def test_extend_pivots_spans(field):
+    # the picks are the greedy left-to-right choice: extra j is taken
+    # exactly when it raises the rank of the base plus the extras before it
+    def rank_of(vecs):
+        if not vecs:
+            return 0
+        rows = [list(v) for v in vecs]
+        return len((naive_rref_mod(rows, field.char) if field.char else naive_rref(rows))[1])
+
     rng = Random(205)
     for _ in range(60):
         dim = rng.randint(1, 5)
-        base = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
-        extras = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 5))]
-        picked = extend_pivots(QQ, base, extras, dim)
-        chosen = [extras[i] for i in picked]
-        full = naive_rank([list(v) for v in base + extras]) if base + extras else 0
-        with_chosen = (
-            naive_rank([list(v) for v in base + chosen]) if base + chosen else 0
-        )
-        base_rank = naive_rank([list(v) for v in base]) if base else 0
-        assert with_chosen == full  # chosen extras complete the span
-        assert len(picked) == full - base_rank  # and none is redundant
+        vecs = []
+        for _ in range(rng.randint(0, 8)):
+            if vecs and rng.random() < 0.3:  # a combination of earlier vectors
+                a, b = rng.choice(vecs), rng.choice(vecs)
+                c = rng.randint(-3, 3)
+                vecs.append(tuple(field(x + c * y) for x, y in zip(a, b)))
+            else:
+                vecs.append(tuple(field(rng.randint(-3, 3)) for _ in range(dim)))
+        nbase = rng.randint(0, min(3, len(vecs)))
+        base, extras = vecs[:nbase], vecs[nbase:]
+        greedy = [
+            j for j in range(len(extras))
+            if rank_of(base + extras[: j + 1]) > rank_of(base + extras[:j])
+        ]
+        assert extend_pivots(field, base, extras, dim) == greedy
 
 
 def test_backend_name_is_consistent():

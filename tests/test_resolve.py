@@ -106,6 +106,17 @@ def test_redundant_presentation_columns_are_pruned():
     assert is_minimal(C)
 
 
+def test_nakayama_base_holds_multiples_of_every_lower_generator():
+    # z^2*y is a multiple of y two degrees down and x^2*z lies in (f): the
+    # degree-3 base must hold W_3 and the multiples of generators of every
+    # lower degree, not only of degree 2, where there is none
+    ring = GradedRing(QQ, ["x", "y", "z"], sequence=["x^2"])
+    pres = Presentation((0,), _mat(ring, [["y", "z^2*y", "x^2*z"]]))
+    C = resolve_over_R(ring, pres, 1, 6)
+    assert C.twists[1] == (1,)
+    assert str(C.diffs[1].rows[0][0]) == "y"
+
+
 def test_randomized_resolutions_check_out():
     rng = Random(601)
     field = GF(32003)
