@@ -23,9 +23,8 @@ from . import linalg
 
 Monomial = tuple[int, ...]
 
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
+# Longest regular sequence f_1..f_c accepted anywhere (2^c Koszul subsets).
+MAX_C = 16
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -74,17 +73,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, m: Monomial):
-        return self.terms.get(m, self.ring.field.zero)
-
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
-    def degree(self):
-        """Largest total degree among terms, or None for the zero element."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
@@ -275,6 +265,30 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
     return ring.normal_form(Poly(ring, terms))
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or an integer string.  A bool, a
+    float or anything else is a ParseError naming ``what``."""
+    if type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def matrix_from_json(ring: "GradedRing", rows, nrows: int, ncols, what: str):
+    """The PolyMatrix of JSON rows of polynomial strings.  Anything but a
+    list of ``nrows`` lists of ``ncols`` cells (default: as many as the
+    first row) is a ParseError naming ``what``."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{what} must be a list of rows")
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ParseError(f"{what} must be {nrows} rows of {ncols} entries")
+    return PolyMatrix(nrows, ncols, [[ring.parse(cell) for cell in row] for row in rows])
+
+
 class GradedRing:
     """Q = k[x_1..x_n]/J together with a homogeneous sequence f_1..f_c.
 
@@ -282,8 +296,6 @@ class GradedRing:
     be homogeneous of degree >= 1 and nonzero in Q.  Whether the sequence is
     actually regular is a separate check (see ``koszul.check_regular_up_to``).
     """
-
-    MAX_SEQUENCE = 16
 
     def __init__(
         self,
@@ -325,10 +337,9 @@ class GradedRing:
                 )
             seq.append(f)
         self.sequence = tuple(seq)
-        if len(self.sequence) > self.MAX_SEQUENCE:
+        if len(self.sequence) > MAX_C:
             raise InvalidInputError(
-                f"sequence length {len(self.sequence)} exceeds "
-                f"{self.MAX_SEQUENCE}"
+                f"sequence length {len(self.sequence)} exceeds {MAX_C}"
             )
         self.seq_degrees = tuple(f.homogeneous_degree() for f in self.sequence)
 
@@ -416,9 +427,6 @@ class GradedRing:
     @property
     def one(self) -> Poly:
         return Poly(self, {(0,) * self.nvars: self.field.one})
-
-    def const(self, value) -> Poly:
-        return Poly(self, {(0,) * self.nvars: self.field(value)})
 
     def var(self, name: str) -> Poly:
         k = self.variables.index(name)
@@ -550,7 +558,7 @@ class GradedRing:
             raise ParseError("ring JSON variables must be a list of strings")
         if not isinstance(relations, list) or not all(
             isinstance(r, str)
-            or (isinstance(r, list) and all(isinstance(e, int) and e >= 0 for e in r))
+            or (isinstance(r, list) and all(type(e) is int and e >= 0 for e in r))
             for r in relations
         ):
             raise ParseError(

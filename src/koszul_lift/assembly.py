@@ -119,8 +119,9 @@ def assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
 
 
 def assemble_codim1(F: FreeComplex, t_e) -> ProductComplex:
-    """Codimension-one fast path: the caller supplies the single homotopy
-    t^{e_1} directly as a mapping position -> matrix."""
+    """Codimension one, with the single homotopy t^{e_1} supplied directly
+    as a mapping position -> matrix.  After checking c = 1 and the shapes it
+    runs the general assembler."""
     ring = F.ring
     if ring.c != 1:
         raise WrongCodimensionError(
@@ -324,7 +325,6 @@ class RankReport:
     blockwise_ok: bool
     total: tuple | None  # (product total, 2^c * base total, ok)
     transfer: TransferReport | None
-    vandermonde: VandermondeReport | None
     ok: bool
 
 
@@ -347,15 +347,13 @@ def rank_report(
     P: ProductComplex,
     cbar: FreeComplex | None = None,
     dim_q: int | None = None,
-    vandermonde: tuple | None = None,
 ) -> RankReport:
     """Blockwise and total rank accounting for an assembly.
 
     Every position must satisfy rank P_n = sum_i C(c,i) rank F_{n-i}; for
     finite complexes the totals satisfy sum rank P = 2^c sum rank F.  When
     ``dim_q`` is given (the ambient variable count) the total-rank transfer
-    bound is evaluated; ``vandermonde=(c, d, n)`` evaluates the convolution
-    identity for those parameters."""
+    bound is evaluated."""
     ranks_from = cbar if cbar is not None else P.lift
     c = P.ring.c
     per = []
@@ -393,18 +391,13 @@ def rank_report(
                 (not premise) or conclusion,
             )
 
-    vrep = None
-    if vandermonde is not None:
-        vrep = vandermonde_identity(*vandermonde)
-
     ok = (
         all(p.ok for p in per)
         and blockwise_ok
         and (total is None or total[2])
         and (transfer is None or transfer.ok)
-        and (vrep is None or vrep.ok)
     )
-    return RankReport(per, blockwise_ok, total, transfer, vrep, ok)
+    return RankReport(per, blockwise_ok, total, transfer, ok)
 
 
 # -- minimality and the degenerate shapes -------------------------------------------

@@ -8,8 +8,8 @@ values here were worked out by hand and are frozen; the test suite and the
 CLI verify runs against them.
 
 The displayed form of the product matrices lists the Koszul block first,
-which is the reverse of the canonical generator order; hence the recorded
-``reverse-blocks`` permutation.
+which is the reverse of the canonical generator order
+(``assembly.reverse_block_order``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def paper_5_2():
             1: [["0", "-x"]],
             0: [["0"], ["-x"]],
         },
-        "display_permutation": "reverse-blocks",
         "product_displayed": {
             2: [
                 ["x", "y", "0", "-1", "0"],

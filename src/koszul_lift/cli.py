@@ -3,7 +3,7 @@
 Commands
 --------
 lift        solve the homotopy family of an R-complex's chosen lift
-assemble    build the product complex (optionally the codim-1 fast path)
+assemble    build the product complex (optionally from t^{e_1} alone, c = 1)
 verify      run the full check battery on an input, or a seeded random suite
 resolve     minimal free resolution of a presented module over R
 example     print or verify a built-in worked example
@@ -44,7 +44,7 @@ from .complexes import (
     homology_dims,
     lift_to_Q,
 )
-from .errors import KoszulLiftError, ParseError
+from .errors import InvalidInputError, KoszulLiftError, ParseError
 from .fields import GF
 from .homotopy import checkable_gammas, solve_homotopies, verify_relation
 from .koszul import check_regular_up_to
@@ -368,9 +368,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_random(args) -> int:
+    count = args.count
+    if count < 1:
+        raise InvalidInputError(f"--count must be >= 1, got {count}")
     rng = Random(args.seed)
     field = GF(RANDOM_FIELD)
-    count = args.count
     lines = [f"randomized suite: seed {args.seed}, {count} inputs, F_{RANDOM_FIELD}"]
     failures = 0
     for k in range(count):
@@ -378,12 +380,8 @@ def _cmd_verify_random(args) -> int:
         c = rng.randint(1, min(3, nvars))
         ring = random_regular_ring(rng, field, nvars, c)
         cbar = random_resolved_complex(rng, ring, rng.randint(2, 5))
-        F = lift_to_Q(cbar)
-        fam = solve_homotopies(F, ring.c)
-        P = assemble(F, fam)
-        ok = check_complex(P.complex).ok
-        ok = ok and rank_report(P, cbar).ok
-        ok = ok and epsilon_C(P, cbar).ok
+        checks, _ = _verify_input(ring, cbar, c, args.degree_bound, args.dim_q)
+        ok = all(check["ok"] for check in checks)
         if not ok:
             failures += 1
         lines.append(

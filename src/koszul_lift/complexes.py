@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import json_int, matrix_from_json
 from .algebra import coords_to_column, module_basis  # noqa: F401 (re-exported)
 from .errors import InvalidInputError, ParseError
 
@@ -161,27 +162,25 @@ class FreeComplex:
             raise ParseError(f"complex JSON missing key: {exc}") from exc
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ParseError(f"bad window {window!r}")
-        try:
-            lo, hi = int(window[0]), int(window[1])
-            twists = {
-                int(key): tuple(int(a) for a in val) for key, val in raw_twists.items()
-            }
-            raw_diffs = {int(key): rows for key, rows in data.get("diffs", {}).items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad complex JSON window, twists or diffs: {exc}") from exc
+        lo, hi = (json_int(b, "window bound") for b in window)
+        raw_diffs = data.get("diffs", {})
+        if not isinstance(raw_twists, dict) or not isinstance(raw_diffs, dict):
+            raise ParseError("complex JSON twists and diffs must be objects")
+        twists = {}
+        for key, val in raw_twists.items():
+            if not isinstance(val, list):
+                raise ParseError(f"twists at position {key} must be a list")
+            twists[json_int(key, "twist position")] = tuple(
+                json_int(a, f"twist at position {key}") for a in val
+            )
         diffs = {}
-        for n, rows in raw_diffs.items():
+        for key, rows in raw_diffs.items():
+            n = json_int(key, "differential position")
             if not (lo < n <= hi) or (n - 1) not in twists or n not in twists:
                 raise ParseError(f"differential key {n} outside window")
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ParseError(f"differential at {n} must be a list of rows")
-            nrows, ncols = len(twists[n - 1]), len(twists[n])
-            parsed = [[ring.parse(cell) for cell in row] for row in rows]
-            if len(parsed) != nrows or any(len(r) != ncols for r in parsed):
-                raise ParseError(
-                    f"differential at {n} has wrong shape for the twists"
-                )
-            diffs[n] = PolyMatrix(nrows, ncols, parsed)
+            diffs[n] = matrix_from_json(
+                ring, rows, len(twists[n - 1]), len(twists[n]), f"differential at {n}"
+            )
         return cls(
             ring,
             over,

@@ -24,20 +24,11 @@ class Field:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        raise NotImplementedError
-
     def mul(self, a, b):
         raise NotImplementedError
 
     def neg(self, a):
         raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -70,19 +61,11 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
 
     def is_zero(self, a) -> bool:
         return not a
@@ -154,20 +137,11 @@ class PrimeField(Field):
         p = self.char
         return s - p if s >= p else s
 
-    def sub(self, a, b):
-        d = a - b
-        return d + self.char if d < 0 else d
-
     def mul(self, a, b):
         return a * b % self.char
 
     def neg(self, a):
         return self.char - a if a else 0
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.char - 2, self.char)
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -24,13 +24,16 @@ free variables pinned to zero makes the result deterministic.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import PolyMatrix, solve_graded_linear
+from .algebra import PolyMatrix, json_int, matrix_from_json, solve_graded_linear
 from .complexes import FreeComplex, homogeneity_failures
 from .errors import InvalidInputError, ParseError
 from .koszul import (
+    index_from_json,
+    index_to_json,
     insert_index,
     insertion_count,
     inversions,
@@ -77,7 +80,7 @@ class HomotopyFamily:
         maps = {}
         for alpha in sorted(self.maps, key=lambda a: (len(a), a)):
             pos = self.maps[alpha]
-            key = "[" + ",".join(str(i) for i in alpha) + "]"
+            key = json.dumps(index_to_json(alpha), separators=(",", ":"))
             maps[key] = {
                 str(n): [[str(p) for p in row] for row in pos[n].rows]
                 for n in sorted(pos)
@@ -86,28 +89,32 @@ class HomotopyFamily:
 
     @classmethod
     def from_json_dict(cls, base: FreeComplex, data) -> "HomotopyFamily":
+        """Inverse of ``to_json_dict``; every malformed family is a
+        ParseError."""
         ring = base.ring
+        raw = data.get("maps", {}) if isinstance(data, dict) else None
+        if not isinstance(raw, dict):
+            raise ParseError("homotopy family JSON needs a maps object")
         maps = {}
-        for key, positions in data.get("maps", {}).items():
-            body = key.strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ParseError(f"bad index key {key!r}")
-            inner = body[1:-1].strip()
-            alpha = (
-                tuple(int(tok) for tok in inner.split(",")) if inner else ()
-            )
-            alpha = validate_index(alpha, ring.c)
+        for key, positions in raw.items():
+            try:
+                alpha = index_from_json(json.loads(key), ring.c)
+            except (ValueError, InvalidInputError) as exc:
+                raise ParseError(f"bad index key {key!r}: {exc}") from exc
+            if not alpha:
+                raise ParseError(f"index key {key!r} is not a nonempty subset")
+            if not isinstance(positions, dict):
+                raise ParseError(f"maps of {key} must be an object")
             per = {}
             for nkey, rows in positions.items():
-                n = int(nkey)
+                n = json_int(nkey, f"position of map {key}")
                 tgt = base.known_rank(n - len(alpha) - 1)
                 src = base.known_rank(n)
                 if tgt is None or src is None:
                     raise ParseError(f"map {key} at {n} outside the window")
-                parsed = [[ring.parse(cell) for cell in row] for row in rows]
-                per[n] = PolyMatrix(tgt, src, parsed)
+                per[n] = matrix_from_json(ring, rows, tgt, src, f"map {key} at {n}")
             maps[alpha] = per
-        return cls(base, int(data.get("level", 0)), maps)
+        return cls(base, json_int(data.get("level", 0), "homotopy level"), maps)
 
 
 def pair_sum(H: HomotopyFamily, gamma, n: int):
@@ -311,52 +318,48 @@ def eisenbud_operator_checks(H: HomotopyFamily) -> EisenbudReport:
                 return (i, j)
         return None
 
-    chain = {}
-    for i in range(1, c + 1):
-        positions, first, ok = [], None, True
+    def check(residual) -> CheckItem:
+        """Every position where ``residual(n)`` is determined, and the first
+        (position, row, col) whose entry lies outside (f)."""
+        positions, first = [], None
         for n in F.positions():
-            t_n = H.map((i,), n)
-            t_prev = H.map((i,), n - 1)
-            d_n = F.differential(n)
-            d_tgt = F.differential(n - 2)
-            if None in (t_n, t_prev, d_n, d_tgt):
+            resid = residual(n)
+            if resid is None:
                 continue
-            resid = d_tgt.mul(t_n, ring).sub(t_prev.mul(d_n, ring))
             positions.append(n)
-            bad = in_f(resid)
-            if bad is not None and first is None:
-                ok = False
+            bad = in_f(resid) if first is None else None
+            if bad is not None:
                 first = (n,) + bad
-        chain[i] = CheckItem(ok, positions, first)
+        return CheckItem(first is None, positions, first)
 
-    comms = {}
-    for i in range(1, c + 1):
-        for j in range(i + 1, c + 1):
-            positions, first, ok = [], None, True
-            for n in F.positions():
-                ti_hi = H.map((i,), n - 2)
-                tj_n = H.map((j,), n)
-                tj_hi = H.map((j,), n - 2)
-                ti_n = H.map((i,), n)
-                h_n = H.map((i, j), n)
-                h_prev = H.map((i, j), n - 1)
-                d_n = F.differential(n)
-                d_tgt = F.differential(n - 3)
-                if None in (ti_hi, tj_n, tj_hi, ti_n, h_n, h_prev, d_n, d_tgt):
-                    continue
-                resid = (
-                    ti_hi.mul(tj_n, ring)
-                    .sub(tj_hi.mul(ti_n, ring))
-                    .add(h_prev.mul(d_n, ring))
-                    .add(d_tgt.mul(h_n, ring))
-                )
-                positions.append(n)
-                bad = in_f(resid)
-                if bad is not None and first is None:
-                    ok = False
-                    first = (n,) + bad
-            comms[(i, j)] = CheckItem(ok, positions, first)
+    def chain_map(i, n):
+        """d t^{e_i} - t^{e_i} d at position n."""
+        t_n, t_prev = H.map((i,), n), H.map((i,), n - 1)
+        d_n, d_tgt = F.differential(n), F.differential(n - 2)
+        if None in (t_n, t_prev, d_n, d_tgt):
+            return None
+        return d_tgt.mul(t_n, ring).sub(t_prev.mul(d_n, ring))
 
+    def commutator(i, j, n):
+        """[t^{e_i}, t^{e_j}] + d h + h d at position n."""
+        ti_n, ti_hi = H.map((i,), n), H.map((i,), n - 2)
+        tj_n, tj_hi = H.map((j,), n), H.map((j,), n - 2)
+        h_n, h_prev = H.map((i, j), n), H.map((i, j), n - 1)
+        d_n, d_tgt = F.differential(n), F.differential(n - 3)
+        if None in (ti_hi, tj_n, tj_hi, ti_n, h_n, h_prev, d_n, d_tgt):
+            return None
+        return (
+            ti_hi.mul(tj_n, ring)
+            .sub(tj_hi.mul(ti_n, ring))
+            .add(h_prev.mul(d_n, ring))
+            .add(d_tgt.mul(h_n, ring))
+        )
+
+    chain = {i: check(lambda n: chain_map(i, n)) for i in range(1, c + 1)}
+    comms = {
+        (i, j): check(lambda n: commutator(i, j, n))
+        for i, j in combinations(range(1, c + 1), 2)
+    }
     ok = all(item.ok for item in chain.values()) and all(
         item.ok for item in comms.values()
     )

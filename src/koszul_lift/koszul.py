@@ -17,9 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError
-from .algebra import GradedRing, PolyMatrix
-
-MAX_C = 16
+from .algebra import MAX_C, GradedRing, PolyMatrix
 
 KoszulIndex = Optional[tuple[int, ...]]
 
@@ -89,7 +87,7 @@ def index_to_json(alpha: KoszulIndex):
 def index_from_json(data, c: int) -> KoszulIndex:
     if data is None:
         return None
-    if not isinstance(data, (list, tuple)):
+    if not isinstance(data, (list, tuple)) or not all(type(i) is int for i in data):
         raise InvalidInputError(f"bad index serialization {data!r}")
     return validate_index(data, c)
 

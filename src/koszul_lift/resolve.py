@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import json_int, matrix_from_json
 from .complexes import (
     FreeComplex,
     coords_to_column,
@@ -86,22 +87,17 @@ class Presentation:
     @classmethod
     def from_json_dict(cls, ring: GradedRing, data) -> "Presentation":
         try:
-            twists = tuple(int(a) for a in data["twists"])
+            raw_twists = data["twists"]
             raw = data["relations"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"presentation JSON missing key: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"bad presentation twist: {exc}") from exc
-        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-            raise ParseError("presentation relations must be a list of rows")
-        ncols = len(raw[0]) if raw else 0
-        if len(raw) != len(twists) or any(len(row) != ncols for row in raw):
-            raise ParseError(
-                f"presentation relations must have {len(twists)} rows of "
-                "equal length, one per twist"
-            )
-        rows = [[ring.parse(cell) for cell in row] for row in raw]
-        return cls(twists, PolyMatrix(len(twists), ncols, rows))
+        if not isinstance(raw_twists, list):
+            raise ParseError("presentation twists must be a list")
+        twists = tuple(json_int(a, "presentation twist") for a in raw_twists)
+        return cls(
+            twists,
+            matrix_from_json(ring, raw, len(twists), None, "presentation relations"),
+        )
 
 
 def _multiple_columns(ring, cols, col_degrees, twists, d):

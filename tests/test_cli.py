@@ -85,6 +85,28 @@ def test_seeded_suite_deterministic():
     assert "result: PASS (3/3)" in a.stdout
 
 
+def test_seeded_suite_runs_the_full_battery(monkeypatch, capsys):
+    # homology that disagrees between the product and the input must fail
+    # the seeded suite, as it fails `verify` on a file
+    from koszul_lift import cli
+
+    monkeypatch.setattr(
+        cli,
+        "homology_dims",
+        lambda C, positions, bound: {(positions[0], 0): int(C.over == "Q")},
+    )
+    assert cli.main(["verify", "--seed", "3", "--count", "2"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_seeded_suite_needs_a_positive_count(count):
+    out = run_cli("verify", "--seed", "1", "--count", count)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 def test_malformed_input_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -104,6 +126,7 @@ def test_malformed_input_is_exit_2(tmp_path):
         {"sequence": [7]},
         {"relations": [7]},
         {"relations": [["a", 1]]},
+        {"relations": [[True, 0]]},  # not read as the exponent 1
         {"relations": "xy"},
         {"variables": 5},
         {"variables": "xy"},
@@ -136,12 +159,31 @@ def test_malformed_input_is_exit_2(tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
+    # integers in complex JSON: no bools, no truncated floats
+    golden = json.loads(Path(COMPLEX).read_text())
+    bad_integers = [
+        {"window": [-2.7, 2]},
+        {"window": [-2, True]},
+        {"twists": {**golden["twists"], "-2": [-3.5, -3]}},
+        {"twists": {**golden["twists"], "0": [False]}},
+        {"twists": {**golden["twists"], "0.5": [0]}},
+        {"diffs": {**golden["diffs"], "1.0": golden["diffs"]["1"]}},
+    ]
+    for change in bad_integers:
+        bad.write_text(json.dumps({**golden, **change}))
+        out = run_cli("verify", "--ring", RING, "--complex", str(bad))
+        assert out.returncode == 2, change
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
     bad_presentations = [
         {"twists": [0], "relations": [["x", 7]]},  # numeric cell
         {"twists": [0, 0], "relations": [["x", "y"], ["x"]]},  # ragged rows
         {"twists": [0], "relations": 5},  # scalar relations
         {"twists": [0, 0], "relations": [["x", "y"]]},  # rows != twists
         {"twists": ["a"], "relations": [["x"]]},  # twist not an integer
+        {"twists": [0.9], "relations": [["x", "y"]]},  # not truncated to 0
+        {"twists": [True], "relations": [["x", "y"]]},  # not read as 1
+        {"twists": "0", "relations": [["x", "y"]]},  # not a list
     ]
     for pres in bad_presentations:
         bad.write_text(json.dumps(pres))

@@ -15,7 +15,7 @@ from koszul_lift.complexes import (
     homology_dims,
     lift_to_Q,
 )
-from koszul_lift.errors import InvalidInputError, LevelTooLowError
+from koszul_lift.errors import InvalidInputError, LevelTooLowError, ParseError
 from koszul_lift.fields import GF, QQ
 from koszul_lift.homotopy import (
     HomotopyFamily,
@@ -208,6 +208,118 @@ def test_eisenbud_checks_c1_and_c2():
     assert rep2.ok
     assert len(rep2.chain_maps) == 2
     assert len(rep2.commutators) == 1
+
+
+def test_family_json_keys_are_subset_lists():
+    rng = Random(403)
+    ring = random_regular_ring(rng, QQ, 2, 2)
+    F = lift_to_Q(random_resolved_complex(rng, ring, 4))
+    fam = solve_homotopies(F, 2)
+    data = fam.to_json_dict()
+    assert list(data["maps"]) == ["[1]", "[2]", "[1,2]"]
+    again = HomotopyFamily.from_json_dict(F, data)
+    assert again.maps == fam.maps
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"level": "x"},
+        {"level": True},
+        {"maps": []},
+        {"maps": {"[1,a]": {}}},
+        {"maps": {"[1.0]": {}}},
+        {"maps": {"[true]": {}}},
+        {"maps": {"[2]": {}}},  # outside 1..c
+        {"maps": {"[]": {}}},
+        {"maps": {"null": {}}},
+        {"maps": {"[1]": []}},
+        {"maps": {"[1]": {"1.5": [["0", "-x"]]}}},
+        {"maps": {"[1]": {"7": [["0"]]}}},  # outside the window
+        {"maps": {"[1]": {"1": [["0", "-x", "0"]]}}},  # wrong shape
+        {"maps": {"[1]": {"1": ["xy"]}}},  # a string row, not ["x", "y"]
+        {"maps": {"[1]": {"1": [["0", 7]]}}},
+    ],
+)
+def test_family_json_rejects_malformed_input(change):
+    _, cbar, _ = paper_5_2()
+    F = lift_to_Q(cbar)
+    data = {**solve_homotopies(F, 1).to_json_dict(), **change}
+    with pytest.raises(ParseError):
+        HomotopyFamily.from_json_dict(F, data)
+
+
+def _perturbed(fam, alpha, n, r, s, p):
+    """The family with p added to entry (r, s) of t^alpha at position n."""
+    maps = {a: dict(pos) for a, pos in fam.maps.items()}
+    rows = [list(row) for row in maps[alpha][n].rows]
+    rows[r][s] = rows[r][s] + p
+    maps[alpha][n] = PolyMatrix.from_rows(rows, ncols=len(rows[0]))
+    return HomotopyFamily(fam.base, fam.level, maps)
+
+
+def _first_outside_f(ring, deltas):
+    """First (position, row, col) of an entry outside (f), positions in the
+    order given."""
+    for n, mat in deltas:
+        for i, j, p in mat.entries():
+            if not ring.in_sequence_ideal(p):
+                return (n, i, j)
+    return None
+
+
+def test_eisenbud_checks_catch_a_perturbed_family():
+    # c = 1: t^{e_1} at position 2 is [0 -1 0]; adding 1 to the middle entry
+    # changes d t^{e_1} by x*y, which is not in (y^2)
+    _, cbar, _ = paper_5_2()
+    fam = solve_homotopies(lift_to_Q(cbar), 1)
+    rep = eisenbud_operator_checks(_perturbed(fam, (1,), 2, 0, 1, fam.ring.one))
+    assert not rep.ok
+    assert not rep.chain_maps[1].ok
+    assert rep.chain_maps[1].first_failure == (2, 0, 1)
+
+    # c = 2: add a monomial outside (f) to one entry h = t^{e_1 e_2} at n.
+    # The commutator residual is linear in h and lies in (f) before the
+    # change, so it fails exactly where d h (at n) or h d (at n + 1) leaves
+    # (f).
+    rng = Random(404)
+    ring = random_regular_ring(rng, QQ, 3, 2)  # f = (x^2, y), t^{e_1 e_2} != 0
+    F = lift_to_Q(random_resolved_complex(rng, ring, 4))
+    fam = solve_homotopies(F, 2)
+    checked = eisenbud_operator_checks(fam).commutators[(1, 2)].positions
+    found = None
+    for n in sorted(fam.maps[(1, 2)]):
+        h = fam.maps[(1, 2)][n]
+        tgt_tw = F.known_twist(n - 3)
+        for r, s_ in ((r, s_) for r in range(h.nrows) for s_ in range(h.ncols)):
+            e = fam.entry_degree((1, 2), F.twists[n][s_], tgt_tw[r])
+            for m in ring.monomial_basis(e) if e >= 0 else ():
+                p = ring.monomial(m)
+                if ring.in_sequence_ideal(p):
+                    continue
+                rows = [[ring.zero] * h.ncols for _ in range(h.nrows)]
+                rows[r][s_] = p
+                E = PolyMatrix.from_rows(rows, ncols=h.ncols)
+                deltas = []
+                if n in checked:
+                    deltas.append((n, F.differential(n - 3).mul(E, ring)))
+                if n + 1 in checked:
+                    deltas.append((n + 1, E.mul(F.differential(n + 1), ring)))
+                first = _first_outside_f(ring, deltas)
+                if first is not None:
+                    found = (n, r, s_, p, first)
+                    break
+            if found:
+                break
+        if found:
+            break
+    assert found is not None
+    n, r, s_, p, first = found
+    rep = eisenbud_operator_checks(_perturbed(fam, (1, 2), n, r, s_, p))
+    assert not rep.ok
+    assert all(item.ok for item in rep.chain_maps.values())
+    assert not rep.commutators[(1, 2)].ok
+    assert rep.commutators[(1, 2)].first_failure == first
 
 
 def test_eisenbud_checks_need_level():
