@@ -2,8 +2,14 @@
 solve and nullspace over F_p and over Q.
 
 Rows are dicts {column: nonzero entry}: ints in [0, p) over F_p, Fractions
-over Q.  The reduced row echelon form of a matrix is unique for its column
-order, so the order in which rows become pivots does not change the result.
+over Q.  ``echelon`` is the forward pass and finds the pivot columns, which
+is all a rank needs; ``gauss_jordan`` adds the back substitution.  The
+reduced row echelon form of a matrix is unique for its column order, so the
+order in which rows become pivots does not change the result.
+
+``rref_mod`` wraps ``gauss_jordan`` for an int64 array.  Only full
+reductions over F_p (``linalg.rref``) take that route; rank-only calls hand
+their dict rows to ``echelon`` directly.
 """
 
 import heapq
@@ -24,16 +30,16 @@ def _subtract(row: dict, f, prow: dict, char: int) -> None:
             del row[k]
 
 
-def gauss_jordan(rows, char: int) -> list:
-    """Reduced row echelon form of the dict rows ``rows`` over F_char (Q
-    when ``char`` is 0), as (pivot column, reduced row) pairs in ascending
-    column order.  Each reduced row holds a 1 in its pivot column and no
-    entry in any other pivot column.  ``rows`` are modified.
+def echelon(rows, char: int) -> dict:
+    """Row echelon form of the dict rows ``rows`` over F_char (Q when
+    ``char`` is 0): {pivot column: pivot row}, in ascending column order.
+    Each pivot row holds a 1 in its pivot column and no entry in an earlier
+    column.  ``rows`` are modified.
 
-    Forward elimination takes the columns in ascending order and only
-    touches the rows that lead in the current column; the sparsest of them
-    becomes the pivot, which keeps the fill down.  Back substitution then
-    clears each pivot row's later pivot columns, last pivot first.
+    Columns are taken in ascending order and only the rows that lead in the
+    current column are touched; the sparsest of them becomes the pivot,
+    which keeps the fill down.  The pivot columns are those of the reduced
+    row echelon form, so a rank needs nothing more.
     """
     leading: dict = {}  # column -> the rows whose first entry is there
     for row in rows:
@@ -64,6 +70,19 @@ def gauss_jordan(rows, char: int) -> list:
                     leading[first] = []
                     heapq.heappush(queue, first)
                 leading[first].append(row)
+    return pivots
+
+
+def gauss_jordan(rows, char: int) -> list:
+    """Reduced row echelon form of the dict rows ``rows`` over F_char (Q
+    when ``char`` is 0), as (pivot column, reduced row) pairs in ascending
+    column order.  Each reduced row holds a 1 in its pivot column and no
+    entry in any other pivot column.  ``rows`` are modified.
+
+    ``echelon`` does the forward elimination; back substitution then clears
+    each pivot row's later pivot columns, last pivot first.
+    """
+    pivots = echelon(rows, char)
     for col in reversed(pivots):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:

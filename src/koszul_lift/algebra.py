@@ -5,7 +5,9 @@ The ambient ring is P = k[x_1..x_n] with the standard grading.  A
 k-basis in every degree) and a homogeneous sequence f_1..f_c inside Q.
 Polynomials are stored as J-reduced representatives in P; arithmetic that
 must land back in Q goes through ``GradedRing.normal_form`` or
-``GradedRing.mul``.
+``GradedRing.mul``.  R = Q/(f) has no monomial basis in general;
+``GradedRing.quotient_basis`` gives each R_d a basis of monomials of Q_d
+and the normal form of every monomial in it.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -19,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidInputError, ParseError
 from .fields import Field, field_from_spec
-from . import linalg
+from . import _kernel, linalg
 
 Monomial = tuple[int, ...]
 
@@ -322,6 +324,7 @@ class GradedRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._span_cache: dict[int, list] = {}
+        self._quotient_cache: dict[int, tuple] = {}
 
         seq = []
         for f in sequence:
@@ -520,20 +523,53 @@ class GradedRing:
         of ``sequence_span_rows(d)``."""
         return list(zip(*self.sequence_span_rows(d)))
 
+    def quotient_basis(self, d: int) -> tuple:
+        """A basis of the degree-d piece of R = Q/(f), and normal forms in it.
+
+        The generators of (f)_d, the columns of ``sequence_span_rows(d)``,
+        are brought to reduced row echelon form once, with columns in
+        ``monomial_basis(d)`` order.  The monomials that are not pivots form
+        a basis of R_d (the Macaulay-matrix normal form; Macaulay 1916,
+        Lazard 1983).  Returns ``(basis, forms)``: ``basis`` lists those
+        monomials in ``monomial_basis(d)`` order, and ``forms`` maps every
+        monomial of Q_d to its class in R_d as a sparse dict {index into
+        ``basis``: nonzero coefficient}.  Cached per degree; callers must
+        not mutate the result.
+        """
+        cached = self._quotient_cache.get(d)
+        if cached is None:
+            monos = self.monomial_basis(d)
+            span = self.sequence_span_rows(d)
+            gens = [{} for _ in range(module_dim(self, self.seq_degrees, d))]
+            for i, row in enumerate(span):
+                for j, x in enumerate(row):
+                    if x:
+                        gens[j][i] = x
+            pivots = dict(_kernel.gauss_jordan(gens, self.field.char))
+            basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
+            index = {m: k for k, m in enumerate(basis)}
+            neg = self.field.neg
+            forms = {}
+            for i, m in enumerate(monos):
+                row = pivots.get(i)
+                if row is None:
+                    forms[m] = {index[m]: self.field.one}
+                else:
+                    # m = (m - row) modulo (f)_d, and m - row lies on the basis
+                    forms[m] = {index[monos[k]]: neg(v) for k, v in row.items() if k != i}
+            cached = self._quotient_cache[d] = (basis, forms)
+        return cached
+
     def in_sequence_ideal(self, p: Poly) -> bool:
-        """Membership of p (taken mod J) in the ideal (f_1..f_c) of Q."""
-        p = self.normal_form(p)
-        if p.is_zero():
-            return True
-        by_degree: dict[int, dict[Monomial, object]] = {}
-        for m, c in p.terms.items():
-            by_degree.setdefault(sum(m), {})[m] = c
-        for d, terms in sorted(by_degree.items()):
-            rows = self.sequence_span_rows(d)
-            vec = self.coords(Poly(self, terms), d)
-            if linalg.solve_min(self.field, rows, vec, len(rows[0])) is None:
-                return False
-        return True
+        """Membership of p (taken mod J) in the ideal (f_1..f_c) of Q: every
+        homogeneous part of p has normal form zero in R."""
+        field = self.field
+        acc: dict = {}
+        for m, c in self.normal_form(p).terms.items():
+            d = sum(m)
+            for k, v in self.quotient_basis(d)[1][m].items():
+                acc[d, k] = field.add(acc.get((d, k), field.zero), field.mul(c, v))
+        return all(field.is_zero(x) for x in acc.values())
 
     # -- serialization -------------------------------------------------------
 
@@ -771,6 +807,49 @@ def graded_matrix_rows(
                         continue
                     r = r0 + index[m]
                     rows[r][col] = field.add(rows[r][col], c0)
+            col += 1
+    return rows
+
+
+def quotient_module_dim(ring: GradedRing, twists, d: int) -> int:
+    """Dimension of the degree-d piece of the free R-module with the given
+    twists, R = Q/(f)."""
+    return sum(len(ring.quotient_basis(d - a)[0]) for a in twists)
+
+
+def quotient_matrix_rows(
+    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
+):
+    """The k-linear matrix on degree-d pieces of a degree-0 map, read as a
+    map of free R-modules, R = Q/(f).
+
+    Laid out as ``graded_matrix_rows``, but over the bases of
+    ``GradedRing.quotient_basis``: a column per basis monomial of R_{d-a}
+    for each source twist a, and each image reduced to its normal form on
+    the rows of R_{d-b} for each target twist b.
+    """
+    field = ring.field
+    targets = []
+    nrows = 0
+    for b in tgt_twists:
+        basis, forms = ring.quotient_basis(d - b)
+        targets.append((nrows, forms))
+        nrows += len(basis)
+    sources = [ring.quotient_basis(d - a)[0] for a in src_twists]
+    rows = [[field.zero] * sum(map(len, sources)) for _ in range(nrows)]
+    col = 0
+    for j, basis in enumerate(sources):
+        entries = [
+            (targets[i], row[j].terms) for i, row in enumerate(mat.rows)
+            if row[j].terms
+        ]
+        for mu in basis:
+            for (r0, forms), terms in entries:
+                for m0, c0 in terms.items():
+                    # None when m0 * mu lies in J
+                    for r, v in (forms.get(mono_mul(m0, mu)) or {}).items():
+                        row = rows[r0 + r]
+                        row[col] = field.add(row[col], field.mul(c0, v))
             col += 1
     return rows
 

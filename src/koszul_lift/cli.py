@@ -329,6 +329,12 @@ def _verify_input(ring, cbar, level, degree_bound, dim_q):
 
 def _cmd_verify(args) -> int:
     if args.seed is not None and not args.ring:
+        for flag, value in (("--complex", args.complex), ("--level", args.level)):
+            if value is not None:
+                raise ParseError(
+                    f"verify --seed makes its own inputs and solves them to "
+                    f"level c; {flag} needs --ring"
+                )
         return _cmd_verify_random(args)
     if not args.ring or not args.complex:
         raise ParseError("verify needs --ring and --complex (or --seed)")

@@ -15,11 +15,12 @@ identities hold modulo J; over R they hold modulo (J, f).  A complex
 flagged ``is_lift`` is written over Q but only promises d o d in (f): it is
 a chosen lift of an R-complex, the raw material for homotopy solving.
 
-Homology of an R-complex is computed degreewise through the exact
-sequence-span trick: the degree-d piece of F_n tensor R is V/W with V the
-Q-piece and W the span of the f_i-multiples, so ranks of [matrix | span]
-blocks give kernel and image dimensions without ever constructing R
-itself.
+Homology is computed degree by degree from the ranks of the differentials
+on graded pieces.  For an R-complex the pieces are those of F_n tensor R,
+in the basis of R_d that ``GradedRing.quotient_basis`` computes once per
+degree; above the top degree of an Artinian R they are zero and cost
+nothing.  Membership in (f), for the composites of an R-complex or a lift,
+is a normal-form reduction in the same basis.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import quotient_matrix_rows, quotient_module_dim
 from .algebra import json_int, matrix_from_json
 from .algebra import coords_to_column, module_basis  # noqa: F401 (re-exported)
 from .errors import InvalidInputError, ParseError
@@ -329,9 +331,12 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
     """Graded homology dimensions dim_k H_n(C)_d for the requested interior
     positions and all internal degrees up to ``degree_bound``.
 
-    Over R the computation runs on Q-coordinates: with W the span of the
-    f-multiples, dim H_n = dim V_n - rank[d_n | W_{n-1}] + rank W_{n-1}
-    - rank[d_{n+1} | W_n].
+    Each d_n is written as a k-matrix on degree-d pieces, and dim H_n =
+    dim (F_n)_d - rank d_n - rank d_{n+1}.  Over Q the pieces carry the
+    monomial bases of Q (``graded_matrix_rows``).  Over R = Q/(f) they carry
+    the bases of ``GradedRing.quotient_basis`` and every image is reduced
+    to its normal form there (``quotient_matrix_rows``), so the ranks are
+    those of the maps of R-modules.
     """
     if C.is_lift:
         raise InvalidInputError("homology of a lift is not defined; reduce first")
@@ -345,46 +350,36 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
                 f"position {n} is not interior for support {C.support!r} "
                 f"window {list(C.window)}"
             )
-    over_r = C.over == "R"
     all_twists = [a for n in C.positions() for a in C.twists[n]]
     if not all_twists:
         return {(n, d): 0 for n in positions for d in range(0, degree_bound + 1)}
     dmin = min(all_twists)
     degrees = range(dmin, degree_bound + 1)
+    if C.over == "R":
+        piece_dim, matrix_rows = quotient_module_dim, quotient_matrix_rows
+    else:
+        piece_dim, matrix_rows = module_dim, graded_matrix_rows
 
-    span_rank_cache: dict = {}
-    mw_rank_cache: dict = {}
+    rank_cache: dict = {}
 
-    def span_rows(n, d):
-        tw = C.known_twist(n)
-        return module_span_rows(ring, tw, d) if over_r and tw else []
-
-    def span_rank(n, d):
+    def rank(n, d):
+        """rank of d_n on degree-d pieces."""
         key = (n, d)
-        if key not in span_rank_cache:
-            span_rank_cache[key] = linalg.rank(field, span_rows(n, d))
-        return span_rank_cache[key]
-
-    def mw_rank(n, d):
-        """rank of [d_n | W_{n-1}] on degree-d pieces."""
-        key = (n, d)
-        if key not in mw_rank_cache:
+        if key not in rank_cache:
             src = C.known_twist(n)
             tgt = C.known_twist(n - 1)
             if src is None or tgt is None:
                 raise InvalidInputError(f"differential at {n} undetermined")
-            rows = graded_matrix_rows(ring, C.differential(n), src, tgt, d)
-            for row, wrow in zip(rows, span_rows(n - 1, d)):
-                row.extend(wrow)
-            mw_rank_cache[key] = linalg.rank(field, rows)
-        return mw_rank_cache[key]
+            rows = matrix_rows(ring, C.differential(n), src, tgt, d)
+            rank_cache[key] = linalg.rank(field, rows)
+        return rank_cache[key]
 
     out: dict = {}
     for n in positions:
         for d in degrees:
-            dim = module_dim(ring, C.known_twist(n), d)
+            dim = piece_dim(ring, C.known_twist(n), d)
             if dim:
-                dim += span_rank(n - 1, d) - mw_rank(n, d) - mw_rank(n + 1, d)
+                dim -= rank(n, d) + rank(n + 1, d)
             out[(n, d)] = dim
     return out
 

@@ -1,15 +1,20 @@
 """Exact linear algebra over the coefficient fields.
 
-Both fields reduce through the one sparse Gauss-Jordan in ``_kernel``.  Over
-F_p the rows pass through an int64 array and ``_kernel.rref_mod``; over Q
-they go to ``_rref_qq`` with Fraction entries, which cannot overflow.  The
-array round trip is not needed by the elimination: it stays because
-``perfbench/tracing.py`` probes ``_kernel.rref_mod`` and ``_rref_qq`` and
-reads the array's size and shape.
+Both fields reduce through the one sparse elimination in ``_kernel``, on
+dict rows built from the list rows callers pass.
 
 ``rank`` and ``extend_pivots`` need only the pivot columns.  They go through
-``_pivots``, which takes the same route but never copies the reduced F_p
-array back into Python rows.
+``_pivots``, which runs the forward pass ``_kernel.echelon`` over either
+field and nothing else: no back substitution and no dense copy.  The forward
+pass finds the pivot columns of the reduced row echelon form, because those
+depend only on the column order.
+
+``rref``, ``solve_min`` and ``nullspace`` need the reduced rows.  Over Q
+they go to ``_rref_qq`` with Fraction entries, which cannot overflow.  Over
+F_p they pass through an int64 array and ``_kernel.rref_mod``.  That round
+trip is not needed by the elimination: it stays because
+``perfbench/tracing.py`` probes ``_kernel.rref_mod`` and ``_rref_qq`` and
+reads the array's size and shape.
 
 Matrices are lists of rows.  Column counts are passed explicitly wherever a
 matrix may have zero rows.
@@ -18,6 +23,7 @@ matrix may have zero rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -61,13 +67,20 @@ def rref(field, rows, ncols: int):
 
 
 def _pivots(field, rows, ncols: int):
-    """Pivot columns of the reduced row echelon form; the reduced rows are
-    never copied out."""
+    """Pivot columns of the reduced row echelon form, from the forward pass
+    alone."""
     if not rows or ncols == 0:
         return []
-    if field.char == 0:
-        return _rref_qq(rows, ncols)[1]
-    return _reduce_modp(rows, ncols, field.char)[1]
+    p = field.char
+    dict_rows = []
+    for row in rows:
+        # compress skips the zero cells without a Python-level step each
+        nonzero = compress(range(len(row)), row)
+        if p:
+            dict_rows.append({j: v for j in nonzero if (v := row[j] % p)})
+        else:
+            dict_rows.append({j: Fraction(row[j]) for j in nonzero})
+    return list(_kernel.echelon(dict_rows, p))
 
 
 def rank(field, rows, ncols=None) -> int:

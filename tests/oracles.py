@@ -93,6 +93,45 @@ def naive_solve(rows, rhs):
     return x
 
 
+def naive_rank_over(p, rows):
+    """Rank over F_p, or over Q when p is 0, by textbook elimination."""
+    if not rows or not rows[0]:
+        return 0
+    return len((naive_rref_mod(rows, p) if p else naive_rref(rows))[1])
+
+
+# -- homology of an R-complex in Q-coordinates ---------------------------------
+
+
+def homology_dim_in_Q_coordinates(C, n, d):
+    """dim_k H_n(C)_d of a complex C over R = Q/(f), without a basis of R.
+
+    The degree-d piece of F_n tensor R is V_n / W_n, with V_n the piece of
+    F_n over Q and W_n the span of the f-multiples in it, so
+    dim H_n = dim V_n - rank[d_n | W_{n-1}] + rank W_{n-1} - rank[d_{n+1} | W_n].
+    The coordinates come from the package's Q-side builders
+    (``graded_matrix_rows``, ``module_span_rows``); the ranks from textbook
+    elimination.
+    """
+    from koszul_lift.algebra import graded_matrix_rows, module_dim
+    from koszul_lift.complexes import module_span_rows
+
+    ring = C.ring
+    p = ring.field.char
+
+    def span(m):
+        return module_span_rows(ring, C.known_twist(m), d)
+
+    def block_rank(m):
+        rows = graded_matrix_rows(
+            ring, C.differential(m), C.known_twist(m), C.known_twist(m - 1), d
+        )
+        return naive_rank_over(p, [r + w for r, w in zip(rows, span(m - 1))])
+
+    dim = module_dim(ring, C.known_twist(n), d)
+    return dim - block_rank(n) + naive_rank_over(p, span(n - 1)) - block_rank(n + 1)
+
+
 # -- naive polynomial arithmetic -----------------------------------------------
 # a polynomial is a dict exponent-tuple -> Fraction; zero coefficients removed
 

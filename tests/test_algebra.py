@@ -19,9 +19,10 @@ from koszul_lift.algebra import (
 )
 from koszul_lift.errors import InvalidInputError, ParseError
 from koszul_lift.fields import GF, QQ
+from koszul_lift.samples import random_homogeneous
 
 from oracles import (
-    naive_rank,
+    naive_rank_over,
     padd,
     pdict,
     pmul,
@@ -175,26 +176,86 @@ def test_in_sequence_ideal_membership():
 
 
 def test_in_sequence_ideal_against_rank_oracle():
-    # p in (f)_d iff appending p's coordinate vector to the f-span does not
-    # grow the rank
-    ring = GradedRing(QQ, ["x", "y"], relations=["x^3"], sequence=["x*y", "y^2"])
+    # p is in (f) iff every homogeneous part p_d is in (f)_d, and p_d is in
+    # (f)_d iff appending its coordinate vector to the f-span does not grow
+    # the rank
     rng = Random(106)
-    for _ in range(60):
-        d = rng.randint(1, 6)
-        p = _random_poly(rng, ring, maxdeg=d, nterms=3)
-        p = Poly(
-            ring,
-            {
-                m: c
-                for m, c in p.terms.items()
-                if sum(m) == d
-            },
-        )
+    outcomes = set()
+    for field in (QQ, GF(32003)):
+        for relations, sequence in [
+            (["x^3"], ["x*y", "y^2"]),
+            ([], ["x^2 + y*z", "y^2 + x*z"]),
+            (["z^3"], ["x^2 + y*z", "y^3"]),
+        ]:
+            ring = GradedRing(field, ["x", "y", "z"], relations=relations, sequence=sequence)
+
+            def in_span(part, d):
+                span = [list(col) for col in ring.sequence_span_columns(d)]
+                vec = ring.coords(part, d)
+                p = field.char
+                return naive_rank_over(p, span + [vec]) == naive_rank_over(p, span)
+
+            for _ in range(25):
+                parts = {}
+                for d in rng.sample(range(6), rng.randint(1, 3)):
+                    part = ring.zero
+                    for f, e in zip(ring.sequence, ring.seq_degrees):
+                        part = part + ring.mul(f, random_homogeneous(rng, ring, d - e))
+                    if rng.random() < 0.5:
+                        part = part + random_homogeneous(rng, ring, d, density=0.2)
+                    parts[d] = part
+                p = sum(parts.values(), ring.zero)
+                want = all(in_span(part, d) for d, part in parts.items())
+                assert ring.in_sequence_ideal(p) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+# The rings of the benchmark workloads, with the Hilbert functions of R.
+WORKLOAD_RINGS = {
+    "residue-fp": (
+        GF(32003), "xyzw", ["w^2"], ["x^2", "y^2", "z^3"], [1, 4, 7, 7, 4, 1, 0, 0]
+    ),
+    "lift-fp": (
+        GF(32003), "xyzw", [], ["x^2", "y^2", "z^2", "w^2"], [1, 4, 6, 4, 1, 0, 0]
+    ),
+    "generic-qq": (
+        QQ, "xyz", [], ["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"], [1, 3, 3, 1, 0, 0]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_RINGS))
+def test_quotient_basis_sizes_are_the_hilbert_function(name):
+    field, names, relations, sequence, hilbert = WORKLOAD_RINGS[name]
+    ring = GradedRing(field, list(names), relations=relations, sequence=sequence)
+    assert [len(ring.quotient_basis(d)[0]) for d in range(len(hilbert))] == hilbert
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
+    # basis monomials are their own normal forms; every monomial minus its
+    # normal form lies in (f)_d; and the basis has dim Q_d - dim (f)_d
+    # elements, taken in monomial_basis order
+    ring = GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3"])
+    p = field.char
+    for d in range(-1, 8):
+        basis, forms = ring.quotient_basis(d)
+        monos = ring.monomial_basis(d)
         span = [list(col) for col in ring.sequence_span_columns(d)]
-        base_rank = naive_rank(span) if span else 0
-        vec = ring.coords(p, d)
-        grown = naive_rank(span + [vec]) if span + [vec] else 0
-        assert ring.in_sequence_ideal(p) == (grown == base_rank)
+        base = naive_rank_over(p, span)
+        assert len(basis) == len(monos) - base
+        assert list(basis) == [m for m in monos if m in basis]
+        assert set(forms) == set(monos)
+        for k, m in enumerate(basis):
+            assert forms[m] == {k: field.one}
+        index = ring.basis_index(d)
+        for m in monos:
+            vec = ring.coords(ring.monomial(m), d)
+            for k, c in forms[m].items():
+                assert not field.is_zero(c)
+                vec[index[basis[k]]] -= c
+            assert naive_rank_over(p, span + [vec]) == base
 
 
 def test_sequence_span_columns_are_coordinates_of_multiples():

@@ -107,6 +107,18 @@ def test_seeded_suite_needs_a_positive_count(count):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--level", "0"), ("--complex", "/nonexistent.json")]
+)
+def test_seeded_suite_rejects_file_input_flags(flag, value):
+    # the seeded suite makes its own inputs: a flag it would ignore is an error
+    out = run_cli("verify", "--seed", "1", "--count", "2", flag, value)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and flag in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_malformed_input_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

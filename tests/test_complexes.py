@@ -18,9 +18,14 @@ from koszul_lift.complexes import (
     reduce_to_R,
 )
 from koszul_lift.errors import InvalidInputError
-from koszul_lift.fields import QQ
+from koszul_lift.fields import GF, QQ
+from koszul_lift.samples import (
+    random_finite_complex,
+    random_regular_ring,
+    random_resolved_complex,
+)
 
-from oracles import quotient_dim
+from oracles import homology_dim_in_Q_coordinates, quotient_dim
 
 RING = GradedRing(QQ, ["x", "y"], relations=["x^2"], sequence=["y^2"])
 
@@ -227,6 +232,44 @@ def test_homology_of_golden_input_over_R():
     _, cbar, _ = paper_5_2()
     dims = homology_dims(cbar, [-1, 0, 1], 6)
     assert all(v == 0 for v in dims.values())
+
+
+def _complexes_with_homology(rng, ring):
+    # a resolution has H_0 = M; a Koszul complex on random elements has
+    # homology at several positions
+    return [random_resolved_complex(rng, ring, 3), random_finite_complex(rng, ring, 2)]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_homology_over_R_matches_Q_coordinate_oracle(field):
+    rng = Random(302)
+    rings = [random_regular_ring(rng, field, 3, rng.randint(1, 2)) for _ in range(4)]
+    # sequences whose normal forms are not single monomials, with and without J
+    rings += [
+        GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3"]),
+        GradedRing(field, ["x", "y", "z"], sequence=["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]),
+    ]
+    assert any(ring.relations for ring in rings)
+    seen_homology = False
+    for ring in rings:
+        for C in _complexes_with_homology(rng, ring):
+            got = homology_dims(C, C.interior_positions(), 6)
+            assert got == {key: homology_dim_in_Q_coordinates(C, *key) for key in got}
+            seen_homology |= any(got.values())
+    assert seen_homology
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_homology_over_R_without_sequence_is_homology_over_Q(field):
+    # with c = 0, R = Q
+    rng = Random(303)
+    ring = random_regular_ring(rng, field, 3, 0)
+    for C in _complexes_with_homology(rng, ring):
+        over_q = FreeComplex(ring, "Q", C.window, C.twists, C.diffs, support=C.support)
+        got = homology_dims(C, C.interior_positions(), 6)
+        assert got == homology_dims(over_q, C.interior_positions(), 6)
+        assert got == {key: homology_dim_in_Q_coordinates(C, *key) for key in got}
+        assert any(got.values())
 
 
 def test_homology_rejects_lift():

@@ -122,6 +122,29 @@ def test_rank_matches_naive_both_fields():
         assert rank(F, rows) == naive_rank(rows)
 
 
+@pytest.mark.parametrize("p", [0, 3, P], ids=["QQ", "F3", "F32003"])
+def test_forward_pass_pivots_match_textbook_rref(p):
+    # rank and extend_pivots run the forward pass alone; its pivot columns
+    # must be those of the full reduction, on every shape
+    field = GF(p) if p else QQ
+    rng = Random(209)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [
+        (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)
+    ]
+    for nrows, ncols in shapes:
+        for fill in (0.15, 0.6):
+            # zero rows and repeated rows included
+            rows = _random_modp_array(rng, p or 5, nrows, ncols, fill)
+            if not p:
+                rows = [[Fraction(x, 1 + x % 3) for x in row] for row in rows]
+            want = (naive_rref_mod(rows, p) if p else naive_rref(rows))[1]
+            assert rank(field, rows, ncols) == len(want)
+            cols = [tuple(row[j] for row in rows) for j in range(ncols)]
+            for nbase in {0, ncols // 2, ncols}:  # 0: an empty base
+                picked = extend_pivots(field, cols[:nbase], cols[nbase:], nrows)
+                assert picked == [c - nbase for c in want if c >= nbase]
+
+
 def test_rank_structured():
     assert rank(QQ, [[0, 0], [0, 0]]) == 0
     assert rank(QQ, [[1, 2], [2, 4]]) == 1
