@@ -7,9 +7,10 @@ is all a rank needs; ``gauss_jordan`` adds the back substitution.  The
 reduced row echelon form of a matrix is unique for its column order, so the
 order in which rows become pivots does not change the result.
 
-``rref_mod`` wraps ``gauss_jordan`` for an int64 array.  Only full
-reductions over F_p (``linalg.rref``) take that route; rank-only calls hand
-their dict rows to ``echelon`` directly.
+``linalg.rank``, ``linalg.extend_pivots`` and ``linalg.nullspace`` hand
+their dict rows straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod``
+wraps ``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p
+takes that route.
 """
 
 import heapq

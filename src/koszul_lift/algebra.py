@@ -865,13 +865,13 @@ def module_basis(ring: GradedRing, twists, d: int):
 
 
 def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
-    """Turn a coordinate vector over module_basis(twists, d) into a column
-    of polynomials, one per generator."""
-    field = ring.field
+    """Turn a sparse coordinate vector {index into module_basis(twists, d):
+    nonzero} into a column of polynomials, one per generator."""
+    basis = module_basis(ring, twists, d)
     out = [dict() for _ in twists]
-    for (j, m), c in zip(module_basis(ring, twists, d), vec):
-        if not field.is_zero(c):
-            out[j][m] = c
+    for i, c in vec.items():
+        j, m = basis[i]
+        out[j][m] = c
     return [Poly(ring, terms) for terms in out]
 
 
@@ -901,8 +901,6 @@ def solve_graded_linear(
         if any(not field.is_zero(red[r][k]) for r in range(rank, len(pivots))):
             out.append(None)
             continue
-        vec = [field.zero] * width
-        for r, col in enumerate(pivots[:rank]):
-            vec[col] = red[r][k]
+        vec = {col: red[r][k] for r, col in enumerate(pivots[:rank]) if red[r][k]}
         out.append(coords_to_column(ring, src_twists, d, vec))
     return out

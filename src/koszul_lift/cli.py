@@ -338,6 +338,12 @@ def _cmd_verify(args) -> int:
         return _cmd_verify_random(args)
     if not args.ring or not args.complex:
         raise ParseError("verify needs --ring and --complex (or --seed)")
+    for flag, value in (("--seed", args.seed), ("--count", args.count)):
+        if value is not None:
+            raise ParseError(
+                f"verify --ring checks the given complex; {flag} belongs to "
+                f"the seeded suite, which runs without --ring"
+            )
     ring = _load_ring(args.ring)
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":
@@ -374,7 +380,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_random(args) -> int:
-    count = args.count
+    count = 20 if args.count is None else args.count
     if count < 1:
         raise InvalidInputError(f"--count must be >= 1, got {count}")
     rng = Random(args.seed)
@@ -611,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-bound", type=int, default=8)
     p.add_argument("--dim-q", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("resolve", help="minimal free resolution over R")

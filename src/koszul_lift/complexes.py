@@ -322,6 +322,8 @@ def module_span_rows(ring: GradedRing, twists, d: int):
     return out
 
 
+# No library code calls this; it stays only because perfbench/tracing.py
+# probes it by name.
 def module_span_columns(ring: GradedRing, twists, d: int):
     """The columns of module_span_rows(ring, twists, d)."""
     return list(zip(*module_span_rows(ring, twists, d)))

@@ -102,9 +102,10 @@ def _is_prime(n: int) -> bool:
 class PrimeField(Field):
     """F_p with p an odd-or-even prime below 2**31.
 
-    F_p matrices reach the row reduction as int64 arrays
+    ``linalg.rref`` hands F_p matrices to the row reduction as int64 arrays
     (``_kernel.rref_mod``), and the bound keeps every element well inside
-    int64.  The elimination itself runs on Python ints.
+    int64; every other call reduces dict rows.  The elimination itself runs
+    on Python ints.
     """
 
     def __init__(self, p: int):

@@ -1,20 +1,22 @@
 """Exact linear algebra over the coefficient fields.
 
 Both fields reduce through the one sparse elimination in ``_kernel``, on
-dict rows built from the list rows callers pass.
+dict rows {column: nonzero} built from the list rows callers pass.
 
-``rank`` and ``extend_pivots`` need only the pivot columns.  They go through
-``_pivots``, which runs the forward pass ``_kernel.echelon`` over either
-field and nothing else: no back substitution and no dense copy.  The forward
-pass finds the pivot columns of the reduced row echelon form, because those
-depend only on the column order.
+``rank``, ``nullspace`` and ``extend_pivots`` hand those dict rows straight
+to the kernel.  ``rank`` and ``extend_pivots`` need only the pivot columns,
+so they run the forward pass ``_kernel.echelon`` and nothing else: the
+pivot columns of the reduced row echelon form depend only on the column
+order.  ``nullspace`` runs ``_kernel.gauss_jordan`` and reads its basis off
+the reduced rows.  Kernel and candidate vectors are sparse dicts
+{index: nonzero}.
 
-``rref``, ``solve_min`` and ``nullspace`` need the reduced rows.  Over Q
-they go to ``_rref_qq`` with Fraction entries, which cannot overflow.  Over
-F_p they pass through an int64 array and ``_kernel.rref_mod``.  That round
-trip is not needed by the elimination: it stays because
-``perfbench/tracing.py`` probes ``_kernel.rref_mod`` and ``_rref_qq`` and
-reads the array's size and shape.
+``rref`` and ``solve_min`` return dense reduced rows.  Over Q they go to
+``_rref_qq`` with Fraction entries, which cannot overflow.  Over F_p they
+pass through an int64 array and ``_kernel.rref_mod``.  That round trip is
+not needed by the elimination: it stays because ``perfbench/tracing.py``
+probes ``_kernel.rref_mod`` and ``_rref_qq`` and reads the array's size and
+shape.
 
 Matrices are lists of rows.  Column counts are passed explicitly wherever a
 matrix may have zero rows.
@@ -36,6 +38,20 @@ def backend_name() -> str:
     return "pure-python"
 
 
+def _dict_rows(rows, char: int) -> list:
+    """The list rows ``rows`` as dict rows of nonzero field elements: ints
+    in [0, char), or Fractions when ``char`` is 0."""
+    out = []
+    for row in rows:
+        # compress skips the zero cells without a Python-level step each
+        nonzero = compress(range(len(row)), row)
+        if char:
+            out.append({j: v for j in nonzero if (v := row[j] % char)})
+        else:
+            out.append({j: Fraction(row[j]) for j in nonzero})
+    return out
+
+
 def _reduce_modp(rows, ncols: int, p: int):
     """The int64 array of ``rows`` reduced by ``_kernel.rref_mod``, and its
     pivot columns."""
@@ -46,9 +62,7 @@ def _reduce_modp(rows, ncols: int, p: int):
 
 
 def _rref_qq(rows, ncols: int):
-    reduced = _kernel.gauss_jordan(
-        [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows], 0
-    )
+    reduced = _kernel.gauss_jordan(_dict_rows(rows, 0), 0)
     out = [[_ZERO] * ncols for _ in rows]
     for out_row, (_, row) in zip(out, reduced):
         for j, v in row.items():
@@ -66,27 +80,8 @@ def rref(field, rows, ncols: int):
     return arr.tolist(), pivots
 
 
-def _pivots(field, rows, ncols: int):
-    """Pivot columns of the reduced row echelon form, from the forward pass
-    alone."""
-    if not rows or ncols == 0:
-        return []
-    p = field.char
-    dict_rows = []
-    for row in rows:
-        # compress skips the zero cells without a Python-level step each
-        nonzero = compress(range(len(row)), row)
-        if p:
-            dict_rows.append({j: v for j in nonzero if (v := row[j] % p)})
-        else:
-            dict_rows.append({j: Fraction(row[j]) for j in nonzero})
-    return list(_kernel.echelon(dict_rows, p))
-
-
-def rank(field, rows, ncols=None) -> int:
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return len(_pivots(field, rows, ncols))
+def rank(field, rows) -> int:
+    return len(_kernel.echelon(_dict_rows(rows, field.char), field.char))
 
 
 def solve_min(field, rows, b, ncols: int):
@@ -107,39 +102,31 @@ def solve_min(field, rows, b, ncols: int):
 
 
 def nullspace(field, rows, ncols: int):
-    """Basis of ker(A), one vector per free column in ascending column
-    order, with the free coordinate normalized to 1."""
-    if ncols == 0:
-        return []
-    if not rows:
-        one = field.one
-        return [
-            [one if j == k else field.zero for j in range(ncols)]
-            for k in range(ncols)
-        ]
-    red, pivots = rref(field, rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
-        basis.append(v)
-    return basis
+    """Basis of ker(A) as sparse vectors {index: nonzero}, one per free
+    column fc in ascending order: 1 at fc and -R[r][fc] at the pivot column
+    of each row r of the reduced row echelon form R."""
+    reduced = _kernel.gauss_jordan(_dict_rows(rows, field.char), field.char)
+    pivots = {col for col, _ in reduced}
+    basis = {fc: {fc: field.one} for fc in range(ncols) if fc not in pivots}
+    neg = field.neg
+    for col, row in reduced:
+        for fc, v in row.items():
+            if fc != col:
+                basis[fc][col] = neg(v)
+    return list(basis.values())
 
 
-def extend_pivots(field, base_cols, extra_cols, dim: int):
-    """Indices into ``extra_cols`` of a deterministic subset extending
-    span(base_cols) to span(base_cols + extra_cols).
+def extend_pivots(field, base_rows, extra, dim: int):
+    """Indices into ``extra`` of a deterministic subset extending the column
+    span of ``base_rows`` to span(base columns + extra).
 
-    Works on column vectors of length ``dim``; echelon pivoting scans the
-    base columns first, so the selected extras are exactly the greedy
-    left-to-right choices."""
-    nbase = len(base_cols)
-    rows = list(zip(*base_cols, *extra_cols))
-    return [
-        c - nbase for c in _pivots(field, rows, nbase + len(extra_cols)) if c >= nbase
-    ]
+    ``base_rows`` are the ``dim`` list rows of the base matrix; ``extra``
+    are sparse vectors {row index: nonzero field element}.  Echelon
+    pivoting scans the base columns first, so the selected extras are
+    exactly the greedy left-to-right choices."""
+    rows = _dict_rows(base_rows, field.char) or [{} for _ in range(dim)]
+    nbase = len(base_rows[0]) if base_rows else 0
+    for k, vec in enumerate(extra, nbase):
+        for i, v in vec.items():
+            rows[i][k] = v
+    return [c - nbase for c in _kernel.echelon(rows, field.char) if c >= nbase]

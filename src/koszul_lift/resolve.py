@@ -7,9 +7,12 @@ degree by degree: a candidate becomes a generator exactly when it adds a
 pivot beyond W_d plus the multiples of every generator already chosen at
 that step.  The candidates are the presentation columns at step one and,
 later, the source parts of a nullspace basis of the [matrix | span] block.
-Free variables never enter: pivot selection is the greedy left-to-right
-echelon choice, which depends only on the span of the base, so the output
-is deterministic.
+Candidates are sparse coordinate vectors {index: nonzero}, from
+``linalg.nullspace`` through ``linalg.extend_pivots`` to
+``coords_to_column``; the base is passed as the rows that
+``module_span_rows`` and ``graded_matrix_rows`` build.  Free variables never
+enter: pivot selection is the greedy left-to-right echelon choice, which
+depends only on the span of the base, so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -26,7 +29,6 @@ from .algebra import json_int, matrix_from_json
 from .complexes import (
     FreeComplex,
     coords_to_column,
-    module_span_columns,
     module_span_rows,
 )
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
@@ -100,43 +102,46 @@ class Presentation:
         )
 
 
-def _multiple_columns(ring, cols, col_degrees, twists, d):
-    """Coordinate columns, in the degree-d piece of the free module with the
-    given twists, of every monomial multiple of the polynomial columns
-    ``cols`` (column j homogeneous of degree ``col_degrees[j]``)."""
-    mat = PolyMatrix(
-        len(twists), len(cols), [[col[i] for col in cols] for i in range(len(twists))]
-    )
-    return list(zip(*graded_matrix_rows(ring, mat, col_degrees, twists, d)))
+def _columns_matrix(nrows, cols):
+    """The PolyMatrix with the polynomial columns ``cols``."""
+    return PolyMatrix(nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
 
 
 def _minimal_generators(ring, twists, candidates):
     """Graded Nakayama, one degree at a time.
 
-    ``candidates`` yields (d, coordinate vectors in the degree-d piece of the
-    free module with the given twists) in increasing d.  A vector becomes a
-    generator exactly when it is not in W_d plus the multiples of the
-    generators already chosen plus the vectors before it.  Returns the
+    ``candidates`` yields (d, sparse coordinate vectors in the degree-d piece
+    of the free module with the given twists) in increasing d.  A vector
+    becomes a generator exactly when it is not in W_d plus the multiples of
+    the generators already chosen plus the vectors before it.  Returns the
     generators' degrees and polynomial columns."""
     degs, cols = [], []
     for d, vecs in candidates:
-        base = module_span_columns(ring, twists, d) + _multiple_columns(
-            ring, cols, degs, twists, d
-        )
-        dim = module_dim(ring, twists, d)
-        for k in linalg.extend_pivots(ring.field, base, vecs, dim):
+        base = module_span_rows(ring, twists, d)
+        multiples = _columns_matrix(len(twists), cols)
+        for row, mrow in zip(base, graded_matrix_rows(ring, multiples, degs, twists, d)):
+            row.extend(mrow)
+        for k in linalg.extend_pivots(ring.field, base, vecs, len(base)):
             degs.append(d)
             cols.append(coords_to_column(ring, twists, d, vecs[k]))
     return degs, cols
 
 
 def _relation_candidates(ring, presentation, col_degs):
-    """The presentation columns of each degree, as coordinate vectors."""
+    """The presentation columns of each degree, as sparse coordinate
+    vectors."""
     twists = presentation.twists
-    rows = presentation.relations.rows
     for d in sorted(set(col_degs) - {None}):
-        here = [[row[j] for row in rows] for j, dj in enumerate(col_degs) if dj == d]
-        yield d, _multiple_columns(ring, here, [d] * len(here), twists, d)
+        here = [
+            [row[j] for row in presentation.relations.rows]
+            for j, dj in enumerate(col_degs) if dj == d
+        ]
+        rows = graded_matrix_rows(
+            ring, _columns_matrix(len(twists), here), [d] * len(here), twists, d
+        )
+        yield d, [
+            {i: row[k] for i, row in enumerate(rows) if row[k]} for k in range(len(here))
+        ]
 
 
 def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
@@ -151,7 +156,7 @@ def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
         for row, wrow in zip(rows, module_span_rows(ring, tgt_twists, d)):
             row.extend(wrow)
         null = linalg.nullspace(ring.field, rows, len(rows[0]) if rows else ns)
-        yield d, [vec[:ns] for vec in null]
+        yield d, [{i: v for i, v in vec.items() if i < ns} for vec in null]
 
 
 def resolve_over_R(
@@ -190,11 +195,7 @@ def resolve_over_R(
                 f"{degree_bound} (position {step}); raise the bound"
             )
         twists[step] = tuple(degs)
-        diffs[step] = PolyMatrix(
-            len(src_twists),
-            len(cols),
-            [[col[i] for col in cols] for i in range(len(src_twists))],
-        )
+        diffs[step] = _columns_matrix(len(src_twists), cols)
 
     return FreeComplex(
         ring,

@@ -119,6 +119,23 @@ def test_seeded_suite_rejects_file_input_flags(flag, value):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--seed", "1", "--count", "0"], "--seed"),
+        (["--seed", "1"], "--seed"),
+        (["--count", "3"], "--count"),
+    ],
+)
+def test_file_input_rejects_seeded_suite_flags(extra, flag):
+    # verify on files would ignore --seed and --count: each is an error
+    out = run_cli("verify", "--ring", RING, "--complex", COMPLEX, *extra)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and flag in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_malformed_input_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -273,10 +290,16 @@ def test_resolve_text():
     assert "b_0 = 1, b_1 = 2, b_2 = 3, b_3 = 4, b_4 = 5, b_5 = 6" in out.stdout
 
 
-@pytest.mark.parametrize("name, length", [("residue", 5), ("mixed", 4)])
-def test_resolve_json_golden(name, length):
+@pytest.mark.parametrize(
+    "name, length, bound",
+    [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5)],
+    ids=["residue-5", "mixed-4", "generic-4"],
+)
+def test_resolve_json_golden(name, length, bound):
     # the whole payload, differentials included: a change in which syzygy
-    # generators are chosen shows up here, not only a change of Betti numbers
+    # generators are chosen shows up here, not only a change of Betti numbers.
+    # "generic" is the one non-monomial sequence over Q, so it pins the
+    # Fraction elimination
     out = run_cli(
         "resolve",
         "--ring",
@@ -285,6 +308,8 @@ def test_resolve_json_golden(name, length):
         str(FIXTURES / f"{name}_presentation.json"),
         "--length",
         str(length),
+        "--degree-bound",
+        str(bound),
         "--format",
         "json",
     )

@@ -93,6 +93,15 @@ def _random_modp_array(rng, p, nrows, ncols, fill):
     return rows
 
 
+def _sparse_columns(field, rows, cols):
+    """Columns ``cols`` of the list rows ``rows`` as sparse vectors
+    {row index: nonzero field element}."""
+    return [
+        {i: field(row[j]) for i, row in enumerate(rows) if field(row[j])}
+        for j in cols
+    ]
+
+
 def test_rref_mod_matches_textbook_gauss_jordan():
     rng = Random(207)
     shapes = [(0, 0), (0, 5), (5, 0)] + [
@@ -122,27 +131,35 @@ def test_rank_matches_naive_both_fields():
         assert rank(F, rows) == naive_rank(rows)
 
 
-@pytest.mark.parametrize("p", [0, 3, P], ids=["QQ", "F3", "F32003"])
-def test_forward_pass_pivots_match_textbook_rref(p):
-    # rank and extend_pivots run the forward pass alone; its pivot columns
-    # must be those of the full reduction, on every shape
-    field = GF(p) if p else QQ
-    rng = Random(209)
+def _textbook_cases(p, seed):
+    """Random matrices over F_p (Q when ``p`` is 0) on every shape, zero
+    rows and repeated rows included, each with its textbook reduced row
+    echelon form: (rows, nrows, ncols, reduced rows, pivot columns)."""
+    rng = Random(seed)
     shapes = [(0, 0), (0, 4), (4, 0)] + [
         (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)
     ]
     for nrows, ncols in shapes:
         for fill in (0.15, 0.6):
-            # zero rows and repeated rows included
             rows = _random_modp_array(rng, p or 5, nrows, ncols, fill)
             if not p:
                 rows = [[Fraction(x, 1 + x % 3) for x in row] for row in rows]
-            want = (naive_rref_mod(rows, p) if p else naive_rref(rows))[1]
-            assert rank(field, rows, ncols) == len(want)
-            cols = [tuple(row[j] for row in rows) for j in range(ncols)]
-            for nbase in {0, ncols // 2, ncols}:  # 0: an empty base
-                picked = extend_pivots(field, cols[:nbase], cols[nbase:], nrows)
-                assert picked == [c - nbase for c in want if c >= nbase]
+            red, pivots = naive_rref_mod(rows, p) if p else naive_rref(rows)
+            yield rows, nrows, ncols, red, pivots
+
+
+@pytest.mark.parametrize("p", [0, 3, P], ids=["QQ", "F3", "F32003"])
+def test_forward_pass_pivots_match_textbook_rref(p):
+    # rank and extend_pivots run the forward pass alone; its pivot columns
+    # must be those of the full reduction, on every shape
+    field = GF(p) if p else QQ
+    for rows, nrows, ncols, _, want in _textbook_cases(p, 209):
+        assert rank(field, rows) == len(want)
+        for nbase in {0, ncols // 2, ncols}:  # 0: an empty base
+            base = [row[:nbase] for row in rows]
+            extra = _sparse_columns(field, rows, range(nbase, ncols))
+            picked = extend_pivots(field, base, extra, nrows)
+            assert picked == [c - nbase for c in want if c >= nbase]
 
 
 def test_rank_structured():
@@ -185,24 +202,45 @@ def test_nullspace_dimension_and_membership():
             basis = nullspace(field, rows, ncols)
             assert len(basis) == naive_nullspace_dim(rows, ncols)
             for v in basis:
+                assert all(0 <= j < ncols and x for j, x in v.items())
                 for row in rows:
                     if field.char == 0:
-                        acc = sum(Fraction(c) * Fraction(x) for c, x in zip(row, v))
+                        acc = sum(Fraction(row[j]) * x for j, x in v.items())
                         assert acc == 0
                     else:
-                        acc = sum(c * x for c, x in zip(row, v)) % field.char
+                        acc = sum(row[j] * x for j, x in v.items()) % field.char
                         assert acc == 0
             # vectors are independent: stack as rows and check full rank
             if basis:
-                assert rank(field, basis) == len(basis)
+                dense = [[v.get(j, 0) for j in range(ncols)] for v in basis]
+                assert rank(field, dense) == len(basis)
+
+
+@pytest.mark.parametrize("p", [0, 3, P], ids=["QQ", "F3", "F32003"])
+def test_nullspace_is_the_textbook_basis(p):
+    # resolve reads its syzygy candidates off these exact vectors: one per
+    # free column fc in ascending order, 1 at fc, -R[r][fc] at the pivot
+    # column of row r of the reduced row echelon form R, nothing else
+    field = GF(p) if p else QQ
+    for rows, _, ncols, red, pivots in _textbook_cases(p, 212):
+        want = []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            vec = {fc: field.one}
+            for r, pc in enumerate(pivots):
+                if red[r][fc]:
+                    vec[pc] = field(-red[r][fc])
+            want.append(vec)
+        assert nullspace(field, rows, ncols) == want
 
 
 def test_extend_pivots_greedy():
     # base spans the x-axis; first extra is dependent, second is not
-    base = [(1, 0)]
-    extras = [(2, 0), (1, 1), (0, 3)]
+    base = [[1], [0]]
+    extras = [{0: QQ(2)}, {0: QQ(1), 1: QQ(1)}, {1: QQ(3)}]
     assert extend_pivots(QQ, base, extras, 2) == [1]
-    assert extend_pivots(QQ, [], extras, 2) == [0, 1]
+    assert extend_pivots(QQ, [[], []], extras, 2) == [0, 1]
     assert extend_pivots(QQ, base, [], 2) == []
 
 
@@ -233,7 +271,9 @@ def test_extend_pivots_spans(field):
             j for j in range(len(extras))
             if rank_of(base + extras[: j + 1]) > rank_of(base + extras[:j])
         ]
-        assert extend_pivots(field, base, extras, dim) == greedy
+        base_rows = [[v[i] for v in base] for i in range(dim)]
+        sparse = [{i: x for i, x in enumerate(v) if x} for v in extras]
+        assert extend_pivots(field, base_rows, sparse, dim) == greedy
 
 
 def test_backend_name_is_consistent():
