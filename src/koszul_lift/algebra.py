@@ -9,6 +9,12 @@ must land back in Q goes through ``GradedRing.normal_form`` or
 ``GradedRing.quotient_basis`` gives each R_d a basis of monomials of Q_d
 and the normal form of every monomial in it.
 
+``PolyMatrix`` is sparse: each row is a ``{column: Poly}`` dict of the
+nonzero entries only, and no stored entry is zero.  Products, sums and the
+coordinate builders ``graded_matrix_rows`` and ``quotient_matrix_rows``
+walk those nonzeros; the dense ``rows`` view exists for renderers and is
+built once, on first read.
+
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
 listed in descending order under it.
@@ -607,10 +613,20 @@ class GradedRing:
 
 
 class PolyMatrix:
-    """Immutable dense matrix of polynomials with an explicit shape, so that
-    rank-zero blocks survive composition."""
+    """Immutable sparse matrix of polynomials with an explicit shape, so that
+    rank-zero blocks survive composition.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    Each row is one ``{column: Poly}`` dict holding only the nonzero
+    entries: no stored entry is zero, and ``entry(i, j)`` gives the ring's
+    zero for an absent cell.  Every operation walks the stored nonzeros, so
+    it costs their number rather than ``nrows * ncols``.  The constructor
+    and ``from_rows`` take dense rows; operations build their results
+    through ``_from_sparse``.  ``rows`` is a read-only dense view (a tuple
+    of row tuples, zeros included) for renderers, built on first read and
+    cached.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows", "_zero", "_dense")
 
     def __init__(self, nrows: int, ncols: int, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -621,19 +637,35 @@ class PolyMatrix:
             )
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self._rows = tuple(
+            {j: p for j, p in enumerate(row) if p.terms} for row in rows
+        )
+        self._zero = rows[0][0].ring.zero if nrows and ncols else None
+        self._dense = None
+
+    @classmethod
+    def _from_sparse(cls, nrows: int, ncols: int, rows, zero: Poly) -> "PolyMatrix":
+        """The matrix whose row i holds the nonzero entries ``rows[i]``, a
+        ``{column: Poly}`` dict with no zero value.  The dicts are kept, not
+        copied, and must not be changed afterwards."""
+        out = object.__new__(cls)
+        out.nrows = nrows
+        out.ncols = ncols
+        out._rows = tuple(rows)
+        out._zero = zero
+        out._dense = None
+        return out
 
     @staticmethod
     def zeros(ring: GradedRing, nrows: int, ncols: int) -> "PolyMatrix":
-        z = ring.zero
-        return PolyMatrix(nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return PolyMatrix._from_sparse(
+            nrows, ncols, [{} for _ in range(nrows)], ring.zero
+        )
 
     @staticmethod
     def identity(ring: GradedRing, n: int) -> "PolyMatrix":
-        one, zero = ring.one, ring.zero
-        return PolyMatrix(
-            n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        one = ring.one
+        return PolyMatrix._from_sparse(n, n, [{i: one} for i in range(n)], ring.zero)
 
     @staticmethod
     def from_rows(rows, ncols=None) -> "PolyMatrix":
@@ -644,95 +676,132 @@ class PolyMatrix:
             raise ValueError("empty matrix needs an explicit column count")
         return PolyMatrix(len(rows), ncols, rows)
 
+    @property
+    def rows(self) -> tuple:
+        """Dense read-only view: a tuple of row tuples, zeros included.
+        Built on first read and cached; no operation reads it."""
+        if self._dense is None:
+            dense = []
+            for row in self._rows:
+                cells = [self._zero] * self.ncols
+                for j, p in row.items():
+                    cells[j] = p
+                dense.append(tuple(cells))
+            self._dense = tuple(dense)
+        return self._dense
+
     def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
+        return self._rows[i].get(range(self.ncols)[j], self._zero)
 
     def entries(self):
-        for i, row in enumerate(self.rows):
-            for j, p in enumerate(row):
-                yield i, j, p
+        """Every cell as ``(i, j, entry)``, zeros included, row-major."""
+        zero = self._zero
+        for i, row in enumerate(self._rows):
+            for j in range(self.ncols):
+                yield i, j, row.get(j, zero)
+
+    def nonzeros(self):
+        """The nonzero cells as ``(i, j, entry)``, row-major."""
+        for i, row in enumerate(self._rows):
+            for j in sorted(row):
+                yield i, j, row[j]
+
+    def column_nonzeros(self) -> list:
+        """For each column, its nonzero cells as ``(i, entry)`` pairs in
+        increasing row order."""
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, p in row.items():
+                cols[j].append((i, p))
+        return cols
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for _, _, p in self.entries())
+        return not any(self._rows)
 
     def mul(self, other: "PolyMatrix", ring: GradedRing) -> "PolyMatrix":
         """Matrix product with J-reduction of every entry.
 
-        Only nonzero entries are visited: entry ``(i, j)`` sums ``a * b``
-        over the nonzero pairs ``a = self[i][k]``, ``b = other[k][j]`` in
-        increasing ``k`` and is reduced once; untouched entries are zero.
+        Entry ``(i, j)`` sums ``a * b`` over the stored ``a = self[i][k]``
+        and ``b = other[k][j]`` and is reduced once; an entry that the
+        reduction sends to zero is dropped.
         """
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        right = [
-            [(j, b) for j, b in enumerate(row) if not b.is_zero()]
-            for row in other.rows
-        ]
-        zero = ring.zero
+        right = other._rows
+        normal_form = ring.normal_form
         out = []
-        for row in self.rows:
+        for row in self._rows:
             acc = {}
-            for a, pairs in zip(row, right):
-                if a.is_zero():
-                    continue
-                for j, b in pairs:
+            for k, a in row.items():
+                for j, b in right[k].items():
                     prev = acc.get(j)
                     acc[j] = a * b if prev is None else prev + a * b
-            out_row = [zero] * other.ncols
+            out_row = {}
             for j, p in acc.items():
-                out_row[j] = ring.normal_form(p)
+                p = normal_form(p)
+                if p.terms:
+                    out_row[j] = p
             out.append(out_row)
-        return PolyMatrix(self.nrows, other.ncols, out)
+        return PolyMatrix._from_sparse(self.nrows, other.ncols, out, ring.zero)
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in add")
-        return PolyMatrix(
-            self.nrows,
-            self.ncols,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, b in r2.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = b
+                    continue
+                s = a + b
+                if s.terms:
+                    row[j] = s
+                else:
+                    del row[j]
+            out.append(row)
+        return PolyMatrix._from_sparse(self.nrows, self.ncols, out, self._zero)
 
     def sub(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.add(other.neg())
 
     def neg(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.nrows, self.ncols, [[-p for p in row] for row in self.rows]
-        )
+        return self.map_entries(Poly.__neg__)
 
     def scale(self, scalar) -> "PolyMatrix":
-        return PolyMatrix(
-            self.nrows, self.ncols, [[p * scalar for p in row] for row in self.rows]
-        )
+        return self.map_entries(lambda p: p * scalar)
 
     def scale_poly(self, g: Poly, ring: GradedRing) -> "PolyMatrix":
-        return PolyMatrix(
-            self.nrows,
-            self.ncols,
-            [[ring.mul(p, g) for p in row] for row in self.rows],
-        )
+        return self.map_entries(lambda p: ring.mul(p, g))
 
     def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(
-            self.nrows, self.ncols, [[fn(p) for p in row] for row in self.rows]
-        )
+        """Apply ``fn`` to every nonzero entry and drop the zero results.
+        Zero cells are not visited, so ``fn`` must send 0 to 0."""
+        out = []
+        for row in self._rows:
+            out_row = {}
+            for j, p in row.items():
+                q = fn(p)
+                if q.terms:
+                    out_row[j] = q
+            out.append(out_row)
+        return PolyMatrix._from_sparse(self.nrows, self.ncols, out, self._zero)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash(
+            (self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self._rows))
+        )
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
@@ -747,8 +816,7 @@ def block_matrix(
     """Assemble a matrix from a sparse grid of blocks; absent blocks are 0."""
     nrows = sum(row_sizes)
     ncols = sum(col_sizes)
-    zero = ring.zero
-    out = [[zero] * ncols for _ in range(nrows)]
+    out = [{} for _ in range(nrows)]
     row_offsets = [0]
     for s in row_sizes:
         row_offsets.append(row_offsets[-1] + s)
@@ -762,10 +830,11 @@ def block_matrix(
                 f"{row_sizes[bi]}x{col_sizes[bj]}"
             )
         r0, c0 = row_offsets[bi], col_offsets[bj]
-        for i in range(blk.nrows):
-            for j in range(blk.ncols):
-                out[r0 + i][c0 + j] = blk.rows[i][j]
-    return PolyMatrix(nrows, ncols, out)
+        for i, row in enumerate(blk._rows):
+            target = out[r0 + i]
+            for j, p in row.items():
+                target[c0 + j] = p
+    return PolyMatrix._from_sparse(nrows, ncols, out, ring.zero)
 
 
 # -- graded coordinates ----------------------------------------------------------
@@ -793,12 +862,10 @@ def graded_matrix_rows(
         nrows += ring.dim(d - b)
     ncols = module_dim(ring, src_twists, d)
     rows = [[field.zero] * ncols for _ in range(nrows)]
+    columns = mat.column_nonzeros()
     col = 0
     for j, a in enumerate(src_twists):
-        entries = [
-            (targets[i], row[j].terms) for i, row in enumerate(mat.rows)
-            if row[j].terms
-        ]
+        entries = [(targets[i], p.terms) for i, p in columns[j]]
         for mu in ring.monomial_basis(d - a):
             for (r0, index), terms in entries:
                 for m0, c0 in terms.items():
@@ -837,12 +904,10 @@ def quotient_matrix_rows(
         nrows += len(basis)
     sources = [ring.quotient_basis(d - a)[0] for a in src_twists]
     rows = [[field.zero] * sum(map(len, sources)) for _ in range(nrows)]
+    columns = mat.column_nonzeros()
     col = 0
     for j, basis in enumerate(sources):
-        entries = [
-            (targets[i], row[j].terms) for i, row in enumerate(mat.rows)
-            if row[j].terms
-        ]
+        entries = [(targets[i], p.terms) for i, p in columns[j]]
         for mu in basis:
             for (r0, forms), terms in entries:
                 for m0, c0 in terms.items():
@@ -888,8 +953,8 @@ def solve_graded_linear(
     when b is not in the image.
     """
     field = ring.field
-    aug = PolyMatrix(
-        mat.nrows, mat.ncols + rhs.ncols, [a + b for a, b in zip(mat.rows, rhs.rows)]
+    aug = block_matrix(
+        ring, [mat.nrows], [mat.ncols, rhs.ncols], {(0, 0): mat, (0, 1): rhs}
     )
     src_twists = tuple(src_twists)
     rows = graded_matrix_rows(ring, aug, src_twists + (d,) * rhs.ncols, tgt_twists, d)

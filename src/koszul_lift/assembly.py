@@ -261,11 +261,9 @@ def epsilon_C(P: ProductComplex, cbar: FreeComplex) -> EpsilonReport:
                 f"unit block rank {blk_rank} at {n} does not match cbar "
                 f"rank {r_c}"
             )
-        rows = [[ring.zero] * r_p for _ in range(r_c)]
-        if blk:
-            for g in range(r_c):
-                rows[g][blk.offset + g] = ring.one
-        maps[n] = PolyMatrix(r_c, r_p, rows)
+        one = ring.one
+        rows = [{blk.offset + g: one} for g in range(r_c)]  # r_c = 0 without blk
+        maps[n] = PolyMatrix._from_sparse(r_c, r_p, rows, ring.zero)
 
     positions = []
     first = None
@@ -278,7 +276,7 @@ def epsilon_C(P: ProductComplex, cbar: FreeComplex) -> EpsilonReport:
         rhs = d_c.mul(maps[n], ring)
         positions.append(n)
         resid = lhs.sub(rhs)
-        for i, j, p in resid.entries():
+        for i, j, p in resid.nonzeros():
             if not ring.in_sequence_ideal(p):
                 ok = False
                 if first is None:
@@ -417,7 +415,6 @@ def minimality_and_lifting_report(P: ProductComplex) -> MinimalityReport:
     codimension-one matrix factorization case (t^{e_1} is a unit multiple
     of the identity at every position)."""
     ring = P.ring
-    field = ring.field
     minimal = is_minimal(P.complex)
 
     lifts = True
@@ -438,16 +435,15 @@ def minimality_and_lifting_report(P: ProductComplex) -> MinimalityReport:
             if mat.nrows != mat.ncols:
                 mf = False
                 break
-            diag = mat.rows[0][0]
-            unit = diag.terms.get((0,) * ring.nvars)
-            if unit is None or field.is_zero(unit) or len(diag.terms) != 1:
+            # every row holds exactly its diagonal entry, one common unit
+            diag = mat.entry(0, 0)
+            cells = list(mat.nonzeros())
+            if (
+                list(diag.terms) != [(0,) * ring.nvars]
+                or len(cells) != mat.nrows
+                or any(i != j or p != diag for i, j, p in cells)
+            ):
                 mf = False
-                break
-            for i, j, p in mat.entries():
-                if (i == j and p != diag) or (i != j and not p.is_zero()):
-                    mf = False
-                    break
-            if not mf:
                 break
 
     labels = []
@@ -513,7 +509,7 @@ def render_differential(P: ProductComplex, n: int) -> str:
 
 def permute_matrix(mat: PolyMatrix, row_order, col_order) -> PolyMatrix:
     """Reindex rows and columns: new[i][j] = old[row_order[i]][col_order[j]]."""
-    rows = [[mat.rows[r][c] for c in col_order] for r in row_order]
+    rows = [[mat.entry(r, c) for c in col_order] for r in row_order]
     return PolyMatrix(len(row_order), len(col_order), rows)
 
 

@@ -258,9 +258,7 @@ def homogeneity_failures(C: FreeComplex):
     for n in range(lo + 1, hi + 1):
         src = C.twists[n]
         tgt = C.twists[n - 1]
-        for i, j, p in C.diffs[n].entries():
-            if p.is_zero():
-                continue
+        for i, j, p in C.diffs[n].nonzeros():
             want = src[j] - tgt[i]
             if not p.is_homogeneous() or p.homogeneous_degree() != want:
                 yield ComplexFailure(
@@ -282,9 +280,7 @@ def check_complex(C: FreeComplex) -> ComplexReport:
     weak = C.over == "R" or C.is_lift
     for n in range(lo + 2, hi + 1):
         comp = C.diffs[n - 1].mul(C.diffs[n], ring)
-        for i, j, p in comp.entries():
-            if p.is_zero():
-                continue
+        for i, j, p in comp.nonzeros():
             if weak and ring.in_sequence_ideal(p):
                 continue
             failures.append(
@@ -391,7 +387,7 @@ def is_minimal(C: FreeComplex) -> bool:
     has zero constant term."""
     field = C.ring.field
     for mat in C.diffs.values():
-        for _, _, p in mat.entries():
+        for _, _, p in mat.nonzeros():
             if not field.is_zero(p.constant_term()):
                 return False
     return True

@@ -203,16 +203,16 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
             for r in range(tgt_rank):
                 for s_ in range(src_rank):
                     groups.setdefault(src_tw[s_] - tgt_tw[r], []).append((r, s_))
-            entries = {
-                mu: [[None] * src_rank for _ in range(tgt_rank)] for mu in mus
-            }
+            entries = {mu: [{} for _ in range(tgt_rank)] for mu in mus}
             failed = []
             for e, cells in groups.items():
-                rhs = PolyMatrix(
-                    len(gammas),
-                    len(cells),
-                    [[-res.entry(r, s_) for r, s_ in cells] for res in residuals],
-                )
+                rhs_rows = [{} for _ in residuals]
+                for res, row in zip(residuals, rhs_rows):
+                    for k, (r, s_) in enumerate(cells):
+                        p = res.entry(r, s_)
+                        if p.terms:
+                            row[k] = -p
+                rhs = PolyMatrix._from_sparse(len(gammas), len(cells), rhs_rows, ring.zero)
                 sols = solve_graded_linear(
                     ring, coeffs, kos.twists[size], kos.twists[size - 1], e, rhs
                 )
@@ -221,7 +221,8 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
                         failed.append((r, s_))
                         continue
                     for mu, p in zip(mus, sol):
-                        entries[mu][r][s_] = p
+                        if p.terms:
+                            entries[mu][r][s_] = p
             if failed:
                 r, s_ = min(failed)
                 raise InvalidInputError(
@@ -230,7 +231,9 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
                     "not a lift of an R-complex"
                 )
             for mu in mus:
-                new_maps[mu][n] = PolyMatrix(tgt_rank, src_rank, entries[mu])
+                new_maps[mu][n] = PolyMatrix._from_sparse(
+                    tgt_rank, src_rank, entries[mu], ring.zero
+                )
         merged = dict(H.maps)
         merged.update(new_maps)
         H = HomotopyFamily(F, size, merged)
@@ -277,10 +280,8 @@ def verify_relation(H: HomotopyFamily, gamma) -> RelationReport:
         positions.append(n)
         if first is None and not lhs.is_zero():
             ok = False
-            for i, j, p in lhs.entries():
-                if not p.is_zero():
-                    first = (n, i, j)
-                    break
+            i, j, _ = next(lhs.nonzeros())
+            first = (n, i, j)
     return RelationReport(gamma, ok, positions, first)
 
 
@@ -313,7 +314,7 @@ def eisenbud_operator_checks(H: HomotopyFamily) -> EisenbudReport:
     F = H.base
 
     def in_f(mat: PolyMatrix):
-        for i, j, p in mat.entries():
+        for i, j, p in mat.nonzeros():
             if not ring.in_sequence_ideal(p):
                 return (i, j)
         return None

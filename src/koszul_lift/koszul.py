@@ -138,11 +138,11 @@ def koszul_complex(ring: GradedRing, elements=None, over: str = "Q"):
     for j in range(1, c + 1):
         tgt_index = {beta: k for k, beta in enumerate(subsets_of_size(c, j - 1))}
         cols = list(subsets_of_size(c, j))
-        rows = [[ring.zero] * len(cols) for _ in range(len(tgt_index))]
+        rows = [{} for _ in tgt_index]
         for col, alpha in enumerate(cols):
             for beta, coeff in koszul_differential(ring, alpha, elements):
                 rows[tgt_index[beta]][col] = coeff
-        diffs[j] = PolyMatrix(len(tgt_index), len(cols), rows)
+        diffs[j] = PolyMatrix._from_sparse(len(rows), len(cols), rows, ring.zero)
     return FreeComplex(
         ring,
         over,

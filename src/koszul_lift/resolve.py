@@ -55,10 +55,10 @@ class Presentation:
     def column_degrees(self, ring: GradedRing):
         """Forced degree of each relation column; None for zero columns."""
         degs = []
-        for j in range(self.relations.ncols):
+        for j, column in enumerate(self.relations.column_nonzeros()):
             deg = None
-            for i in range(self.relations.nrows):
-                p = ring.normal_form(self.relations.rows[i][j])
+            for i, p in column:
+                p = ring.normal_form(p)
                 if p.is_zero():
                     continue
                 if not p.is_homogeneous():
@@ -102,9 +102,14 @@ class Presentation:
         )
 
 
-def _columns_matrix(nrows, cols):
-    """The PolyMatrix with the polynomial columns ``cols``."""
-    return PolyMatrix(nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
+def _columns_matrix(ring, nrows, cols):
+    """The PolyMatrix whose column k has the nonzero cells ``cols[k]``, a
+    list of (row, entry) pairs."""
+    rows = [{} for _ in range(nrows)]
+    for k, col in enumerate(cols):
+        for i, p in col:
+            rows[i][k] = p
+    return PolyMatrix._from_sparse(nrows, len(cols), rows, ring.zero)
 
 
 def _minimal_generators(ring, twists, candidates):
@@ -114,16 +119,17 @@ def _minimal_generators(ring, twists, candidates):
     of the free module with the given twists) in increasing d.  A vector
     becomes a generator exactly when it is not in W_d plus the multiples of
     the generators already chosen plus the vectors before it.  Returns the
-    generators' degrees and polynomial columns."""
+    generators' degrees and columns, as (row, nonzero entry) pairs."""
     degs, cols = [], []
     for d, vecs in candidates:
         base = module_span_rows(ring, twists, d)
-        multiples = _columns_matrix(len(twists), cols)
+        multiples = _columns_matrix(ring, len(twists), cols)
         for row, mrow in zip(base, graded_matrix_rows(ring, multiples, degs, twists, d)):
             row.extend(mrow)
         for k in linalg.extend_pivots(ring.field, base, vecs, len(base)):
             degs.append(d)
-            cols.append(coords_to_column(ring, twists, d, vecs[k]))
+            col = coords_to_column(ring, twists, d, vecs[k])
+            cols.append([(i, p) for i, p in enumerate(col) if p.terms])
     return degs, cols
 
 
@@ -131,13 +137,11 @@ def _relation_candidates(ring, presentation, col_degs):
     """The presentation columns of each degree, as sparse coordinate
     vectors."""
     twists = presentation.twists
+    columns = presentation.relations.column_nonzeros()
     for d in sorted(set(col_degs) - {None}):
-        here = [
-            [row[j] for row in presentation.relations.rows]
-            for j, dj in enumerate(col_degs) if dj == d
-        ]
+        here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
         rows = graded_matrix_rows(
-            ring, _columns_matrix(len(twists), here), [d] * len(here), twists, d
+            ring, _columns_matrix(ring, len(twists), here), [d] * len(here), twists, d
         )
         yield d, [
             {i: row[k] for i, row in enumerate(rows) if row[k]} for k in range(len(here))
@@ -195,7 +199,7 @@ def resolve_over_R(
                 f"{degree_bound} (position {step}); raise the bound"
             )
         twists[step] = tuple(degs)
-        diffs[step] = _columns_matrix(len(src_twists), cols)
+        diffs[step] = _columns_matrix(ring, len(src_twists), cols)
 
     return FreeComplex(
         ring,

@@ -487,6 +487,114 @@ def test_block_matrix_layout():
     assert m.entry(1, 1) == y and m.entry(2, 2) == x
 
 
+def _random_grid(rng, nrows, ncols, against=None):
+    """A dense grid of polynomials over RING, about half of them zero.  With
+    ``against`` (a grid of the same shape) some cells are its negatives, so
+    that sums cancel there."""
+    x = RING.parse("x")
+    grid = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            pick = rng.random()
+            if against is not None and pick < 0.25:
+                row.append(-against[i][j])
+            elif pick < 0.55:
+                row.append(RING.zero)
+            elif pick < 0.7:
+                row.append(RING.mul(x, _random_poly(rng, RING, maxdeg=1, nterms=2)))
+            else:
+                row.append(_random_poly(rng, RING, maxdeg=2, nterms=2))
+        grid.append(row)
+    return grid
+
+
+def _assert_matches_grid(m, grid):
+    """Every public view of ``m`` agrees with the dense reference ``grid``."""
+    nrows = len(grid)
+    ncols = len(grid[0]) if grid else m.ncols  # a 0-row grid has no width
+    assert (m.nrows, m.ncols) == (nrows, ncols)
+    cells = [(i, j, p) for i, row in enumerate(grid) for j, p in enumerate(row)]
+    assert list(m.entries()) == cells
+    assert all(m.entry(i, j) == p for i, j, p in cells)
+    assert [list(row) for row in m.rows] == grid
+    # nonzeros() yields every stored entry: equality with the reference
+    # nonzeros means no stored entry is zero
+    assert list(m.nonzeros()) == [(i, j, p) for i, j, p in cells if not p.is_zero()]
+    assert m.is_zero() == all(p.is_zero() for _, _, p in cells)
+    dense = PolyMatrix(nrows, ncols, grid)
+    assert m == dense and hash(m) == hash(dense)
+    with pytest.raises(IndexError):
+        m.entry(nrows, 0)
+    with pytest.raises(IndexError):
+        m.entry(0, ncols)
+
+
+def _cellwise(fn, *grids):
+    """The grid of ``fn`` applied to corresponding cells of ``grids``."""
+    return [[fn(*ps) for ps in zip(*rows)] for rows in zip(*grids)]
+
+
+def test_sparse_ops_match_dense_reference():
+    rng = Random(1111)
+    x, y = RING.parse("x"), RING.parse("y")
+    for trial in range(150):
+        # 0xn, nx0 and inner-zero shapes come up among the small dimensions
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        ga = _random_grid(rng, r, c)
+        gb = _random_grid(rng, r, c, against=ga)
+        a = PolyMatrix(r, c, ga)
+        b = PolyMatrix(r, c, gb)
+        _assert_matches_grid(a, ga)
+        _assert_matches_grid(b, gb)
+        _assert_matches_grid(a.add(b), _cellwise(lambda p, q: p + q, ga, gb))
+        _assert_matches_grid(a.sub(b), _cellwise(lambda p, q: p - q, ga, gb))
+        _assert_matches_grid(a.neg(), _cellwise(lambda p: -p, ga))
+        for s in (Fraction(-2, 3), 0):
+            _assert_matches_grid(a.scale(s), _cellwise(lambda p: p * s, ga))
+        for g in (x, y + x, RING.zero):
+            _assert_matches_grid(
+                a.scale_poly(g, RING), _cellwise(lambda p: RING.mul(p, g), ga)
+            )
+        times_x = lambda p: RING.mul(p, x)  # sends the x-multiples to 0 mod x^2
+        _assert_matches_grid(a.map_entries(times_x), _cellwise(times_x, ga))
+        assert a.add(b).sub(b) == a and hash(a.add(b).sub(b)) == hash(a)
+
+        gc = _random_grid(rng, c, k)
+        prod = a.mul(PolyMatrix(c, k, gc), RING)
+        _assert_matches_grid(
+            prod,
+            [
+                [sum((RING.mul(ga[i][t], gc[t][j]) for t in range(c)), RING.zero)
+                 for j in range(k)]
+                for i in range(r)
+            ],
+        )
+
+        # a block grid with absent blocks and zero-size blocks
+        row_sizes = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        col_sizes = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        big = [[RING.zero] * sum(col_sizes) for _ in range(sum(row_sizes))]
+        blocks = {}
+        for bi, h in enumerate(row_sizes):
+            for bj, w in enumerate(col_sizes):
+                if rng.random() < 0.5:
+                    continue
+                grid = _random_grid(rng, h, w)
+                blocks[bi, bj] = PolyMatrix(h, w, grid)
+                r0, c0 = sum(row_sizes[:bi]), sum(col_sizes[:bj])
+                for i in range(h):
+                    big[r0 + i][c0 : c0 + w] = grid[i]
+        _assert_matches_grid(block_matrix(RING, row_sizes, col_sizes, blocks), big)
+
+    zero = PolyMatrix.zeros(RING, 2, 3)
+    _assert_matches_grid(zero, [[RING.zero] * 3 for _ in range(2)])
+    _assert_matches_grid(
+        PolyMatrix.identity(RING, 2), [[RING.one, RING.zero], [RING.zero, RING.one]]
+    )
+    assert zero != PolyMatrix.zeros(RING, 3, 2)
+
+
 def test_ring_json_roundtrip():
     for ring in (RING, PLAIN, GradedRing(GF(32003), ["u", "v"], sequence=["u*v"])):
         again = GradedRing.from_json_dict(ring.to_json_dict())

@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
+from koszul_lift.algebra import GradedRing, PolyMatrix
 from koszul_lift.assembly import (
+    ProductComplex,
     assemble,
     assemble_codim1,
     epsilon_C,
@@ -22,6 +24,7 @@ from koszul_lift.builtin_examples import (
     periodic_factorization,
 )
 from koszul_lift.complexes import (
+    FreeComplex,
     check_complex,
     homology_dims,
     lift_to_Q,
@@ -33,7 +36,7 @@ from koszul_lift.errors import (
     WrongCodimensionError,
 )
 from koszul_lift.fields import GF, QQ
-from koszul_lift.homotopy import solve_homotopies
+from koszul_lift.homotopy import HomotopyFamily, solve_homotopies
 from koszul_lift.koszul import koszul_complex
 from koszul_lift.samples import (
     random_finite_complex,
@@ -279,6 +282,67 @@ def test_minimality_labels():
     rep3 = minimality_and_lifting_report(P3)
     assert not rep3.minimal and not rep3.lifts and not rep3.matrix_factorization
     assert rep3.labels == []
+
+
+def _doubled_factorization():
+    """Two copies of the two-periodic resolution of R/(u) over
+    R = k[u,v]/(uv): every homotopy is the 2x2 matrix -1 times identity."""
+    ring = GradedRing(QQ, ["u", "v"], sequence=["u*v"])
+    u, v, z = ring.parse("u"), ring.parse("v"), ring.zero
+    diffs = {}
+    for m in range(1, 5):
+        g = u if m % 2 else v
+        diffs[m] = PolyMatrix.from_rows([[g, z], [z, g]])
+    cbar = FreeComplex(
+        ring, "R", (0, 4), {m: (m, m) for m in range(5)}, diffs, support="bounded_below"
+    )
+    F = lift_to_Q(cbar)
+    return ring, assemble(F, solve_homotopies(F, 1))
+
+
+def _with_homotopy_at(P, n, rows):
+    """P with its stored t^{e_1} at position n replaced by ``rows``."""
+    maps = dict(P.family.maps[(1,)])
+    maps[n] = PolyMatrix.from_rows([[P.ring.parse(e) for e in row] for row in rows])
+    family = HomotopyFamily(P.lift, 1, {(1,): maps})
+    return ProductComplex(P.complex, P.lift, P.blocks, family)
+
+
+def test_matrix_factorization_verdict_reads_the_nonzeros():
+    ring, P = _doubled_factorization()
+    stored = P.family.maps[(1,)]
+    assert stored and all(_strs(m) == [["-1", "0"], ["0", "-1"]] for m in stored.values())
+    assert minimality_and_lifting_report(P).matrix_factorization
+
+    n = max(stored)
+    # an off-diagonal entry beside the unit diagonal
+    off = _with_homotopy_at(P, n, [["-1", "0"], ["u", "-1"]])
+    assert not minimality_and_lifting_report(off).matrix_factorization
+    # two different units on the diagonal
+    unequal = _with_homotopy_at(P, n, [["-1", "0"], ["0", "-2"]])
+    assert not minimality_and_lifting_report(unequal).matrix_factorization
+    # a row without its diagonal entry
+    missing = _with_homotopy_at(P, n, [["-1", "0"], ["0", "0"]])
+    assert not minimality_and_lifting_report(missing).matrix_factorization
+
+
+def test_epsilon_reports_the_row_major_first_failure():
+    cbar, _, _, P, _ = _golden_product()
+    ring = P.ring
+    # two entries of d_1 of cbar that are not in (f): the residual of the
+    # square at position 1 fails in row 0 at the columns of both, and the
+    # report names the leftmost
+    d1 = cbar.diffs[1]
+    shift = PolyMatrix.from_rows([[ring.zero, ring.parse("x")]]).add(
+        PolyMatrix.from_rows([[ring.parse("x"), ring.zero]])
+    )
+    diffs = dict(cbar.diffs)
+    diffs[1] = d1.add(shift)
+    bad = FreeComplex(ring, "R", cbar.window, cbar.twists, diffs, support=cbar.support)
+    eps = epsilon_C(P, bad)
+    offset = next(b.offset for b in P.blocks[1] if b.subset == ())
+    assert not eps.ok
+    assert eps.first_failure == (1, 0, offset)
 
 
 def test_koszul_complex_assembles_over_itself():

@@ -9,6 +9,7 @@ from koszul_lift.builtin_examples import paper_5_2
 from koszul_lift.complexes import (
     FreeComplex,
     check_complex,
+    homogeneity_failures,
     homology_dims,
     is_minimal,
     lift_to_Q,
@@ -162,6 +163,36 @@ def test_composite_over_R_allows_f_multiples():
     # the composite check happens on the stored Q-representatives
     rep = check_complex(C)
     assert rep.ok
+
+
+def test_failures_are_reported_row_major():
+    ring = GradedRing(QQ, ["x", "y", "z"])
+    # d_1 is built so that its row 1 stores column 2 before column 0; both
+    # entries have the wrong degree, and (1, 0) comes first row-major
+    d1 = _mat(ring, [["x", "y", "0"], ["0", "y", "x^2"]]).add(
+        _mat(ring, [["0", "0", "0"], ["x*y", "0", "0"]])
+    )
+    C = FreeComplex(ring, "Q", (0, 1), {0: (0, 0), 1: (1, 1, 1)}, {1: d1})
+    assert [(f.position, f.entry) for f in homogeneity_failures(C)] == [
+        (1, (1, 0)),
+        (1, (1, 2)),
+    ]
+    assert check_complex(C).first().entry == (1, 0)
+
+    # d_1 d_2 = [x*y, 0, x*z]: the product meets column 2 before column 0
+    # and cancels column 1
+    C = FreeComplex(
+        ring,
+        "Q",
+        (0, 2),
+        {0: (0,), 1: (1, 1), 2: (2, 2, 2)},
+        {1: _mat(ring, [["x", "y"]]), 2: _mat(ring, [["0", "y", "z"], ["x", "-x", "0"]])},
+    )
+    rep = check_complex(C)
+    assert [(f.kind, f.position, f.entry) for f in rep.failures] == [
+        ("composite", 2, (0, 0)),
+        ("composite", 2, (0, 2)),
+    ]
 
 
 def test_lift_reduce_roundtrip():

@@ -79,6 +79,21 @@ def test_relation_catches_tampering():
     assert rep.first_failure is not None
 
 
+def test_relation_reports_the_row_major_first_failure():
+    _, cbar, _ = paper_5_2()
+    fam = solve_homotopies(lift_to_Q(cbar), 1)
+    ring = fam.ring
+    # t^{e_1} at 2 gains units at (0, 2) and then (0, 0); f times them breaks
+    # the relation at () in both cells, and the report names (0, 0)
+    t2 = fam.maps[(1,)][2]
+    one, z = ring.one, ring.zero
+    bump = PolyMatrix.from_rows([[z, z, one]]).add(PolyMatrix.from_rows([[one, z, z]]))
+    bad = HomotopyFamily(fam.base, 1, {(1,): {**fam.maps[(1,)], 2: t2.add(bump)}})
+    rep = verify_relation(bad, ())
+    assert not rep.ok
+    assert rep.first_failure == (2, 0, 0)
+
+
 def test_solver_rejects_non_lift():
     # a "lift" whose square is not divisible by f is inconsistent
     ring = GradedRing(QQ, ["x", "y"], sequence=["y^2"])
