@@ -10,12 +10,14 @@ order in which rows become pivots does not change the result.
 ``linalg.rank``, ``linalg.extend_pivots`` and ``linalg.nullspace`` hand
 their dict rows straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod``
 wraps ``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p
-takes that route.
+takes that route, and only the homotopy solve calls it.  This module does
+not import numpy: ``rref_mod`` uses nothing but the methods of the array it
+is handed, so numpy is loaded only when ``linalg.rref`` first builds one.
+The array stays, and numpy with it, because ``perfbench/tracing.py`` probes
+``rref_mod`` and reads the array's size and shape.
 """
 
 import heapq
-
-import numpy as np
 
 
 def _subtract(row: dict, f, prow: dict, char: int) -> None:
@@ -91,16 +93,16 @@ def gauss_jordan(rows, char: int) -> list:
     return list(pivots.items())
 
 
-def rref_mod(a: np.ndarray, p: int, pivots: np.ndarray) -> int:
+def rref_mod(a, p: int, pivots) -> int:
     """Reduce the int64 array ``a`` in place mod p to its reduced row
     echelon form, with entries in [0, p) and the rows past the rank zeroed.
 
     Writes the pivot columns into ``pivots`` (room for min(nrows, ncols)
     entries) and returns the rank.
     """
-    np.remainder(a, p, out=a)
+    a %= p
     rows = [{} for _ in range(a.shape[0])]
-    nz_rows, nz_cols = np.nonzero(a)
+    nz_rows, nz_cols = a.nonzero()
     for i, j, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
         rows[i][j] = v
     reduced = gauss_jordan(rows, p)

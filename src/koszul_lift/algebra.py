@@ -22,6 +22,7 @@ listed in descending order under it.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Mapping
 
@@ -36,7 +37,7 @@ MAX_C = 16
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:

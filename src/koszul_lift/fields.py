@@ -105,7 +105,10 @@ class PrimeField(Field):
     ``linalg.rref`` hands F_p matrices to the row reduction as int64 arrays
     (``_kernel.rref_mod``), and the bound keeps every element well inside
     int64; every other call reduces dict rows.  The elimination itself runs
-    on Python ints.
+    on Python ints.  That array is the library's only use of numpy, and the
+    homotopy solve is its only pipeline caller, so numpy is loaded there and
+    nowhere else.  It remains a dependency because the benchmark's tracer
+    probes ``_kernel.rref_mod`` and reads the array's size and shape.
     """
 
     def __init__(self, p: int):

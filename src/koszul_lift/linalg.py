@@ -16,7 +16,9 @@ the reduced rows.  Kernel and candidate vectors are sparse dicts
 pass through an int64 array and ``_kernel.rref_mod``.  That round trip is
 not needed by the elimination: it stays because ``perfbench/tracing.py``
 probes ``_kernel.rref_mod`` and ``_rref_qq`` and reads the array's size and
-shape.
+shape.  It is the only place the library builds an ndarray, so numpy is
+imported there, at the first F_p ``rref`` (in the pipeline, the homotopy
+solve), and never on import or over Q.
 
 Matrices are lists of rows.  Column counts are passed explicitly wherever a
 matrix may have zero rows.
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-
-import numpy as np
 
 from . import _kernel
 
@@ -55,6 +55,8 @@ def _dict_rows(rows, char: int) -> list:
 def _reduce_modp(rows, ncols: int, p: int):
     """The int64 array of ``rows`` reduced by ``_kernel.rref_mod``, and its
     pivot columns."""
+    import numpy as np  # deferred: the one ndarray the library builds
+
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     pivots = np.zeros(min(len(rows), ncols), dtype=np.int64)
     rank = _kernel.rref_mod(arr, p, pivots)

@@ -103,21 +103,32 @@ def _sparse_columns(field, rows, cols):
 
 
 def test_rref_mod_matches_textbook_gauss_jordan():
-    rng = Random(207)
+    rng, sign_rng = Random(207), Random(208)
     shapes = [(0, 0), (0, 5), (5, 0)] + [
         (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)
     ] + [(80, 120), (120, 80)]
     for p in (2, 3, P):
+        cases = []
         for nrows, ncols in shapes:
             for fill in (0.01, 0.5):
                 rows = _random_modp_array(rng, p, nrows, ncols, fill)
-                a = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-                pivots = np.zeros(min(nrows, ncols), dtype=np.int64)
-                got_rank = _kernel.rref_mod(a, p, pivots)
-                want_red, want_piv = naive_rref_mod(rows, p)
-                assert got_rank == len(want_piv)
-                assert pivots[:got_rank].tolist() == want_piv
-                assert a.tolist() == want_red
+                cases.append((rows, ncols))
+                # negative entries too: the input is reduced into [0, p)
+                # in place before the elimination reads it
+                signed = [[-v if sign_rng.random() < 0.5 else v for v in row] for row in rows]
+                cases.append((signed, ncols))
+        # multiples of p, of either sign, reduce to zero rows and columns
+        cases.append(([[p, -2 * p, 0], [-1, 3 * p - 1, -p]], 3))
+        cases.append(([[-p, 2 * p], [3 * p, -3 * p]], 2))
+        for rows, ncols in cases:
+            nrows = len(rows)
+            a = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+            pivots = np.zeros(min(nrows, ncols), dtype=np.int64)
+            got_rank = _kernel.rref_mod(a, p, pivots)
+            want_red, want_piv = naive_rref_mod(rows, p)
+            assert got_rank == len(want_piv)
+            assert pivots[:got_rank].tolist() == want_piv
+            assert a.tolist() == want_red
 
 
 def test_rank_matches_naive_both_fields():
