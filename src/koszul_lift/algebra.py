@@ -330,7 +330,6 @@ class GradedRing:
         self._nf_zero_cache: dict[Monomial, bool] = {}
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
-        self._span_cache: dict[int, list] = {}
         self._quotient_cache: dict[int, tuple] = {}
 
         seq = []
@@ -516,14 +515,10 @@ class GradedRing:
     def sequence_span_rows(self, d: int) -> list:
         """The k-matrix W_d of the map (f_1 .. f_c) : (+)_i Q(-deg f_i) -> Q
         on degree-d pieces: rows follow the monomial basis of Q_d, column
-        f_i * m for each basis monomial m of degree d - deg(f_i).  Cached
-        per degree; callers must not mutate the rows."""
-        rows = self._span_cache.get(d)
-        if rows is None:
-            fmap = PolyMatrix(1, self.c, [self.sequence])
-            rows = graded_matrix_rows(self, fmap, self.seq_degrees, (0,), d)
-            self._span_cache[d] = rows
-        return rows
+        f_i * m for each basis monomial m of degree d - deg(f_i).  Built
+        afresh on every call (``quotient_basis`` caches what it derives
+        from it)."""
+        return graded_matrix_rows(self, *span_map(self, (0,)), (0,), d)
 
     def sequence_span_columns(self, d: int) -> list:
         """Coordinate columns spanning (f_1..f_c)_d inside Q_d: the columns
@@ -595,7 +590,7 @@ class GradedRing:
             variables = data["variables"]
             relations = data.get("relations", [])
             sequence = data.get("sequence", [])
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"ring JSON missing key {exc}") from exc
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ParseError("ring JSON variables must be a list of strings")
@@ -845,6 +840,19 @@ def module_dim(ring: GradedRing, twists, d: int) -> int:
     return sum(ring.dim(d - a) for a in twists)
 
 
+def span_map(ring: GradedRing, twists):
+    """The map F tensor K_1 -> F of the Koszul complex on f, whose image is
+    (f) * F, for the free module F with the given twists.
+
+    Column (j, i), taken generator-major, holds f_i in row j.  Returns the
+    matrix and its source twists ``twists[j] + deg f_i``.
+    """
+    c = ring.c
+    rows = [{j * c + i: f for i, f in enumerate(ring.sequence)} for j in range(len(twists))]
+    src = tuple(a + e for a in twists for e in ring.seq_degrees)
+    return PolyMatrix._from_sparse(len(twists), len(src), rows, ring.zero), src
+
+
 def graded_matrix_rows(
     ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
 ):
@@ -853,16 +861,17 @@ def graded_matrix_rows(
     Column j of ``mat`` is the image of the generator of degree
     ``src_twists[j]``.  Rows follow the generator-major monomial basis of
     the degree-d piece of the target (generator index, then monomial in
-    descending order), columns that of the source.
+    descending order), columns that of the source.  Each cell is written
+    at most once: distinct entries of a column lie in distinct row blocks,
+    and distinct terms of an entry times one monomial stay distinct.
     """
-    field = ring.field
     targets = []
     nrows = 0
     for b in tgt_twists:
         targets.append((nrows, ring.basis_index(d - b)))
         nrows += ring.dim(d - b)
     ncols = module_dim(ring, src_twists, d)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
+    rows = [[ring.field.zero] * ncols for _ in range(nrows)]
     columns = mat.column_nonzeros()
     col = 0
     for j, a in enumerate(src_twists):
@@ -873,8 +882,7 @@ def graded_matrix_rows(
                     m = mono_mul(m0, mu)
                     if ring._mono_is_zero_in_q(m):
                         continue
-                    r = r0 + index[m]
-                    rows[r][col] = field.add(rows[r][col], c0)
+                    rows[r0 + index[m]][col] = c0
             col += 1
     return rows
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
+from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim, span_map
 from .algebra import quotient_matrix_rows, quotient_module_dim
 from .algebra import json_int, matrix_from_json
-from .algebra import coords_to_column, module_basis  # noqa: F401 (re-exported)
 from .errors import InvalidInputError, ParseError
 
 SUPPORTS = ("window", "bounded_below", "finite")
@@ -298,31 +297,14 @@ def check_complex(C: FreeComplex) -> ComplexReport:
 # -- graded piece machinery ----------------------------------------------------
 
 
-def module_span_rows(ring: GradedRing, twists, d: int):
-    """Rows spanning the degree-d piece of (f) * F inside F for the free
-    module F with the given twists: block-diagonal copies of the ring's
-    W_{d-a}, rows in module_basis(twists, d) order."""
-    blocks = [
-        (ring.sequence_span_rows(d - a), module_dim(ring, ring.seq_degrees, d - a))
-        for a in twists
-    ]
-    zero = ring.field.zero
-    right = sum(width for _, width in blocks)
-    out = []
-    left = 0
-    for rows, width in blocks:
-        right -= width
-        for row in rows:
-            out.append([zero] * left + row + [zero] * right)
-        left += width
-    return out
-
-
-# No library code calls this; it stays only because perfbench/tracing.py
-# probes it by name.
+# No library code calls this, nor ``GradedRing.sequence_span_columns``: the
+# f-span of a free module is ``span_map``, read through ``graded_matrix_rows``.
+# It stays only because perfbench/tracing.py probes it by name.
 def module_span_columns(ring: GradedRing, twists, d: int):
-    """The columns of module_span_rows(ring, twists, d)."""
-    return list(zip(*module_span_rows(ring, twists, d)))
+    """Coordinate columns spanning the degree-d piece of (f) * F inside the
+    free module F with the given twists: the columns of ``span_map``'s
+    k-matrix."""
+    return list(zip(*graded_matrix_rows(ring, *span_map(ring, twists), twists, d)))
 
 
 def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:

@@ -7,12 +7,14 @@ degree by degree: a candidate becomes a generator exactly when it adds a
 pivot beyond W_d plus the multiples of every generator already chosen at
 that step.  The candidates are the presentation columns at step one and,
 later, the source parts of a nullspace basis of the [matrix | span] block.
-Candidates are sparse coordinate vectors {index: nonzero}, from
+The f-span is the image of ``span_map``, the map F tensor K_1 -> F of the
+Koszul complex on f, taken as ordinary matrix columns: each k-matrix a step
+needs, [matrix | span] or [span | multiples], is one ``graded_matrix_rows``
+call.  Candidates are sparse coordinate vectors {index: nonzero}, from
 ``linalg.nullspace`` through ``linalg.extend_pivots`` to
-``coords_to_column``; the base is passed as the rows that
-``module_span_rows`` and ``graded_matrix_rows`` build.  Free variables never
-enter: pivot selection is the greedy left-to-right echelon choice, which
-depends only on the span of the base, so the output is deterministic.
+``coords_to_column``.  Free variables never enter: pivot selection is the
+greedy left-to-right echelon choice, which depends only on the span of the
+base, so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -24,13 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim
-from .algebra import json_int, matrix_from_json
-from .complexes import (
-    FreeComplex,
-    coords_to_column,
-    module_span_rows,
-)
+from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim, span_map
+from .algebra import coords_to_column, json_int, matrix_from_json
+from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
 
@@ -120,13 +118,13 @@ def _minimal_generators(ring, twists, candidates):
     becomes a generator exactly when it is not in W_d plus the multiples of
     the generators already chosen plus the vectors before it.  Returns the
     generators' degrees and columns, as (row, nonzero entry) pairs."""
+    span, span_twists = span_map(ring, twists)
+    span_cols = span.column_nonzeros()
     degs, cols = [], []
     for d, vecs in candidates:
-        base = module_span_rows(ring, twists, d)
-        multiples = _columns_matrix(ring, len(twists), cols)
-        for row, mrow in zip(base, graded_matrix_rows(ring, multiples, degs, twists, d)):
-            row.extend(mrow)
-        for k in linalg.extend_pivots(ring.field, base, vecs, len(base)):
+        base = _columns_matrix(ring, len(twists), span_cols + cols)
+        rows = graded_matrix_rows(ring, base, span_twists + tuple(degs), twists, d)
+        for k in linalg.extend_pivots(ring.field, rows, vecs, len(rows)):
             degs.append(d)
             col = coords_to_column(ring, twists, d, vecs[k])
             cols.append([(i, p) for i, p in enumerate(col) if p.terms])
@@ -149,16 +147,19 @@ def _relation_candidates(ring, presentation, col_degs):
 
 
 def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
-    """Source parts of a nullspace basis of [mat | W] in each degree: they
-    span W_d together with lifts of the kernel of mat over R."""
+    """Source parts of a nullspace basis of [mat | span] in each degree:
+    they span W_d together with lifts of the kernel of mat over R."""
+    span, span_twists = span_map(ring, tgt_twists)
+    block = _columns_matrix(
+        ring, len(tgt_twists), mat.column_nonzeros() + span.column_nonzeros()
+    )
+    block_twists = tuple(src_twists) + span_twists
     start = min(src_twists) if src_twists else degree_bound + 1
     for d in range(start, degree_bound + 1):
         ns = module_dim(ring, src_twists, d)
         if ns == 0:
             continue
-        rows = graded_matrix_rows(ring, mat, src_twists, tgt_twists, d)
-        for row, wrow in zip(rows, module_span_rows(ring, tgt_twists, d)):
-            row.extend(wrow)
+        rows = graded_matrix_rows(ring, block, block_twists, tgt_twists, d)
         null = linalg.nullspace(ring.field, rows, len(rows[0]) if rows else ns)
         yield d, [{i: v for i, v in vec.items() if i < ns} for vec in null]
 

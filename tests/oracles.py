@@ -103,24 +103,39 @@ def naive_rank_over(p, rows):
 # -- homology of an R-complex in Q-coordinates ---------------------------------
 
 
+def block_diagonal_span_rows(ring, twists, d):
+    """Rows spanning the degree-d piece of (f) * F inside the free module F
+    with the given twists: one copy of the ring's W_{d-a}
+    (``sequence_span_rows``) per generator, on that generator's rows and
+    columns, zero elsewhere."""
+    from koszul_lift.algebra import module_dim
+
+    widths = [module_dim(ring, ring.seq_degrees, d - a) for a in twists]
+    out = []
+    for k, a in enumerate(twists):
+        left, right = sum(widths[:k]), sum(widths[k + 1 :])
+        for row in ring.sequence_span_rows(d - a):
+            out.append([0] * left + row + [0] * right)
+    return out
+
+
 def homology_dim_in_Q_coordinates(C, n, d):
     """dim_k H_n(C)_d of a complex C over R = Q/(f), without a basis of R.
 
     The degree-d piece of F_n tensor R is V_n / W_n, with V_n the piece of
     F_n over Q and W_n the span of the f-multiples in it, so
     dim H_n = dim V_n - rank[d_n | W_{n-1}] + rank W_{n-1} - rank[d_{n+1} | W_n].
-    The coordinates come from the package's Q-side builders
-    (``graded_matrix_rows``, ``module_span_rows``); the ranks from textbook
-    elimination.
+    The coordinates of d_n come from ``graded_matrix_rows``; W comes from
+    ``block_diagonal_span_rows``, so the oracle does not use ``span_map``
+    for general twists; the ranks come from textbook elimination.
     """
     from koszul_lift.algebra import graded_matrix_rows, module_dim
-    from koszul_lift.complexes import module_span_rows
 
     ring = C.ring
     p = ring.field.char
 
     def span(m):
-        return module_span_rows(ring, C.known_twist(m), d)
+        return block_diagonal_span_rows(ring, C.known_twist(m), d)
 
     def block_rank(m):
         rows = graded_matrix_rows(

@@ -222,6 +222,18 @@ def test_malformed_input_is_exit_2(tmp_path):
         assert out.returncode == 2, pres
         assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
+    # a ring, presentation or complex file whose top level is not an object
+    for top in ([1, 2], "Q", None, 7):
+        bad.write_text(json.dumps(top))
+        for args in (
+            ("regularity", "--ring", str(bad)),
+            ("resolve", "--ring", RES_RING, "--presentation", str(bad), "--length", "2"),
+            ("verify", "--ring", RING, "--complex", str(bad)),
+        ):
+            out = run_cli(*args)
+            assert out.returncode == 2, (top, args)
+            assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
 
 def test_wrong_degree_entry_is_exit_2_in_lift_and_assemble(tmp_path):
     cpx = json.loads((FIXTURES / "resolve_residue_length5.json").read_text())["complex"]

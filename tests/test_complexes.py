@@ -4,7 +4,14 @@ from random import Random
 
 import pytest
 
-from koszul_lift.algebra import GradedRing, PolyMatrix
+from koszul_lift.algebra import (
+    GradedRing,
+    PolyMatrix,
+    graded_matrix_rows,
+    module_basis,
+    module_dim,
+    span_map,
+)
 from koszul_lift.builtin_examples import paper_5_2
 from koszul_lift.complexes import (
     FreeComplex,
@@ -13,9 +20,6 @@ from koszul_lift.complexes import (
     homology_dims,
     is_minimal,
     lift_to_Q,
-    module_basis,
-    module_dim,
-    module_span_rows,
     reduce_to_R,
 )
 from koszul_lift.errors import InvalidInputError
@@ -26,7 +30,7 @@ from koszul_lift.samples import (
     random_resolved_complex,
 )
 
-from oracles import homology_dim_in_Q_coordinates, quotient_dim
+from oracles import block_diagonal_span_rows, homology_dim_in_Q_coordinates, quotient_dim
 
 RING = GradedRing(QQ, ["x", "y"], relations=["x^2"], sequence=["y^2"])
 
@@ -229,24 +233,26 @@ def test_module_dim_counts_twisted_monomials():
     assert quotient_dim(2, [(2, 0)], 3) == RING.dim(3)
 
 
-def test_module_span_rows_are_block_diagonal_copies():
+@pytest.mark.parametrize(
+    "ring",
+    [
+        RING,
+        GradedRing(GF(7), ["x", "y", "z"], relations=["z^2"], sequence=["x^2", "y^3"]),
+        GradedRing(GF(7), ["x", "y"], relations=["y^3"]),
+    ],
+    ids=["c1", "c2", "c0"],
+)
+def test_span_map_rows_are_block_diagonal_copies(ring):
     # one block per generator: the ring's W_{d-a} on that generator's rows
-    # and columns, zero elsewhere
-    twists = (0, 1, -2)
-    for d in range(0, 6):
-        rows = module_span_rows(RING, twists, d)
-        assert len(rows) == module_dim(RING, twists, d)
-        r0 = c0 = 0
-        for a in twists:
-            block = RING.sequence_span_rows(d - a)
-            width = module_dim(RING, RING.seq_degrees, d - a)
-            for i, row in enumerate(rows):
-                inside = r0 <= i < r0 + len(block)
-                for j in range(c0, c0 + width):
-                    want = block[i - r0][j - c0] if inside else 0
-                    assert row[j] == want
-            r0 += len(block)
-            c0 += width
+    # and columns, zero elsewhere; a c = 0 ring has no span columns at all
+    twists = (0, 1, -2, 1)
+    span, src = span_map(ring, twists)
+    assert (span.nrows, span.ncols) == (len(twists), len(twists) * ring.c)
+    assert src == tuple(a + e for a in twists for e in ring.seq_degrees)
+    for d in range(-1, 6):
+        rows = graded_matrix_rows(ring, span, src, twists, d)
+        assert len(rows) == module_dim(ring, twists, d)
+        assert rows == block_diagonal_span_rows(ring, twists, d)
 
 
 def test_homology_single_map_over_Q():
