@@ -10,10 +10,13 @@ must land back in Q goes through ``GradedRing.normal_form`` or
 and the normal form of every monomial in it.
 
 ``PolyMatrix`` is sparse: each row is a ``{column: Poly}`` dict of the
-nonzero entries only, and no stored entry is zero.  Products, sums and the
-coordinate builders ``graded_matrix_rows`` and ``quotient_matrix_rows``
-walk those nonzeros; the dense ``rows`` view exists for renderers and is
-built once, on first read.
+nonzero entries only, and no stored entry is zero.  Products and sums walk
+those nonzeros; the dense ``rows`` view exists for renderers and is built
+once, on first read.  The one coordinate builder, ``graded_columns``, takes
+polynomial columns as ``(row, Poly)`` pairs and gives a module map's
+k-matrix on degree-d pieces as sparse columns {row: nonzero};
+``graded_matrix_rows`` is its dense view for ``linalg.rank``, ``nullspace``
+and ``rref``.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -512,41 +515,28 @@ class GradedRing:
             vec[index[m]] = c
         return vec
 
-    def sequence_span_rows(self, d: int) -> list:
-        """The k-matrix W_d of the map (f_1 .. f_c) : (+)_i Q(-deg f_i) -> Q
-        on degree-d pieces: rows follow the monomial basis of Q_d, column
-        f_i * m for each basis monomial m of degree d - deg(f_i).  Built
-        afresh on every call (``quotient_basis`` caches what it derives
-        from it)."""
-        return graded_matrix_rows(self, *span_map(self, (0,)), (0,), d)
-
     def sequence_span_columns(self, d: int) -> list:
-        """Coordinate columns spanning (f_1..f_c)_d inside Q_d: the columns
-        of ``sequence_span_rows(d)``."""
-        return list(zip(*self.sequence_span_rows(d)))
+        """Dense coordinate columns spanning (f_1..f_c)_d inside Q_d.  No
+        library code calls this; perfbench/tracing.py looks it up by name."""
+        return list(zip(*graded_matrix_rows(self, *span_map(self, (0,)), (0,), d)))
 
     def quotient_basis(self, d: int) -> tuple:
         """A basis of the degree-d piece of R = Q/(f), and normal forms in it.
 
-        The generators of (f)_d, the columns of ``sequence_span_rows(d)``,
-        are brought to reduced row echelon form once, with columns in
-        ``monomial_basis(d)`` order.  The monomials that are not pivots form
-        a basis of R_d (the Macaulay-matrix normal form; Macaulay 1916,
-        Lazard 1983).  Returns ``(basis, forms)``: ``basis`` lists those
-        monomials in ``monomial_basis(d)`` order, and ``forms`` maps every
-        monomial of Q_d to its class in R_d as a sparse dict {index into
-        ``basis``: nonzero coefficient}.  Cached per degree; callers must
-        not mutate the result.
+        The generators of (f)_d, the columns of W_d (``graded_columns`` of
+        ``span_map``), are brought to reduced row echelon form once, with
+        columns in ``monomial_basis(d)`` order.  The monomials that are not
+        pivots form a basis of R_d (the Macaulay-matrix normal form;
+        Macaulay 1916, Lazard 1983).  Returns ``(basis, forms)``: ``basis``
+        lists those monomials in ``monomial_basis(d)`` order, and ``forms``
+        maps every monomial of Q_d to its class in R_d as a sparse dict
+        {index into ``basis``: nonzero coefficient}.  Cached per degree;
+        callers must not mutate the result.
         """
         cached = self._quotient_cache.get(d)
         if cached is None:
             monos = self.monomial_basis(d)
-            span = self.sequence_span_rows(d)
-            gens = [{} for _ in range(module_dim(self, self.seq_degrees, d))]
-            for i, row in enumerate(span):
-                for j, x in enumerate(row):
-                    if x:
-                        gens[j][i] = x
+            gens = graded_columns(self, *span_map(self, (0,)), (0,), d)
             pivots = dict(_kernel.gauss_jordan(gens, self.field.char))
             basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
             index = {m: k for k, m in enumerate(basis)}
@@ -585,12 +575,14 @@ class GradedRing:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GradedRing":
+        if not isinstance(data, dict):
+            raise ParseError("ring JSON must be an object")
         try:
             field = field_from_spec(data["field"])
             variables = data["variables"]
             relations = data.get("relations", [])
             sequence = data.get("sequence", [])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"ring JSON missing key {exc}") from exc
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ParseError("ring JSON variables must be a list of strings")
@@ -844,24 +836,25 @@ def span_map(ring: GradedRing, twists):
     """The map F tensor K_1 -> F of the Koszul complex on f, whose image is
     (f) * F, for the free module F with the given twists.
 
-    Column (j, i), taken generator-major, holds f_i in row j.  Returns the
-    matrix and its source twists ``twists[j] + deg f_i``.
+    Returns its columns, in the ``(row, entry)`` format of
+    ``PolyMatrix.column_nonzeros``, and their source twists: column (j, i),
+    taken generator-major, holds f_i in row j and has twist
+    ``twists[j] + deg f_i``.
     """
-    c = ring.c
-    rows = [{j * c + i: f for i, f in enumerate(ring.sequence)} for j in range(len(twists))]
+    columns = [[(j, f)] for j in range(len(twists)) for f in ring.sequence]
     src = tuple(a + e for a in twists for e in ring.seq_degrees)
-    return PolyMatrix._from_sparse(len(twists), len(src), rows, ring.zero), src
+    return columns, src
 
 
-def graded_matrix_rows(
-    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
-):
-    """The k-linear matrix of a degree-0 module map on degree-d pieces.
+def graded_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
+    """The k-linear matrix of a degree-0 module map on degree-d pieces, as
+    sparse columns {row: nonzero}.
 
-    Column j of ``mat`` is the image of the generator of degree
-    ``src_twists[j]``.  Rows follow the generator-major monomial basis of
-    the degree-d piece of the target (generator index, then monomial in
-    descending order), columns that of the source.  Each cell is written
+    ``columns[j]`` holds the nonzero entries of the image of the generator
+    of degree ``src_twists[j]``, as ``(row, Poly)`` pairs.  Rows follow the
+    generator-major monomial basis of the degree-d piece of the target
+    (generator index, then monomial in descending order); there is one
+    column per element of that basis of the source.  Each cell is written
     at most once: distinct entries of a column lie in distinct row blocks,
     and distinct terms of an entry times one monomial stay distinct.
     """
@@ -870,20 +863,28 @@ def graded_matrix_rows(
     for b in tgt_twists:
         targets.append((nrows, ring.basis_index(d - b)))
         nrows += ring.dim(d - b)
-    ncols = module_dim(ring, src_twists, d)
-    rows = [[ring.field.zero] * ncols for _ in range(nrows)]
-    columns = mat.column_nonzeros()
-    col = 0
+    out = []
     for j, a in enumerate(src_twists):
         entries = [(targets[i], p.terms) for i, p in columns[j]]
         for mu in ring.monomial_basis(d - a):
+            col = {}
             for (r0, index), terms in entries:
                 for m0, c0 in terms.items():
                     m = mono_mul(m0, mu)
-                    if ring._mono_is_zero_in_q(m):
-                        continue
-                    rows[r0 + index[m]][col] = c0
-            col += 1
+                    if not ring._mono_is_zero_in_q(m):
+                        col[r0 + index[m]] = c0
+            out.append(col)
+    return out
+
+
+def graded_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
+    """``graded_columns`` as dense list rows, for the eliminations that
+    take list rows (``linalg.rank``, ``nullspace`` and ``rref``)."""
+    cols = graded_columns(ring, columns, src_twists, tgt_twists, d)
+    rows = [[ring.field.zero] * len(cols) for _ in range(module_dim(ring, tgt_twists, d))]
+    for k, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][k] = v
     return rows
 
 
@@ -893,14 +894,12 @@ def quotient_module_dim(ring: GradedRing, twists, d: int) -> int:
     return sum(len(ring.quotient_basis(d - a)[0]) for a in twists)
 
 
-def quotient_matrix_rows(
-    ring: GradedRing, mat: PolyMatrix, src_twists, tgt_twists, d: int
-):
+def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """The k-linear matrix on degree-d pieces of a degree-0 map, read as a
     map of free R-modules, R = Q/(f).
 
-    Laid out as ``graded_matrix_rows``, but over the bases of
-    ``GradedRing.quotient_basis``: a column per basis monomial of R_{d-a}
+    Laid out as ``graded_matrix_rows`` from the same ``columns``, but over
+    the bases of ``GradedRing.quotient_basis``: a column per basis monomial of R_{d-a}
     for each source twist a, and each image reduced to its normal form on
     the rows of R_{d-b} for each target twist b.
     """
@@ -913,7 +912,6 @@ def quotient_matrix_rows(
         nrows += len(basis)
     sources = [ring.quotient_basis(d - a)[0] for a in src_twists]
     rows = [[field.zero] * sum(map(len, sources)) for _ in range(nrows)]
-    columns = mat.column_nonzeros()
     col = 0
     for j, basis in enumerate(sources):
         entries = [(targets[i], p.terms) for i, p in columns[j]]
@@ -962,11 +960,9 @@ def solve_graded_linear(
     when b is not in the image.
     """
     field = ring.field
-    aug = block_matrix(
-        ring, [mat.nrows], [mat.ncols, rhs.ncols], {(0, 0): mat, (0, 1): rhs}
-    )
     src_twists = tuple(src_twists)
-    rows = graded_matrix_rows(ring, aug, src_twists + (d,) * rhs.ncols, tgt_twists, d)
+    columns = mat.column_nonzeros() + rhs.column_nonzeros()
+    rows = graded_matrix_rows(ring, columns, src_twists + (d,) * rhs.ncols, tgt_twists, d)
     width = module_dim(ring, src_twists, d)
     red, pivots = linalg.rref(field, rows, width + rhs.ncols)
     rank = sum(1 for col in pivots if col < width)

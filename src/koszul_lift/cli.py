@@ -167,6 +167,8 @@ def _blocks_json(P: ProductComplex):
 
 
 def _cmd_assemble(args) -> int:
+    if args.codim1 and args.level is not None:
+        raise ParseError("--level does not apply with --codim1, which solves to level 1")
     ring = _load_ring(args.ring)
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim, span_map
+from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
+from .algebra import module_dim, span_map
 from .algebra import quotient_matrix_rows, quotient_module_dim
 from .algebra import json_int, matrix_from_json
 from .errors import InvalidInputError, ParseError
@@ -155,16 +156,21 @@ class FreeComplex:
 
     @classmethod
     def from_json_dict(cls, ring: GradedRing, data) -> "FreeComplex":
+        if not isinstance(data, dict):
+            raise ParseError("complex JSON must be an object")
         try:
             over = data["over"]
             window = data["window"]
             raw_twists = data["twists"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"complex JSON missing key: {exc}") from exc
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ParseError(f"bad window {window!r}")
         lo, hi = (json_int(b, "window bound") for b in window)
         raw_diffs = data.get("diffs", {})
+        is_lift = data.get("lift", False)
+        if not isinstance(is_lift, bool):
+            raise ParseError("complex JSON lift must be true or false")
         if not isinstance(raw_twists, dict) or not isinstance(raw_diffs, dict):
             raise ParseError("complex JSON twists and diffs must be objects")
         twists = {}
@@ -189,7 +195,7 @@ class FreeComplex:
             twists,
             diffs,
             support=data.get("support", "window"),
-            is_lift=bool(data.get("lift", False)),
+            is_lift=is_lift,
         )
 
     def __eq__(self, other):
@@ -297,14 +303,14 @@ def check_complex(C: FreeComplex) -> ComplexReport:
 # -- graded piece machinery ----------------------------------------------------
 
 
-# No library code calls this, nor ``GradedRing.sequence_span_columns``: the
-# f-span of a free module is ``span_map``, read through ``graded_matrix_rows``.
-# It stays only because perfbench/tracing.py probes it by name.
+# No library code calls this: the f-span of a free module is ``span_map``,
+# whose columns ``resolve`` passes to ``graded_columns`` with its other
+# columns.  It stays only because perfbench/tracing.py probes it by name.
 def module_span_columns(ring: GradedRing, twists, d: int):
-    """Coordinate columns spanning the degree-d piece of (f) * F inside the
-    free module F with the given twists: the columns of ``span_map``'s
-    k-matrix."""
-    return list(zip(*graded_matrix_rows(ring, *span_map(ring, twists), twists, d)))
+    """Sparse coordinate columns {row: nonzero} spanning the degree-d piece
+    of (f) * F inside the free module F with the given twists: the columns
+    of ``span_map``'s k-matrix."""
+    return graded_columns(ring, *span_map(ring, twists), twists, d)
 
 
 def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
@@ -350,7 +356,7 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
             tgt = C.known_twist(n - 1)
             if src is None or tgt is None:
                 raise InvalidInputError(f"differential at {n} undetermined")
-            rows = matrix_rows(ring, C.differential(n), src, tgt, d)
+            rows = matrix_rows(ring, C.differential(n).column_nonzeros(), src, tgt, d)
             rank_cache[key] = linalg.rank(field, rows)
         return rank_cache[key]
 

@@ -1,15 +1,16 @@
 """Exact linear algebra over the coefficient fields.
 
 Both fields reduce through the one sparse elimination in ``_kernel``, on
-dict rows {column: nonzero} built from the list rows callers pass.
+dict rows {column: nonzero}.  ``extend_pivots`` transposes sparse columns
+{row: nonzero} into them in one loop; ``rank``, ``nullspace`` and ``rref``
+scan the list rows they are given (``_dict_rows``), because
+``perfbench/tracing.py`` counts those rows' cells.
 
-``rank``, ``nullspace`` and ``extend_pivots`` hand those dict rows straight
-to the kernel.  ``rank`` and ``extend_pivots`` need only the pivot columns,
-so they run the forward pass ``_kernel.echelon`` and nothing else: the
-pivot columns of the reduced row echelon form depend only on the column
-order.  ``nullspace`` runs ``_kernel.gauss_jordan`` and reads its basis off
-the reduced rows.  Kernel and candidate vectors are sparse dicts
-{index: nonzero}.
+``rank`` and ``extend_pivots`` need only the pivot columns, so they run the
+forward pass ``_kernel.echelon`` and nothing else: the pivot columns of the
+reduced row echelon form depend only on the column order.  ``nullspace``
+runs ``_kernel.gauss_jordan`` and reads its basis off the reduced rows.
+Kernel vectors are sparse dicts {index: nonzero}.
 
 ``rref`` and ``solve_min`` return dense reduced rows.  Over Q they go to
 ``_rref_qq`` with Fraction entries, which cannot overflow.  Over F_p they
@@ -20,8 +21,7 @@ shape.  It is the only place the library builds an ndarray, so numpy is
 imported there, at the first F_p ``rref`` (in the pipeline, the homotopy
 solve), and never on import or over Q.
 
-Matrices are lists of rows.  Column counts are passed explicitly wherever a
-matrix may have zero rows.
+Column counts are passed explicitly wherever a matrix may have zero rows.
 """
 
 from __future__ import annotations
@@ -118,17 +118,17 @@ def nullspace(field, rows, ncols: int):
     return list(basis.values())
 
 
-def extend_pivots(field, base_rows, extra, dim: int):
-    """Indices into ``extra`` of a deterministic subset extending the column
-    span of ``base_rows`` to span(base columns + extra).
+def extend_pivots(field, base, extra, dim: int):
+    """Indices into ``extra`` of a deterministic subset extending the span
+    of the columns ``base`` to span(base + extra).
 
-    ``base_rows`` are the ``dim`` list rows of the base matrix; ``extra``
-    are sparse vectors {row index: nonzero field element}.  Echelon
-    pivoting scans the base columns first, so the selected extras are
-    exactly the greedy left-to-right choices."""
-    rows = _dict_rows(base_rows, field.char) or [{} for _ in range(dim)]
-    nbase = len(base_rows[0]) if base_rows else 0
-    for k, vec in enumerate(extra, nbase):
-        for i, v in vec.items():
+    ``base`` and ``extra`` are sparse columns {row index: nonzero field
+    element} of length ``dim``.  Echelon pivoting scans the base columns
+    first, so the selected extras are exactly the greedy left-to-right
+    choices."""
+    rows = [{} for _ in range(dim)]
+    for k, col in enumerate(base + extra):
+        for i, v in col.items():
             rows[i][k] = v
+    nbase = len(base)
     return [c - nbase for c in _kernel.echelon(rows, field.char) if c >= nbase]

@@ -8,13 +8,14 @@ pivot beyond W_d plus the multiples of every generator already chosen at
 that step.  The candidates are the presentation columns at step one and,
 later, the source parts of a nullspace basis of the [matrix | span] block.
 The f-span is the image of ``span_map``, the map F tensor K_1 -> F of the
-Koszul complex on f, taken as ordinary matrix columns: each k-matrix a step
-needs, [matrix | span] or [span | multiples], is one ``graded_matrix_rows``
-call.  Candidates are sparse coordinate vectors {index: nonzero}, from
-``linalg.nullspace`` through ``linalg.extend_pivots`` to
-``coords_to_column``.  Free variables never enter: pivot selection is the
-greedy left-to-right echelon choice, which depends only on the span of the
-base, so the output is deterministic.
+Koszul complex on f, whose columns join the step's other polynomial
+columns.  ``graded_columns`` turns them into sparse coordinate columns
+{index: nonzero}: the base [span | multiples] and the step-one candidates.
+Later candidates are nullspace vectors of [matrix | span], read from its
+dense ``graded_matrix_rows`` view.  Only the finished differentials are
+``PolyMatrix``.  Free variables never enter: pivot selection is the greedy
+left-to-right echelon choice, which depends only on the span of the base,
+so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_matrix_rows, module_dim, span_map
-from .algebra import coords_to_column, json_int, matrix_from_json
+from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
+from .algebra import coords_to_column, json_int, matrix_from_json, module_dim, span_map
 from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -86,10 +87,12 @@ class Presentation:
 
     @classmethod
     def from_json_dict(cls, ring: GradedRing, data) -> "Presentation":
+        if not isinstance(data, dict):
+            raise ParseError("presentation JSON must be an object")
         try:
             raw_twists = data["twists"]
             raw = data["relations"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"presentation JSON missing key: {exc}") from exc
         if not isinstance(raw_twists, list):
             raise ParseError("presentation twists must be a list")
@@ -118,13 +121,11 @@ def _minimal_generators(ring, twists, candidates):
     becomes a generator exactly when it is not in W_d plus the multiples of
     the generators already chosen plus the vectors before it.  Returns the
     generators' degrees and columns, as (row, nonzero entry) pairs."""
-    span, span_twists = span_map(ring, twists)
-    span_cols = span.column_nonzeros()
+    span_cols, span_twists = span_map(ring, twists)
     degs, cols = [], []
     for d, vecs in candidates:
-        base = _columns_matrix(ring, len(twists), span_cols + cols)
-        rows = graded_matrix_rows(ring, base, span_twists + tuple(degs), twists, d)
-        for k in linalg.extend_pivots(ring.field, rows, vecs, len(rows)):
+        base = graded_columns(ring, span_cols + cols, span_twists + tuple(degs), twists, d)
+        for k in linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d)):
             degs.append(d)
             col = coords_to_column(ring, twists, d, vecs[k])
             cols.append([(i, p) for i, p in enumerate(col) if p.terms])
@@ -138,21 +139,14 @@ def _relation_candidates(ring, presentation, col_degs):
     columns = presentation.relations.column_nonzeros()
     for d in sorted(set(col_degs) - {None}):
         here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
-        rows = graded_matrix_rows(
-            ring, _columns_matrix(ring, len(twists), here), [d] * len(here), twists, d
-        )
-        yield d, [
-            {i: row[k] for i, row in enumerate(rows) if row[k]} for k in range(len(here))
-        ]
+        yield d, graded_columns(ring, here, [d] * len(here), twists, d)
 
 
 def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
     """Source parts of a nullspace basis of [mat | span] in each degree:
     they span W_d together with lifts of the kernel of mat over R."""
-    span, span_twists = span_map(ring, tgt_twists)
-    block = _columns_matrix(
-        ring, len(tgt_twists), mat.column_nonzeros() + span.column_nonzeros()
-    )
+    span_cols, span_twists = span_map(ring, tgt_twists)
+    block = mat.column_nonzeros() + span_cols
     block_twists = tuple(src_twists) + span_twists
     start = min(src_twists) if src_twists else degree_bound + 1
     for d in range(start, degree_bound + 1):

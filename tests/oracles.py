@@ -105,16 +105,16 @@ def naive_rank_over(p, rows):
 
 def block_diagonal_span_rows(ring, twists, d):
     """Rows spanning the degree-d piece of (f) * F inside the free module F
-    with the given twists: one copy of the ring's W_{d-a}
-    (``sequence_span_rows``) per generator, on that generator's rows and
-    columns, zero elsewhere."""
-    from koszul_lift.algebra import module_dim
+    with the given twists: one copy of the ring's W_{d-a} (the f-span of Q
+    itself) per generator, on that generator's rows and columns, zero
+    elsewhere."""
+    from koszul_lift.algebra import graded_matrix_rows, module_dim, span_map
 
     widths = [module_dim(ring, ring.seq_degrees, d - a) for a in twists]
     out = []
     for k, a in enumerate(twists):
         left, right = sum(widths[:k]), sum(widths[k + 1 :])
-        for row in ring.sequence_span_rows(d - a):
+        for row in graded_matrix_rows(ring, *span_map(ring, (0,)), (0,), d - a):
             out.append([0] * left + row + [0] * right)
     return out
 
@@ -139,7 +139,11 @@ def homology_dim_in_Q_coordinates(C, n, d):
 
     def block_rank(m):
         rows = graded_matrix_rows(
-            ring, C.differential(m), C.known_twist(m), C.known_twist(m - 1), d
+            ring,
+            C.differential(m).column_nonzeros(),
+            C.known_twist(m),
+            C.known_twist(m - 1),
+            d,
         )
         return naive_rank_over(p, [r + w for r, w in zip(rows, span(m - 1))])
 

@@ -12,10 +12,12 @@ from koszul_lift.algebra import (
     PolyMatrix,
     block_matrix,
     coords_to_column,
+    graded_columns,
     graded_matrix_rows,
     module_dim,
     parse_poly,
     solve_graded_linear,
+    span_map,
 )
 from koszul_lift.errors import InvalidInputError, ParseError
 from koszul_lift.fields import GF, QQ
@@ -258,6 +260,54 @@ def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
             assert naive_rank_over(p, span + [vec]) == base
 
 
+def _reference_columns(ring, columns, src_twists, tgt_twists, d):
+    """One sparse column per basis element mu of each source piece: every
+    entry of the source column times mu, written out with ``ring.coords``
+    on its own target block."""
+    out = []
+    for j, a in enumerate(src_twists):
+        entries = dict(columns[j])
+        for mu in ring.monomial_basis(d - a):
+            dense = []
+            for i, b in enumerate(tgt_twists):
+                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
+                dense += ring.coords(p, d - b)
+            out.append({r: v for r, v in enumerate(dense) if v})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_graded_columns_match_per_column_coords(field):
+    # random degree-0 maps between free modules with negative and repeated
+    # twists, over a ring whose J kills some products, at degrees where
+    # some pieces are zero; then the f-span, including a c = 0 ring's
+    rng = Random(215)
+    ring = GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"], sequence=["x*y", "z^2"])
+    c0 = GradedRing(field, ["x", "y"], relations=["y^3"])
+    for _ in range(25):
+        src = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 4)))
+        tgt = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
+        columns = []
+        for a in src:
+            col = [(i, _homogeneous(rng, ring, a - b, 0.5)) for i, b in enumerate(tgt)]
+            columns.append([(i, p) for i, p in col if p.terms])
+        for d in range(-3, 5):
+            got = graded_columns(ring, columns, src, tgt, d)
+            assert len(got) == module_dim(ring, src, d)
+            assert got == _reference_columns(ring, columns, src, tgt, d)
+    # x * x lies in J: the column of the basis monomial x is empty
+    x = ring.parse("x")
+    assert graded_columns(ring, [[(0, x)]], (1,), (0,), 2) == [{}, {0: 1}, {1: 1}]
+    assert graded_columns(ring, [[(0, x)]], (1,), (0,), 0) == []  # zero piece
+    for r in (ring, c0):
+        for twists in [(0,), (1, -1, 1), ()]:
+            span, span_twists = span_map(r, twists)
+            for d in range(-1, 6):
+                got = graded_columns(r, span, span_twists, twists, d)
+                assert got == _reference_columns(r, span, span_twists, twists, d)
+    assert span_map(c0, (0, 1)) == ([], ())
+
+
 def test_sequence_span_columns_are_coordinates_of_multiples():
     ring = GradedRing(QQ, ["x", "y"], sequence=["x^2"])
     d = 3
@@ -347,11 +397,11 @@ def test_solve_graded_linear_matches_per_column_solve_min(field):
                 cols.append([_homogeneous(rng, ring, top - b) for b in tgt])
         rhs = PolyMatrix(len(tgt), len(cols), list(zip(*cols)))
         sols = solve_graded_linear(ring, mat, src, tgt, top, rhs)
-        a_rows = graded_matrix_rows(ring, mat, src, tgt, top)
+        a_rows = graded_matrix_rows(ring, mat.column_nonzeros(), src, tgt, top)
         width = module_dim(ring, src, top)
         for k, sol in enumerate(sols):
-            b_col = PolyMatrix(len(tgt), 1, [[p] for p in cols[k]])
-            b = [row[0] for row in graded_matrix_rows(ring, b_col, (top,), tgt, top)]
+            b_col = [(i, p) for i, p in enumerate(cols[k]) if p.terms]
+            b = [row[0] for row in graded_matrix_rows(ring, [b_col], (top,), tgt, top)]
             expected = linalg.solve_min(field, a_rows, b, width)
             seen.add(expected is None)
             if expected is None:

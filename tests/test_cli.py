@@ -225,14 +225,24 @@ def test_malformed_input_is_exit_2(tmp_path):
     # a ring, presentation or complex file whose top level is not an object
     for top in ([1, 2], "Q", None, 7):
         bad.write_text(json.dumps(top))
-        for args in (
-            ("regularity", "--ring", str(bad)),
-            ("resolve", "--ring", RES_RING, "--presentation", str(bad), "--length", "2"),
-            ("verify", "--ring", RING, "--complex", str(bad)),
+        for what, args in (
+            ("ring", ("regularity", "--ring", str(bad))),
+            (
+                "presentation",
+                ("resolve", "--ring", RES_RING, "--presentation", str(bad), "--length", "2"),
+            ),
+            ("complex", ("verify", "--ring", RING, "--complex", str(bad))),
         ):
             out = run_cli(*args)
             assert out.returncode == 2, (top, args)
-            assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+            assert out.stderr == f"error: {what} JSON must be an object\n", (top, args)
+
+    # "lift" must be a JSON boolean: the string "no" is not read as true
+    for flag in ("no", 0, None):
+        bad.write_text(json.dumps({**golden, "lift": flag}))
+        out = run_cli("verify", "--ring", RING, "--complex", str(bad))
+        assert out.returncode == 2, flag
+        assert out.stderr == "error: complex JSON lift must be true or false\n", flag
 
 
 def test_wrong_degree_entry_is_exit_2_in_lift_and_assemble(tmp_path):
@@ -266,6 +276,15 @@ def test_assemble_text_golden():
     assert "P_2 = F_2^3 + F_1*e1^2" in out.stdout
     assert "d_2:" in out.stdout
     assert "-y^2" in out.stdout
+
+
+def test_assemble_codim1_rejects_level():
+    # the codimension-one path always solves to level 1, so a level is an error
+    out = run_cli("assemble", "--ring", RING, "--complex", COMPLEX, "--codim1", "--level", "7")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert "--level" in out.stderr and "--codim1" in out.stderr
 
 
 def test_assemble_out_file(tmp_path):

@@ -167,7 +167,7 @@ def test_forward_pass_pivots_match_textbook_rref(p):
     for rows, nrows, ncols, _, want in _textbook_cases(p, 209):
         assert rank(field, rows) == len(want)
         for nbase in {0, ncols // 2, ncols}:  # 0: an empty base
-            base = [row[:nbase] for row in rows]
+            base = _sparse_columns(field, rows, range(nbase))
             extra = _sparse_columns(field, rows, range(nbase, ncols))
             picked = extend_pivots(field, base, extra, nrows)
             assert picked == [c - nbase for c in want if c >= nbase]
@@ -248,11 +248,12 @@ def test_nullspace_is_the_textbook_basis(p):
 
 def test_extend_pivots_greedy():
     # base spans the x-axis; first extra is dependent, second is not
-    base = [[1], [0]]
+    base = [{0: QQ(1)}]
     extras = [{0: QQ(2)}, {0: QQ(1), 1: QQ(1)}, {1: QQ(3)}]
     assert extend_pivots(QQ, base, extras, 2) == [1]
-    assert extend_pivots(QQ, [[], []], extras, 2) == [0, 1]
+    assert extend_pivots(QQ, [], extras, 2) == [0, 1]
     assert extend_pivots(QQ, base, [], 2) == []
+    assert extend_pivots(QQ, [], [{}, {}], 0) == []  # dim 0: nothing to span
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
@@ -282,9 +283,9 @@ def test_extend_pivots_spans(field):
             j for j in range(len(extras))
             if rank_of(base + extras[: j + 1]) > rank_of(base + extras[:j])
         ]
-        base_rows = [[v[i] for v in base] for i in range(dim)]
+        base_cols = [{i: x for i, x in enumerate(v) if x} for v in base]
         sparse = [{i: x for i, x in enumerate(v) if x} for v in extras]
-        assert extend_pivots(field, base_rows, sparse, dim) == greedy
+        assert extend_pivots(field, base_cols, sparse, dim) == greedy
 
 
 def test_backend_name_is_consistent():
