@@ -24,6 +24,7 @@ from .complexes import (
     check_complex,
     homology_dims,
     lift_to_Q,
+    minimize,
     reduce_to_R,
 )
 from .errors import (
@@ -65,6 +66,7 @@ __all__ = [
     "homology_dims",
     "lift_to_Q",
     "minimality_and_lifting_report",
+    "minimize",
     "rank_report",
     "reduce_to_R",
     "resolve_over_R",

@@ -43,6 +43,7 @@ from .complexes import (
     check_complex,
     homology_dims,
     lift_to_Q,
+    minimize,
 )
 from .errors import InvalidInputError, KoszulLiftError, ParseError
 from .fields import GF
@@ -282,11 +283,13 @@ def _verify_input(ring, cbar, level, degree_bound, dim_q):
     )
     extras["ranks"] = rr
 
-    prod = P.complex
+    # minimize is a homotopy equivalence, which keeps graded homology only
+    # between complexes: the homology is read once d^2 = 0 has passed
+    hom_ok = prep.ok
+    hom_detail = "" if prep.ok else "product is not a complex"
+    prod = minimize(P.complex) if prep.ok else P.complex
     p_int = set(prod.interior_positions())
-    shared = sorted(p_int & set(cbar.interior_positions()))
-    hom_ok = True
-    hom_detail = ""
+    shared = sorted(p_int & set(cbar.interior_positions())) if prep.ok else []
     if shared:
         hp = homology_dims(prod, shared, degree_bound)
         hc = homology_dims(cbar, shared, degree_bound)
@@ -330,6 +333,8 @@ def _verify_input(ring, cbar, level, degree_bound, dim_q):
 
 
 def _cmd_verify(args) -> int:
+    if args.dim_q is not None and args.dim_q < 0:
+        raise InvalidInputError(f"--dim-q must be >= 0, got {args.dim_q}")
     if args.seed is not None and not args.ring:
         for flag, value in (("--complex", args.complex), ("--level", args.level)):
             if value is not None:
@@ -347,6 +352,11 @@ def _cmd_verify(args) -> int:
                 f"the seeded suite, which runs without --ring"
             )
     ring = _load_ring(args.ring)
+    if args.dim_q is not None and args.dim_q > ring.nvars:
+        raise InvalidInputError(
+            f"--dim-q {args.dim_q} exceeds the ring's {ring.nvars} variables "
+            f"(Krull dim Q <= nvars)"
+        )
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":
         raise ParseError("verify expects a complex over R")

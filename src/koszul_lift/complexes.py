@@ -21,11 +21,17 @@ in the basis of R_d that ``GradedRing.quotient_basis`` computes once per
 degree; above the top degree of an Artinian R they are zero and cost
 nothing.  Membership in (f), for the composites of an R-complex or a lift,
 is a normal-form reduction in the same basis.
+
+``minimize`` cancels the unit entries of the differentials (Gaussian
+elimination for chain complexes) and returns a homotopy equivalent complex
+with no unit left, so its homology is computed on far fewer generators.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
@@ -379,3 +385,110 @@ def is_minimal(C: FreeComplex) -> bool:
             if not field.is_zero(p.constant_term()):
                 return False
     return True
+
+
+def minimize(C: FreeComplex) -> FreeComplex:
+    """A homotopy equivalent complex with no unit in any differential.
+
+    While some d_n has a unit entry phi (a nonzero constant) at row a and
+    column b, write d_n = [[phi, delta], [gamma, epsilon]] with phi first,
+    replace d_n by epsilon - gamma phi^-1 delta (each entry reduced by
+    ``ring.normal_form``), drop row b of d_{n+1} and column a of d_{n-1}.
+    When d o d = 0 the generators b of F_n and a of F_{n-1} span a
+    contractible summand, so the result has the homology of C at every
+    interior position and internal degree (Gaussian elimination for chain
+    complexes).  The pivot is the unit of least fill (row nonzeros - 1) *
+    (column nonzeros - 1), ties to the least (n, a, b), so the output is
+    deterministic.  Ring, ``over``, window and support are kept, and C is
+    not changed: the work is done on copies of its row dicts.
+    """
+    if C.is_lift:
+        raise InvalidInputError("minimize expects a complex; a lift's d^2 lies in (f)")
+    ring = C.ring
+    normal_form = ring.normal_form
+    one = (0,) * ring.nvars
+    rows = {n: [dict(row) for row in mat._rows] for n, mat in C.diffs.items()}
+    cols = {n: [set() for _ in range(mat.ncols)] for n, mat in C.diffs.items()}
+    for n, mat in rows.items():
+        for i, row in enumerate(mat):
+            for j in row:
+                cols[n][j].add(i)
+    # (fill, n, a, b) of every unit, pushed again whenever its row or column
+    # changes: an entry is current while the cell holds a unit of that fill
+    heap = []
+
+    def is_unit(p):
+        return len(p.terms) == 1 and one in p.terms
+
+    def fill(n, a, b):
+        return (len(rows[n][a]) - 1) * (len(cols[n][b]) - 1)
+
+    def push(n, i, j):
+        if is_unit(rows[n][i][j]):
+            heapq.heappush(heap, (fill(n, i, j), n, i, j))
+
+    def drop_row(n, i):
+        if n in rows:
+            row, rows[n][i] = rows[n][i], {}
+            for j in row:
+                cols[n][j].discard(i)
+                for k in cols[n][j]:
+                    push(n, k, j)
+
+    def drop_col(n, j):
+        if n in rows:
+            col, cols[n][j] = cols[n][j], set()
+            for i in col:
+                del rows[n][i][j]
+                for k in rows[n][i]:
+                    push(n, i, k)
+
+    for n, mat in rows.items():
+        for i, row in enumerate(mat):
+            for j in row:
+                push(n, i, j)
+    dead = {m: set() for m in C.positions()}
+    while heap:
+        f, n, a, b = heapq.heappop(heap)
+        mat = rows[n]
+        p = mat[a].get(b)
+        if p is None or not is_unit(p) or f != fill(n, a, b):
+            continue
+        scale = ring.field(Fraction(-1) / p.terms[one])
+        delta = [(j, q) for j, q in mat[a].items() if j != b]
+        for i in cols[n][b] - {a}:
+            row_i = mat[i]
+            g = row_i[b] * scale
+            for j, q in delta:
+                old = row_i.get(j)
+                p = normal_form(g * q if old is None else old + g * q)
+                if p.terms:
+                    row_i[j] = p
+                    cols[n][j].add(i)
+                elif old is not None:
+                    del row_i[j]
+                    cols[n][j].discard(i)
+        # the rows of gamma and the columns of delta, changed above, are
+        # re-keyed here as they lose column b and row a
+        drop_row(n, a)
+        drop_col(n, b)
+        drop_row(n + 1, b)
+        drop_col(n - 1, a)
+        dead[n].add(b)
+        dead[n - 1].add(a)
+
+    keep = {
+        m: [i for i in range(len(C.twists[m])) if i not in dead[m]]
+        for m in C.positions()
+    }
+    diffs = {}
+    for n, mat in rows.items():
+        new_col = {j: k for k, j in enumerate(keep[n])}
+        diffs[n] = PolyMatrix._from_sparse(
+            len(keep[n - 1]),
+            len(keep[n]),
+            [{new_col[j]: p for j, p in mat[i].items()} for i in keep[n - 1]],
+            ring.zero,
+        )
+    twists = {m: tuple(C.twists[m][i] for i in keep[m]) for m in keep}
+    return FreeComplex(ring, C.over, C.window, twists, diffs, support=C.support)

@@ -151,6 +151,60 @@ def homology_dim_in_Q_coordinates(C, n, d):
     return dim - block_rank(n) + naive_rank_over(p, span(n - 1)) - block_rank(n + 1)
 
 
+# -- minimal form of a complex by full rescans ---------------------------------
+
+
+def minimize_by_rescan(C):
+    """The pivot rule and Schur complement of ``complexes.minimize``, run on
+    dense rows: each step scans every entry of every differential for the
+    unit of least (fill, n, a, b), with fill = (row nonzeros - 1) *
+    (column nonzeros - 1), replaces d_n by d_22 - d_21 d_11^-1 d_12 and
+    deletes row b of d_{n+1} and column a of d_{n-1}."""
+    from koszul_lift.algebra import PolyMatrix
+    from koszul_lift.complexes import FreeComplex
+
+    ring = C.ring
+    one = (0,) * ring.nvars
+    twists = {n: list(C.twists[n]) for n in C.positions()}
+    d = {n: [list(row) for row in mat.rows] for n, mat in C.diffs.items()}
+    while True:
+        best = None
+        for n, mat in d.items():
+            for a, row in enumerate(mat):
+                for b, p in enumerate(row):
+                    if set(p.terms) == {one}:
+                        fill = (sum(not q.is_zero() for q in row) - 1) * (
+                            sum(not r[b].is_zero() for r in mat) - 1
+                        )
+                        if best is None or (fill, n, a, b) < best:
+                            best = (fill, n, a, b)
+        if best is None:
+            break
+        _, n, a, b = best
+        mat = d[n]
+        inv = ring.field(Fraction(1) / mat[a][b].terms[one])
+        d[n] = [
+            [
+                ring.normal_form(mat[i][j] - mat[i][b] * inv * mat[a][j])
+                for j in range(len(twists[n]))
+                if j != b
+            ]
+            for i in range(len(twists[n - 1]))
+            if i != a
+        ]
+        if n + 1 in d:
+            del d[n + 1][b]
+        if n - 1 in d:
+            for row in d[n - 1]:
+                del row[a]
+        del twists[n][b], twists[n - 1][a]
+    diffs = {
+        n: PolyMatrix(len(twists[n - 1]), len(twists[n]), rows)
+        for n, rows in d.items()
+    }
+    return FreeComplex(ring, C.over, C.window, twists, diffs, support=C.support)
+
+
 # -- naive polynomial arithmetic -----------------------------------------------
 # a polynomial is a dict exponent-tuple -> Fraction; zero coefficients removed
 

@@ -1,6 +1,8 @@
 """Assembling the product complex: golden matrices, structural checks on
 random inputs, rank accounting, projections, and the degenerate shapes."""
 
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -27,7 +29,9 @@ from koszul_lift.complexes import (
     FreeComplex,
     check_complex,
     homology_dims,
+    is_minimal,
     lift_to_Q,
+    minimize,
     reduce_to_R,
 )
 from koszul_lift.errors import (
@@ -45,6 +49,10 @@ from koszul_lift.samples import (
 )
 
 import math
+
+from oracles import minimize_by_rescan
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _strs(mat):
@@ -361,3 +369,148 @@ def test_render_differential_smoke():
     _, _, _, P, _ = _golden_product()
     text = render_differential(P, 2)
     assert "d_2" in text and "|" in text and "-y^2" in text
+
+
+# -- minimize: the product pruned to its minimal Q-complex -----------------------
+
+
+def _fixture_product(ring_name, complex_path):
+    ring = GradedRing.from_json_dict(
+        json.loads((FIXTURES / f"{ring_name}_ring.json").read_text())
+    )
+    data = json.loads((FIXTURES / complex_path).read_text())
+    cbar = FreeComplex.from_json_dict(ring, data.get("complex", data))
+    F = lift_to_Q(cbar)
+    return cbar, assemble(F, solve_homotopies(F, ring.c))
+
+
+def _assert_minimize_keeps_homology(P, degree_bound):
+    before = P.complex.to_json_dict()
+    M = minimize(P.complex)
+    assert P.complex.to_json_dict() == before  # the input is not changed
+    assert (M.ring, M.over, M.window, M.support) == (
+        P.complex.ring,
+        P.complex.over,
+        P.complex.window,
+        P.complex.support,
+    )
+    assert check_complex(M).ok and is_minimal(M)
+    positions = list(P.complex.interior_positions())
+    assert homology_dims(M, positions, degree_bound) == homology_dims(
+        P.complex, positions, degree_bound
+    )
+    return M
+
+
+@pytest.mark.parametrize(
+    "name, length, tor",
+    [
+        ("residue", 5, [1, 2, 1, 0, 0]),
+        ("mixed", 4, [2, 7, 10, 10]),
+        ("generic", 4, [1, 3, 3, 1]),
+    ],
+)
+def test_minimize_product_of_a_resolution_is_the_minimal_Q_resolution(
+    name, length, tor
+):
+    # P resolves M over Q, so below the resolve length L its minimal form
+    # has the ranks dim Tor_n^Q(M, k)
+    _, P = _fixture_product(name, f"resolve_{name}_length{length}.json")
+    M = _assert_minimize_keeps_homology(P, 8)
+    assert [M.rank(n) for n in range(length)] == tor
+    assert minimize(M) == M
+
+
+def test_minimize_product_of_a_window():
+    # golden_complex.json is a window view: a unit at the top edge of the
+    # product's window is cancelled, and the interior homology is kept
+    _, P = _fixture_product("golden", "golden_complex.json")
+    assert P.complex.support == "window"
+    M = _assert_minimize_keeps_homology(P, 8)
+    assert [M.rank(n) for n in M.positions()] == [3, 2, 2, 4]
+    assert [P.complex.rank(n) for n in P.complex.positions()] == [3, 2, 3, 5]
+
+
+def test_minimize_random_products_over_Fp():
+    rng = Random(11)
+    field = GF(32003)
+    for _ in range(50):
+        nvars = rng.randint(1, 3)
+        c = rng.randint(1, min(3, nvars))
+        ring = random_regular_ring(rng, field, nvars, c)
+        cbar = random_resolved_complex(rng, ring, rng.randint(2, 4))
+        F = lift_to_Q(cbar)
+        _assert_minimize_keeps_homology(assemble(F, solve_homotopies(F, c)), 6)
+
+
+def test_minimize_follows_its_pivot_rule():
+    # the same cancellations, in the same order, as full rescans of dense
+    # rows: the bookkeeping that finds the next pivot changes nothing
+    products = [
+        _fixture_product(name, path)[1]
+        for name, path in (
+            ("residue", "resolve_residue_length5.json"),
+            ("mixed", "resolve_mixed_length4.json"),
+            ("golden", "golden_complex.json"),
+        )
+    ]
+    rng = Random(5)
+    for field in (GF(7), QQ):
+        for _ in range(10):
+            nvars = rng.randint(1, 3)
+            c = rng.randint(1, min(3, nvars))
+            ring = random_regular_ring(rng, field, nvars, c)
+            F = lift_to_Q(random_resolved_complex(rng, ring, rng.randint(2, 3)))
+            products.append(assemble(F, solve_homotopies(F, c)))
+    for P in products:
+        assert minimize(P.complex) == minimize_by_rescan(P.complex)
+
+
+def test_minimize_leaves_a_minimal_complex_alone():
+    cbar, _ = _fixture_product("mixed", "resolve_mixed_length4.json")
+    assert is_minimal(cbar)
+    assert minimize(cbar) == cbar
+
+
+def test_minimize_cancels_a_unit_by_the_schur_complement():
+    # d_1 = [1 y] : Q + Q(-1) -> Q and d_2 = [-xy; x] : Q(-2) -> Q + Q(-1).
+    # The unit at (0, 0) of d_1 cancels F_0 against the first generator of
+    # F_1: d_1 becomes 0x1 and d_2 loses its row 0
+    def mat(ring, rows):
+        return PolyMatrix.from_rows([[ring.parse(e) for e in row] for row in rows])
+
+    ring = GradedRing(QQ, ["x", "y"])
+    C = FreeComplex(
+        ring,
+        "Q",
+        (0, 2),
+        {0: (0,), 1: (0, 1), 2: (2,)},
+        {1: mat(ring, [["1", "y"]]), 2: mat(ring, [["-x*y"], ["x"]])},
+        support="finite",
+    )
+    assert check_complex(C).ok
+    M = minimize(C)
+    assert [M.rank(n) for n in M.positions()] == [0, 1, 1]
+    assert _strs(M.diffs[2]) == [["x"]]
+    assert M.diffs[1].nrows == 0 and M.diffs[1].ncols == 1
+
+    # d_1 = [[2, x], [x, xy]] over Q = k[x,y]/(x^2) becomes
+    # xy - x * 2^-1 * x = xy - x^2/2, whose normal form is xy
+    ring = GradedRing(QQ, ["x", "y"], relations=["x^2"])
+    C = FreeComplex(
+        ring,
+        "Q",
+        (0, 1),
+        {0: (1, 0), 1: (1, 2)},
+        {1: mat(ring, [["2", "x"], ["x", "x*y"]])},
+        support="finite",
+    )
+    M = minimize(C)
+    assert M.twists == {0: (0,), 1: (2,)}
+    assert _strs(M.diffs[1]) == [["x*y"]]
+
+
+def test_minimize_rejects_a_lift():
+    cbar, _ = _fixture_product("mixed", "resolve_mixed_length4.json")
+    with pytest.raises(InvalidInputError):
+        minimize(lift_to_Q(cbar))

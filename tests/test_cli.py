@@ -99,6 +99,40 @@ def test_seeded_suite_runs_the_full_battery(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+def test_homology_is_not_read_off_a_product_that_is_not_a_complex(monkeypatch):
+    # minimize keeps homology only when d^2 = 0, so a product that fails the
+    # d^2 check fails the homology row too, without being minimized
+    from koszul_lift import cli
+    from koszul_lift.algebra import PolyMatrix
+    from koszul_lift.assembly import ProductComplex, assemble
+
+    def assemble_with_a_wrong_entry(F, fam):
+        P = assemble(F, fam)
+        C = P.complex
+        rows = [list(row) for row in C.diffs[1].rows]
+        rows[0][1] = rows[0][1] * 2  # y -> 2y, so (d_1 d_2)[0, 1] = y^2
+        diffs = {**C.diffs, 1: PolyMatrix.from_rows(rows)}
+        broken = cli.FreeComplex(
+            C.ring, C.over, C.window, C.twists, diffs, support=C.support
+        )
+        return ProductComplex(broken, P.lift, P.blocks, P.family)
+
+    def no_minimize(C):
+        raise AssertionError("minimize called on a product with d^2 != 0")
+
+    monkeypatch.setattr(cli, "assemble", assemble_with_a_wrong_entry)
+    monkeypatch.setattr(cli, "minimize", no_minimize)
+    ring = cli._load_ring(RING)
+    checks, _ = cli._verify_input(ring, cli._load_complex(ring, COMPLEX), 1, 8, None)
+    by_name = {c["name"]: c for c in checks}
+    assert not by_name["product differential squares to zero"]["ok"]
+    assert by_name["homology agreement up to degree 8"] == {
+        "name": "homology agreement up to degree 8",
+        "ok": False,
+        "detail": "product is not a complex",
+    }
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_seeded_suite_needs_a_positive_count(count):
     out = run_cli("verify", "--seed", "1", "--count", count)
@@ -237,6 +271,22 @@ def test_malformed_input_is_exit_2(tmp_path):
             assert out.returncode == 2, (top, args)
             assert out.stderr == f"error: {what} JSON must be an object\n", (top, args)
 
+    # --dim-q is the variable count of the ambient ring: negative, or above
+    # the ring's own count (Krull dim Q <= nvars), it exits 2
+    for args in (
+        ("--ring", RING, "--complex", COMPLEX, "--dim-q", "-1"),
+        ("--ring", RING, "--complex", COMPLEX, "--dim-q", "3"),
+        ("--seed", "1", "--count", "1", "--dim-q", "-1"),
+    ):
+        out = run_cli("verify", *args)
+        assert out.returncode == 2, args
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: --dim-q"), args
+    for dim_q in ("0", "1", "2"):
+        out = run_cli("verify", "--ring", RING, "--complex", COMPLEX, "--dim-q", dim_q)
+        assert out.returncode == 0, (dim_q, out.stderr)
+        assert "result: PASS (8/8)" in out.stdout
+
     # "lift" must be a JSON boolean: the string "no" is not read as true
     for flag in ("no", 0, None):
         bad.write_text(json.dumps({**golden, "lift": flag}))
@@ -349,11 +399,12 @@ def test_resolve_json_golden(name, length, bound):
     assert out.stdout == golden.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("command", ["lift", "assemble"])
+@pytest.mark.parametrize("command", ["lift", "assemble", "verify"])
 @pytest.mark.parametrize("name, length", [("residue", 5), ("mixed", 4)])
 def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
-    # both commands compose matrices with PolyMatrix.mul: every homotopy and
-    # every product block is pinned, not only that the checks pass
+    # lift and assemble compose matrices with PolyMatrix.mul: every homotopy
+    # and every product block is pinned, not only that the checks pass.
+    # verify pins every check's name and detail line
     resolution = FIXTURES / f"resolve_{name}_length{length}.json"
     complex_path = tmp_path / "complex.json"
     complex_path.write_text(json.dumps(json.loads(resolution.read_text())["complex"]))
