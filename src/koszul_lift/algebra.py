@@ -11,12 +11,14 @@ and the normal form of every monomial in it.
 
 ``PolyMatrix`` is sparse: each row is a ``{column: Poly}`` dict of the
 nonzero entries only, and no stored entry is zero.  Products and sums walk
-those nonzeros; the dense ``rows`` view exists for renderers and is built
-once, on first read.  The one coordinate builder, ``graded_columns``, takes
-polynomial columns as ``(row, Poly)`` pairs and gives a module map's
-k-matrix on degree-d pieces as sparse columns {row: nonzero};
-``graded_matrix_rows`` is its dense view for ``linalg.rank``, ``nullspace``
-and ``rref``.
+those nonzeros; ``matrix_from_json`` reads JSON text straight into the row
+dicts and ``matrix_to_json`` writes them back.  Polynomial columns have one
+format, the nonzero ``(row, Poly)`` pairs of ``column_nonzeros``.  The one
+coordinate builder, ``graded_columns``, takes such columns and gives a
+module map's k-matrix on degree-d pieces as sparse columns {row: nonzero};
+``coords_to_columns`` turns coordinate vectors back into such columns.
+``graded_matrix_rows`` is the dense view of ``graded_columns`` for
+``linalg.rank``, ``nullspace`` and ``rref``.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -65,7 +67,8 @@ class Poly:
     """Element of P (a J-reduced representative when produced by a ring op).
 
     ``terms`` maps exponent tuples to nonzero field elements.  Instances are
-    treated as immutable.
+    treated as immutable.  The constructor coerces outside input; library
+    code that already holds nonzero field elements uses ``Poly._of``.
     """
 
     __slots__ = ("ring", "terms")
@@ -79,6 +82,14 @@ class Poly:
                 clean[m] = c
         self.ring = ring
         self.terms = clean
+
+    @staticmethod
+    def _of(ring: "GradedRing", terms: dict) -> "Poly":
+        """The Poly on ``terms`` as given, neither copied nor coerced: every
+        value must already be a nonzero element of ``ring.field``."""
+        out = Poly.__new__(Poly)
+        out.ring, out.terms = ring, terms
+        return out
 
     # -- basic queries ----------------------------------------------------
 
@@ -120,9 +131,7 @@ class Poly:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        out = Poly.__new__(Poly)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return Poly._of(self.ring, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -130,11 +139,8 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        field = self.ring.field
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {m: field.neg(c) for m, c in self.terms.items()}
-        return out
+        neg = self.ring.field.neg
+        return Poly._of(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         field = self.ring.field
@@ -149,17 +155,12 @@ class Poly:
                         terms.pop(m, None)
                     else:
                         terms[m] = s
-            out = Poly.__new__(Poly)
-            out.ring, out.terms = self.ring, terms
-            return out
+            return Poly._of(self.ring, terms)
         # scalar on the right
         c0 = field(other)
         if field.is_zero(c0):
             return self.ring.zero
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {m: field.mul(c, c0) for m, c in self.terms.items()}
-        return out
+        return Poly._of(self.ring, {m: field.mul(c, c0) for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -214,6 +215,7 @@ def format_poly(p: Poly) -> str:
 
 
 _NUM_RE = re.compile(r"^\d+(/\d+)?$")
+_SIGN_RE = re.compile(r"([+-])")
 _VAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
 
 
@@ -226,32 +228,22 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise ParseError("empty polynomial text")
-    # split into signed chunks at top level; exponents never contain '-'
-    chunks: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        start = 1
-    cur = []
-    i = start
-    while i <= len(compact):
-        ch = compact[i] if i < len(compact) else None
-        if ch in ("+", "-", None):
-            chunk = "".join(cur)
-            if not chunk:
-                raise ParseError(f"dangling operator in {text!r}")
-            chunks.append((sign, chunk))
-            cur = []
-            sign = -1 if ch == "-" else 1
-        else:
-            cur.append(ch)
-        i += 1
+    # signed chunks: [sign, chunk, sign, chunk, ...]; exponents never
+    # contain a sign, so every '+' and '-' is top level
+    pieces = _SIGN_RE.split(compact)
+    if pieces[0]:
+        pieces.insert(0, "+")
+    else:
+        del pieces[0]
+    chunks = list(zip(pieces[0::2], pieces[1::2]))
+    if not all(chunk for _, chunk in chunks):
+        raise ParseError(f"dangling operator in {text!r}")
 
     field = ring.field
     var_index = {name: k for k, name in enumerate(ring.variables)}
     terms: dict[Monomial, object] = {}
     for sgn, chunk in chunks:
-        coeff = field.one if sgn > 0 else field.neg(field.one)
+        coeff = field.one if sgn == "+" else field.neg(field.one)
         expts = [0] * ring.nvars
         for part in chunk.split("*"):
             if not part:
@@ -274,7 +266,7 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
             terms.pop(m, None)
         else:
             terms[m] = s
-    return ring.normal_form(Poly(ring, terms))
+    return ring.normal_form(Poly._of(ring, terms))
 
 
 def json_int(value, what: str) -> int:
@@ -291,14 +283,37 @@ def json_int(value, what: str) -> int:
 def matrix_from_json(ring: "GradedRing", rows, nrows: int, ncols, what: str):
     """The PolyMatrix of JSON rows of polynomial strings.  Anything but a
     list of ``nrows`` lists of ``ncols`` cells (default: as many as the
-    first row) is a ParseError naming ``what``."""
+    first row) is a ParseError naming ``what``.  The canonical ``"0"`` that
+    ``matrix_to_json`` writes is skipped unparsed, and any other cell that
+    parses to zero is dropped, so the rows go straight to sparse form."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be a list of rows")
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ParseError(f"{what} must be {nrows} rows of {ncols} entries")
-    return PolyMatrix(nrows, ncols, [[ring.parse(cell) for cell in row] for row in rows])
+    sparse = []
+    for row in rows:
+        out = {}
+        for j, cell in enumerate(row):
+            if cell != "0":
+                p = parse_poly(ring, cell)
+                if p.terms:
+                    out[j] = p
+        sparse.append(out)
+    return PolyMatrix._from_sparse(nrows, ncols, sparse, ring.zero)
+
+
+def matrix_to_json(mat: "PolyMatrix") -> list:
+    """JSON rows of polynomial strings, ``"0"`` for an absent cell: the
+    inverse of ``matrix_from_json``."""
+    out = []
+    for row in mat._rows:
+        cells = ["0"] * mat.ncols
+        for j, p in row.items():
+            cells[j] = str(p)
+        out.append(cells)
+    return out
 
 
 class GradedRing:
@@ -328,6 +343,8 @@ class GradedRing:
                 raise InvalidInputError(f"duplicate variable {name!r}")
             seen.add(name)
         self.nvars = len(self.variables)
+        self.zero = Poly._of(self, {})
+        self.one = Poly._of(self, {(0,) * self.nvars: field.one})
 
         self.relations = self._canonical_relations(relations)
         self._nf_zero_cache: dict[Monomial, bool] = {}
@@ -340,7 +357,7 @@ class GradedRing:
             if isinstance(f, str):
                 f = parse_poly(self, f)
             else:
-                f = self.normal_form(f)
+                f = self.normal_form(Poly(self, f.terms))
             d = f.homogeneous_degree() if f.is_homogeneous() else None
             if d is None or d < 1:
                 raise InvalidInputError(
@@ -431,23 +448,16 @@ class GradedRing:
         return "*".join(factors) if factors else "1"
 
     # -- element constructors ----------------------------------------------
-
-    @property
-    def zero(self) -> Poly:
-        return Poly(self, {})
-
-    @property
-    def one(self) -> Poly:
-        return Poly(self, {(0,) * self.nvars: self.field.one})
+    # ``zero`` and ``one`` are attributes, built once in ``__init__``.
 
     def var(self, name: str) -> Poly:
         k = self.variables.index(name)
         expts = [0] * self.nvars
         expts[k] = 1
-        return Poly(self, {tuple(expts): self.field.one})
+        return Poly._of(self, {tuple(expts): self.field.one})
 
     def monomial(self, expts: Iterable[int]) -> Poly:
-        return self.normal_form(Poly(self, {tuple(expts): self.field.one}))
+        return self.normal_form(Poly._of(self, {tuple(expts): self.field.one}))
 
     def parse(self, text: str) -> Poly:
         return parse_poly(self, text)
@@ -464,13 +474,13 @@ class GradedRing:
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative in Q: delete J-divisible monomials."""
         if not self.relations:
-            return p if p.ring is self else Poly(self, p.terms)
+            return p if p.ring is self else Poly._of(self, p.terms)
         terms = {
             m: c for m, c in p.terms.items() if not self._mono_is_zero_in_q(m)
         }
         if len(terms) == len(p.terms) and p.ring is self:
             return p
-        return Poly(self, terms)
+        return Poly._of(self, terms)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.normal_form(a * b)
@@ -608,10 +618,9 @@ class PolyMatrix:
     entries: no stored entry is zero, and ``entry(i, j)`` gives the ring's
     zero for an absent cell.  Every operation walks the stored nonzeros, so
     it costs their number rather than ``nrows * ncols``.  The constructor
-    and ``from_rows`` take dense rows; operations build their results
-    through ``_from_sparse``.  ``rows`` is a read-only dense view (a tuple
-    of row tuples, zeros included) for renderers, built on first read and
-    cached.
+    and ``from_rows`` take dense rows from outside callers; operations, and
+    ``matrix_from_json``, build their results through ``_from_sparse``, and
+    ``matrix_to_json`` writes the row dicts.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_zero", "_dense")
@@ -667,7 +676,8 @@ class PolyMatrix:
     @property
     def rows(self) -> tuple:
         """Dense read-only view: a tuple of row tuples, zeros included.
-        Built on first read and cached; no operation reads it."""
+        Built on first read and cached.  No library code reads it; it stays
+        because the benchmark's ``perfbench/tracing._count_polymul`` does."""
         if self._dense is None:
             dense = []
             for row in self._rows:
@@ -926,25 +936,21 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
     return rows
 
 
-def module_basis(ring: GradedRing, twists, d: int):
-    """Basis of the degree-d piece of the free module with the given
-    twists: pairs (generator index, monomial), generator-major order."""
+def coords_to_columns(ring: GradedRing, twists, d: int, vecs) -> list:
+    """The polynomial columns of sparse coordinate vectors {index: nonzero}
+    on the degree-d piece of the free module with the given twists, whose
+    basis is generator-major (generator index, then monomial in descending
+    order).  Each column is its nonzero ``(generator, Poly)`` pairs in
+    ascending generator order, the format ``graded_columns`` takes."""
+    basis = [(j, m) for j, a in enumerate(twists) for m in ring.monomial_basis(d - a)]
     out = []
-    for j, a in enumerate(twists):
-        for m in ring.monomial_basis(d - a):
-            out.append((j, m))
+    for vec in vecs:
+        parts: dict = {}
+        for i, c in vec.items():
+            j, m = basis[i]
+            parts.setdefault(j, {})[m] = c
+        out.append([(j, Poly._of(ring, parts[j])) for j in sorted(parts)])
     return out
-
-
-def coords_to_column(ring: GradedRing, twists, d: int, vec) -> list[Poly]:
-    """Turn a sparse coordinate vector {index into module_basis(twists, d):
-    nonzero} into a column of polynomials, one per generator."""
-    basis = module_basis(ring, twists, d)
-    out = [dict() for _ in twists]
-    for i, c in vec.items():
-        j, m = basis[i]
-        out[j][m] = c
-    return [Poly(ring, terms) for terms in out]
 
 
 def solve_graded_linear(
@@ -956,7 +962,8 @@ def solve_graded_linear(
     twists, and each column of ``rhs`` is a degree-d element of the target.
     The k-matrix of ``[mat | rhs]`` is built and row reduced once.  Returns
     one entry per column of ``rhs``: the degree-d column x of the reduced
-    row echelon solution with every free variable set to zero, or None
+    row echelon solution with every free variable set to zero, as the
+    nonzero ``(generator, Poly)`` pairs of ``coords_to_columns``, or None
     when b is not in the image.
     """
     field = ring.field
@@ -966,11 +973,11 @@ def solve_graded_linear(
     width = module_dim(ring, src_twists, d)
     red, pivots = linalg.rref(field, rows, width + rhs.ncols)
     rank = sum(1 for col in pivots if col < width)
-    out = []
+    vecs = []
     for k in range(width, width + rhs.ncols):
         if any(not field.is_zero(red[r][k]) for r in range(rank, len(pivots))):
-            out.append(None)
-            continue
-        vec = {col: red[r][k] for r, col in enumerate(pivots[:rank]) if red[r][k]}
-        out.append(coords_to_column(ring, src_twists, d, vec))
-    return out
+            vecs.append(None)
+        else:
+            vecs.append({col: red[r][k] for r, col in enumerate(pivots[:rank]) if red[r][k]})
+    cols = iter(coords_to_columns(ring, src_twists, d, [v for v in vecs if v is not None]))
+    return [None if v is None else next(cols) for v in vecs]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GradedRing, PolyMatrix, block_matrix
+from .algebra import GradedRing, PolyMatrix, block_matrix, matrix_to_json
 from .complexes import FreeComplex, is_minimal
 from .errors import (
     InvalidInputError,
@@ -501,7 +501,7 @@ def render_differential(P: ProductComplex, n: int) -> str:
     mat = P.complex.diffs[n]
     if mat.nrows == 0 or mat.ncols == 0:
         return f"d_{n}: [empty {mat.nrows}x{mat.ncols}]"
-    entries = [[str(p) for p in row] for row in mat.rows]
+    entries = matrix_to_json(mat)
     col_groups = [b.rank for b in P.blocks[n]]
     row_groups = [b.rank for b in P.blocks[n - 1]]
     return f"d_{n}:\n" + render_matrix(entries, col_groups, row_groups)

@@ -22,7 +22,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .algebra import GradedRing
+from .algebra import GradedRing, matrix_to_json
 from .assembly import (
     ProductComplex,
     assemble,
@@ -466,21 +466,18 @@ def _cmd_example(args) -> int:
             reverse_block_order(P, n - 1),
             reverse_block_order(P, n),
         )
-        displayed[n] = [[str(p) for p in row] for row in disp.rows]
+        displayed[n] = matrix_to_json(disp)
     eps_displayed = {}
     for n in sorted(eps.maps, reverse=True):
         cols = reverse_block_order(P, n)
-        mat = eps.maps[n]
-        eps_displayed[n] = [
-            [str(mat.rows[i][j]) for j in cols] for i in range(mat.nrows)
-        ]
+        eps_displayed[n] = [[row[j] for j in cols] for row in matrix_to_json(eps.maps[n])]
 
     verified = None
     problems = []
     if args.verify:
         for n, rows in expected["homotopies"].items():
             got = fam.maps[(1,)].get(int(n))
-            want = [[str(p) for p in row] for row in got.rows] if got else None
+            want = matrix_to_json(got) if got else None
             if want != rows:
                 problems.append(f"homotopy at {n}: got {want}, expected {rows}")
         for n, rows in expected["product_displayed"].items():
@@ -502,13 +499,8 @@ def _cmd_example(args) -> int:
     ]
     for alpha in sorted(fam.maps, key=lambda a: (len(a), a)):
         for n in sorted(fam.maps[alpha], reverse=True):
-            mat = fam.maps[alpha][n]
-            lines.append(
-                f"t^{list(alpha)} at {n}: "
-                + "; ".join(
-                    " ".join(str(p) for p in row) for row in mat.rows
-                )
-            )
+            rows = matrix_to_json(fam.maps[alpha][n])
+            lines.append(f"t^{list(alpha)} at {n}: " + "; ".join(map(" ".join, rows)))
     lines.append("")
     for n in sorted(displayed, reverse=True):
         lines.append(f"displayed d_{n} (Koszul block first):")

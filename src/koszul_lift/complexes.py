@@ -37,7 +37,7 @@ from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
 from .algebra import module_dim, span_map
 from .algebra import quotient_matrix_rows, quotient_module_dim
-from .algebra import json_int, matrix_from_json
+from .algebra import json_int, matrix_from_json, matrix_to_json
 from .errors import InvalidInputError, ParseError
 
 SUPPORTS = ("window", "bounded_below", "finite")
@@ -151,10 +151,7 @@ class FreeComplex:
             "support": self.support,
             "window": [self.window[0], self.window[1]],
             "twists": {str(n): list(self.twists[n]) for n in self.positions()},
-            "diffs": {
-                str(n): [[str(p) for p in row] for row in self.diffs[n].rows]
-                for n in sorted(self.diffs)
-            },
+            "diffs": {str(n): matrix_to_json(self.diffs[n]) for n in sorted(self.diffs)},
         }
         if self.is_lift:
             out["lift"] = True

@@ -28,7 +28,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import PolyMatrix, json_int, matrix_from_json, solve_graded_linear
+from .algebra import PolyMatrix, json_int, matrix_from_json, matrix_to_json
+from .algebra import solve_graded_linear
 from .complexes import FreeComplex, homogeneity_failures
 from .errors import InvalidInputError, ParseError
 from .koszul import (
@@ -81,10 +82,7 @@ class HomotopyFamily:
         for alpha in sorted(self.maps, key=lambda a: (len(a), a)):
             pos = self.maps[alpha]
             key = json.dumps(index_to_json(alpha), separators=(",", ":"))
-            maps[key] = {
-                str(n): [[str(p) for p in row] for row in pos[n].rows]
-                for n in sorted(pos)
-            }
+            maps[key] = {str(n): matrix_to_json(pos[n]) for n in sorted(pos)}
         return {"level": self.level, "maps": maps}
 
     @classmethod
@@ -220,9 +218,8 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
                     if sol is None:
                         failed.append((r, s_))
                         continue
-                    for mu, p in zip(mus, sol):
-                        if p.terms:
-                            entries[mu][r][s_] = p
+                    for k, p in sol:
+                        entries[mus[k]][r][s_] = p
             if failed:
                 r, s_ = min(failed)
                 raise InvalidInputError(

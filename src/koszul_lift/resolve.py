@@ -9,13 +9,15 @@ that step.  The candidates are the presentation columns at step one and,
 later, the source parts of a nullspace basis of the [matrix | span] block.
 The f-span is the image of ``span_map``, the map F tensor K_1 -> F of the
 Koszul complex on f, whose columns join the step's other polynomial
-columns.  ``graded_columns`` turns them into sparse coordinate columns
+columns.  Every polynomial column is a list of nonzero ``(row, Poly)``
+pairs.  ``graded_columns`` turns them into sparse coordinate columns
 {index: nonzero}: the base [span | multiples] and the step-one candidates.
 Later candidates are nullspace vectors of [matrix | span], read from its
-dense ``graded_matrix_rows`` view.  Only the finished differentials are
-``PolyMatrix``.  Free variables never enter: pivot selection is the greedy
-left-to-right echelon choice, which depends only on the span of the base,
-so the output is deterministic.
+dense ``graded_matrix_rows`` view.  ``coords_to_columns`` turns the picked
+vectors back into polynomial columns, and only the finished differentials
+are ``PolyMatrix``.  Free variables never enter: pivot selection is the
+greedy left-to-right echelon choice, which depends only on the span of the
+base, so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
-from .algebra import coords_to_column, json_int, matrix_from_json, module_dim, span_map
+from .algebra import coords_to_columns, json_int, matrix_from_json, matrix_to_json
+from .algebra import module_dim, span_map
 from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -82,7 +85,7 @@ class Presentation:
     def to_json_dict(self) -> dict:
         return {
             "twists": list(self.twists),
-            "relations": [[str(p) for p in row] for row in self.relations.rows],
+            "relations": matrix_to_json(self.relations),
         }
 
     @classmethod
@@ -125,10 +128,9 @@ def _minimal_generators(ring, twists, candidates):
     degs, cols = [], []
     for d, vecs in candidates:
         base = graded_columns(ring, span_cols + cols, span_twists + tuple(degs), twists, d)
-        for k in linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d)):
-            degs.append(d)
-            col = coords_to_column(ring, twists, d, vecs[k])
-            cols.append([(i, p) for i, p in enumerate(col) if p.terms])
+        picked = linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d))
+        cols += coords_to_columns(ring, twists, d, [vecs[k] for k in picked])
+        degs += [d] * len(picked)
     return degs, cols
 
 

@@ -11,9 +11,11 @@ from koszul_lift.algebra import (
     Poly,
     PolyMatrix,
     block_matrix,
-    coords_to_column,
+    coords_to_columns,
     graded_columns,
     graded_matrix_rows,
+    matrix_from_json,
+    matrix_to_json,
     module_dim,
     parse_poly,
     solve_graded_linear,
@@ -62,6 +64,61 @@ def test_parse_format_roundtrip_hand_cases():
     ]
     for text, expected in cases:
         assert str(parse_poly(PLAIN, text)) == expected
+
+
+# Pinned outcomes of the text grammar over Q and F_7, in the ring
+# k[x, y]/(x^3): each case is (text, result over Q, result over F_7), a
+# result being the printed polynomial or the exact ParseError message.
+PARSE_TABLE = [
+    ("", ParseError("empty polynomial text"), ParseError("empty polynomial text")),
+    (" \t", ParseError("empty polynomial text"), ParseError("empty polynomial text")),
+    ("+", ParseError("dangling operator in '+'"), ParseError("dangling operator in '+'")),
+    ("-", ParseError("dangling operator in '-'"), ParseError("dangling operator in '-'")),
+    ("x+", ParseError("dangling operator in 'x+'"), ParseError("dangling operator in 'x+'")),
+    ("++x", ParseError("dangling operator in '++x'"), ParseError("dangling operator in '++x'")),
+    ("x--y", ParseError("dangling operator in 'x--y'"), ParseError("dangling operator in 'x--y'")),
+    ("x+-y", ParseError("dangling operator in 'x+-y'"), ParseError("dangling operator in 'x+-y'")),
+    ("x^-2", ParseError("bad factor 'x^' in 'x^-2'"), ParseError("bad factor 'x^' in 'x^-2'")),
+    ("x^+2", ParseError("bad factor 'x^' in 'x^+2'"), ParseError("bad factor 'x^' in 'x^+2'")),
+    ("x^", ParseError("bad factor 'x^' in 'x^'"), ParseError("bad factor 'x^' in 'x^'")),
+    ("x*", ParseError("empty factor in 'x*'"), ParseError("empty factor in 'x*'")),
+    ("*x", ParseError("empty factor in '*x'"), ParseError("empty factor in '*x'")),
+    ("x**y", ParseError("empty factor in 'x**y'"), ParseError("empty factor in 'x**y'")),
+    ("x^2y", ParseError("bad factor 'x^2y' in 'x^2y'"), ParseError("bad factor 'x^2y' in 'x^2y'")),
+    ("2x", ParseError("bad factor '2x' in '2x'"), ParseError("bad factor '2x' in '2x'")),
+    ("q", ParseError("unknown variable 'q'; ring has ('x', 'y')"),
+     ParseError("unknown variable 'q'; ring has ('x', 'y')")),
+    ("-0", "0", "0"),
+    ("1/0", ParseError("bad rational literal '1/0'"), ParseError("bad coefficient literal '1/0'")),
+    (" - x", "-x", "6*x"),
+    ("0", "0", "0"),
+    ("-x", "-x", "6*x"),
+    ("+x", "x", "x"),
+    ("x - x", "0", "0"),
+    ("3/6*x*y^2", "1/2*x*y^2", "4*x*y^2"),
+    ("2*3*x", "6*x", "6*x"),
+    ("x^0", "1", "1"),
+    ("7*x", "7*x", "0"),
+    ("-1/2*y + x", "x - 1/2*y", "x + 3*y"),
+    ("x^2*x", "0", "0"),
+    ("1/7", "1/7", ParseError("bad coefficient literal '1/7'")),
+    ("y*x - x*y + 1", "1", "1"),
+    ("x^10 - 2", "-2", "5"),
+    ("\tx +\ty", "x + y", "x + y"),
+    (7, ParseError("polynomial must be text, got 7"), ParseError("polynomial must be text, got 7")),
+]
+
+
+@pytest.mark.parametrize("text, over_q, over_f7", PARSE_TABLE)
+def test_parse_table(text, over_q, over_f7):
+    for field, want in ((QQ, over_q), (GF(7), over_f7)):
+        ring = GradedRing(field, ["x", "y"], relations=["x^3"])
+        if isinstance(want, ParseError):
+            with pytest.raises(ParseError) as exc:
+                parse_poly(ring, text)
+            assert str(exc.value) == str(want)
+        else:
+            assert str(parse_poly(ring, text)) == want
 
 
 def test_parse_respects_monomial_relations():
@@ -328,7 +385,7 @@ def test_solve_graded_linear_hand_case():
     mat = PolyMatrix(1, 2, [ring.sequence])
     rhs = _column(ring, "x^2*y + x*y^2")
     (sol,) = solve_graded_linear(ring, mat, (2, 2), (0,), 3, rhs)
-    assert sol == [ring.parse("y"), ring.parse("x")]
+    assert sol == [(0, ring.parse("y")), (1, ring.parse("x"))]
 
 
 def test_solve_graded_linear_inconsistent():
@@ -336,10 +393,7 @@ def test_solve_graded_linear_inconsistent():
     mat = PolyMatrix(1, 1, [ring.sequence])
     # x*y has no multiple of x^2 in it; the zero column is still solvable
     rhs = PolyMatrix(1, 2, [[ring.parse("x*y"), ring.zero]])
-    assert solve_graded_linear(ring, mat, (2,), (0,), 2, rhs) == [
-        None,
-        [ring.zero],
-    ]
+    assert solve_graded_linear(ring, mat, (2,), (0,), 2, rhs) == [None, []]
 
 
 def test_solve_graded_linear_random_substitution():
@@ -361,7 +415,9 @@ def test_solve_graded_linear_random_substitution():
         )
         for b, sol in zip(rhs, sols):
             assert sol is not None
-            assert ring.mul(f1, sol[0]) + ring.mul(f2, sol[1]) == b
+            x = dict(sol)
+            x1, x2 = x.get(0, ring.zero), x.get(1, ring.zero)
+            assert ring.mul(f1, x1) + ring.mul(f2, x2) == b
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
@@ -408,8 +464,34 @@ def test_solve_graded_linear_matches_per_column_solve_min(field):
                 assert sol is None
             else:
                 vec = {i: v for i, v in enumerate(expected) if v}
-                assert sol == coords_to_column(ring, src, top, vec)
+                assert sol == coords_to_columns(ring, src, top, [vec])[0]
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_coords_to_columns_inverts_graded_columns(field):
+    # random sparse vectors on degree-d pieces of free modules whose twists
+    # leave some pieces empty; graded_columns of the returned columns must
+    # give the vectors back
+    rng = Random(313)
+    ring = GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"])
+    for twists in [(0,), (0, 5, -1), (3, 1, 1), (7,), ()]:
+        for d in range(-1, 5):
+            dim = module_dim(ring, twists, d)
+            vecs = []
+            for _ in range(4):
+                # keys in random order: the output order must not follow them
+                items = [(i, field(rng.randint(1, 6))) for i in range(dim) if rng.random() < 0.3]
+                rng.shuffle(items)
+                vecs.append(dict(items))
+            cols = coords_to_columns(ring, twists, d, vecs)
+            assert len(cols) == len(vecs)
+            for col in cols:
+                gens = [j for j, _ in col]
+                assert gens == sorted(set(gens))
+                assert all(p.terms for _, p in col)
+                assert all(p.homogeneous_degree() == d - twists[j] for j, p in col)
+            assert graded_columns(ring, cols, (d,) * len(cols), twists, d) == vecs
 
 
 def _homogeneous(rng, ring, d, density=0.6):
@@ -650,3 +732,48 @@ def test_ring_json_roundtrip():
         again = GradedRing.from_json_dict(ring.to_json_dict())
         assert again == ring
         assert again.to_json_dict() == ring.to_json_dict()
+
+
+def _random_sparse_matrix(rng, ring, nrows, ncols):
+    density = rng.choice([0.0, 0.2, 0.6])
+    return PolyMatrix(
+        nrows,
+        ncols,
+        [
+            [_random_poly(rng, ring) if rng.random() < density else ring.zero for _ in range(ncols)]
+            for _ in range(nrows)
+        ],
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_matrix_json_roundtrip_random(field):
+    rng = Random(409)
+    ring = GradedRing(field, ["x", "y"], relations=["x^2"])
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(20)]
+    for nrows, ncols in shapes:
+        m = _random_sparse_matrix(rng, ring, nrows, ncols)
+        rows = matrix_to_json(m)
+        assert rows == [[str(m.entry(i, j)) for j in range(ncols)] for i in range(nrows)]
+        assert matrix_from_json(ring, rows, nrows, ncols, "m") == m
+
+
+def test_matrix_from_json_drops_zero_cells():
+    ring = GradedRing(QQ, ["x", "y"])
+    cells = ["0", "-0", "0*x", "x - x", " 0 ", "x"]
+    m = matrix_from_json(ring, [cells], 1, None, "m")
+    assert (m.nrows, m.ncols) == (1, 6)
+    assert list(m.nonzeros()) == [(0, 5, ring.parse("x"))]
+    assert m.column_nonzeros()[:5] == [[]] * 5
+    assert m == PolyMatrix(1, 6, [[ring.parse(c) for c in cells]])
+
+
+def test_matrix_from_json_rejects_bad_cells_and_shapes():
+    ring = GradedRing(QQ, ["x", "y"])
+    for cell in (0, None):
+        with pytest.raises(ParseError, match=f"^polynomial must be text, got {cell}$"):
+            matrix_from_json(ring, [[cell, "x"]], 1, None, "differential at 2")
+    with pytest.raises(ParseError, match="^differential at 2 must be 2 rows of 2 entries$"):
+        matrix_from_json(ring, [["x", "y"], ["x"]], 2, None, "differential at 2")
+    with pytest.raises(ParseError, match="^differential at 2 must be a list of rows$"):
+        matrix_from_json(ring, [["x"], "y"], 2, None, "differential at 2")
