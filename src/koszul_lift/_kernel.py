@@ -7,14 +7,17 @@ is all a rank needs; ``gauss_jordan`` adds the back substitution.  The
 reduced row echelon form of a matrix is unique for its column order, so the
 order in which rows become pivots does not change the result.
 
-``linalg.rank``, ``linalg.extend_pivots`` and ``linalg.nullspace`` hand
-their dict rows straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod``
-wraps ``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p
-takes that route, and only the homotopy solve calls it.  This module does
-not import numpy: ``rref_mod`` uses nothing but the methods of the array it
-is handed, so numpy is loaded only when ``linalg.rref`` first builds one.
-The array stays, and numpy with it, because ``perfbench/tracing.py`` probes
-``rref_mod`` and reads the array's size and shape.
+``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
+eliminations) transpose sparse columns into dict rows; ``linalg.rank`` (for
+``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
+benchmark's tracer) scan dense list rows into them.  All hand those rows
+straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod`` wraps ``gauss_jordan`` for an int64 array;
+only ``linalg.rref`` over F_p takes that route, and only the homotopy solve
+calls it.  This module does not import numpy: ``rref_mod`` uses nothing but
+the methods of the array it is handed, so numpy is loaded only when
+``linalg.rref`` first builds one.  The array stays, and numpy with it,
+because ``perfbench/tracing.py`` probes ``rref_mod`` and reads the array's
+size and shape.
 """
 
 import heapq

@@ -17,8 +17,9 @@ format, the nonzero ``(row, Poly)`` pairs of ``column_nonzeros``.  The one
 coordinate builder, ``graded_columns``, takes such columns and gives a
 module map's k-matrix on degree-d pieces as sparse columns {row: nonzero};
 ``coords_to_columns`` turns coordinate vectors back into such columns.
-``graded_matrix_rows`` is the dense view of ``graded_columns`` for
-``linalg.rank``, ``nullspace`` and ``rref``.
+``graded_matrix_rows`` is the dense view of ``graded_columns`` for the two
+eliminations that still take list rows, ``linalg.rank`` in
+``homology_dims`` and ``linalg.rref`` in ``solve_graded_linear``.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -285,7 +286,9 @@ def matrix_from_json(ring: "GradedRing", rows, nrows: int, ncols, what: str):
     list of ``nrows`` lists of ``ncols`` cells (default: as many as the
     first row) is a ParseError naming ``what``.  The canonical ``"0"`` that
     ``matrix_to_json`` writes is skipped unparsed, and any other cell that
-    parses to zero is dropped, so the rows go straight to sparse form."""
+    parses to zero is dropped, so the rows go straight to sparse form.  A
+    cell that is not polynomial text is a ParseError naming ``what`` and
+    the cell."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be a list of rows")
     if ncols is None:
@@ -293,14 +296,17 @@ def matrix_from_json(ring: "GradedRing", rows, nrows: int, ncols, what: str):
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ParseError(f"{what} must be {nrows} rows of {ncols} entries")
     sparse = []
-    for row in rows:
-        out = {}
-        for j, cell in enumerate(row):
-            if cell != "0":
-                p = parse_poly(ring, cell)
-                if p.terms:
-                    out[j] = p
-        sparse.append(out)
+    try:
+        for i, row in enumerate(rows):
+            out = {}
+            for j, cell in enumerate(row):
+                if cell != "0":
+                    p = parse_poly(ring, cell)
+                    if p.terms:
+                        out[j] = p
+            sparse.append(out)
+    except ParseError as exc:
+        raise ParseError(f"{what}, cell ({i}, {j}): {exc}") from exc
     return PolyMatrix._from_sparse(nrows, ncols, sparse, ring.zero)
 
 
@@ -889,7 +895,10 @@ def graded_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
 
 def graded_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """``graded_columns`` as dense list rows, for the eliminations that
-    take list rows (``linalg.rank``, ``nullspace`` and ``rref``)."""
+    take list rows: ``linalg.rank`` in ``complexes.homology_dims`` and
+    ``linalg.rref`` in ``solve_graded_linear``.  They stay dense because
+    ``perfbench/tracing.py`` counts the cells of ``rank``'s rows and reads
+    the array that ``rref`` builds over F_p; see ``linalg``."""
     cols = graded_columns(ring, columns, src_twists, tgt_twists, d)
     rows = [[ring.field.zero] * len(cols) for _ in range(module_dim(ring, tgt_twists, d))]
     for k, col in enumerate(cols):

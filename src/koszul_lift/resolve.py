@@ -11,13 +11,13 @@ The f-span is the image of ``span_map``, the map F tensor K_1 -> F of the
 Koszul complex on f, whose columns join the step's other polynomial
 columns.  Every polynomial column is a list of nonzero ``(row, Poly)``
 pairs.  ``graded_columns`` turns them into sparse coordinate columns
-{index: nonzero}: the base [span | multiples] and the step-one candidates.
-Later candidates are nullspace vectors of [matrix | span], read from its
-dense ``graded_matrix_rows`` view.  ``coords_to_columns`` turns the picked
-vectors back into polynomial columns, and only the finished differentials
-are ``PolyMatrix``.  Free variables never enter: pivot selection is the
-greedy left-to-right echelon choice, which depends only on the span of the
-base, so the output is deterministic.
+{index: nonzero}: the base [span | multiples], the step-one candidates
+and the [matrix | span] block, which goes to ``linalg.nullspace_columns``
+as it is, so no dense list row is built.  ``coords_to_columns`` turns the
+picked vectors back into polynomial columns, and only the finished
+differentials are ``PolyMatrix``.  Free variables never enter: pivot
+selection is the greedy left-to-right echelon choice, which depends only on
+the span of the base, so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
+from .algebra import GradedRing, PolyMatrix, graded_columns
 from .algebra import coords_to_columns, json_int, matrix_from_json, matrix_to_json
 from .algebra import module_dim, span_map
 from .complexes import FreeComplex
@@ -146,7 +146,10 @@ def _relation_candidates(ring, presentation, col_degs):
 
 def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
     """Source parts of a nullspace basis of [mat | span] in each degree:
-    they span W_d together with lifts of the kernel of mat over R."""
+    they span W_d together with lifts of the kernel of mat over R.  The
+    block's sparse coordinate columns go to ``linalg.nullspace_columns``
+    as they are; a zero target piece makes every source basis vector a
+    candidate on its own."""
     span_cols, span_twists = span_map(ring, tgt_twists)
     block = mat.column_nonzeros() + span_cols
     block_twists = tuple(src_twists) + span_twists
@@ -155,8 +158,12 @@ def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
         ns = module_dim(ring, src_twists, d)
         if ns == 0:
             continue
-        rows = graded_matrix_rows(ring, block, block_twists, tgt_twists, d)
-        null = linalg.nullspace(ring.field, rows, len(rows[0]) if rows else ns)
+        nt = module_dim(ring, tgt_twists, d)
+        if nt == 0:
+            yield d, [{i: ring.field.one} for i in range(ns)]
+            continue
+        cols = graded_columns(ring, block, block_twists, tgt_twists, d)
+        null = linalg.nullspace_columns(ring.field, cols, nt)
         yield d, [{i: v for i, v in vec.items() if i < ns} for vec in null]
 
 

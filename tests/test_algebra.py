@@ -771,8 +771,15 @@ def test_matrix_from_json_drops_zero_cells():
 def test_matrix_from_json_rejects_bad_cells_and_shapes():
     ring = GradedRing(QQ, ["x", "y"])
     for cell in (0, None):
-        with pytest.raises(ParseError, match=f"^polynomial must be text, got {cell}$"):
+        with pytest.raises(
+            ParseError, match=rf"^differential at 2, cell \(0, 0\): polynomial must be text, got {cell}$"
+        ):
             matrix_from_json(ring, [[cell, "x"]], 1, None, "differential at 2")
+    # an unparsable cell past the first row is named by its row and column
+    with pytest.raises(
+        ParseError, match=r"^relations, cell \(1, 2\): unknown variable 'q'; ring has \('x', 'y'\)$"
+    ):
+        matrix_from_json(ring, [["x", "0", "y"], ["0", "x", "q"]], 2, 3, "relations")
     with pytest.raises(ParseError, match="^differential at 2 must be 2 rows of 2 entries$"):
         matrix_from_json(ring, [["x", "y"], ["x"]], 2, None, "differential at 2")
     with pytest.raises(ParseError, match="^differential at 2 must be a list of rows$"):

@@ -12,6 +12,7 @@ from koszul_lift.linalg import (
     backend_name,
     extend_pivots,
     nullspace,
+    nullspace_columns,
     rank,
     rref,
     solve_min,
@@ -227,13 +228,13 @@ def test_nullspace_dimension_and_membership():
                 assert rank(field, dense) == len(basis)
 
 
-@pytest.mark.parametrize("p", [0, 3, P], ids=["QQ", "F3", "F32003"])
+@pytest.mark.parametrize("p", [0, 3, 7, P], ids=["QQ", "F3", "F7", "F32003"])
 def test_nullspace_is_the_textbook_basis(p):
     # resolve reads its syzygy candidates off these exact vectors: one per
     # free column fc in ascending order, 1 at fc, -R[r][fc] at the pivot
     # column of row r of the reduced row echelon form R, nothing else
     field = GF(p) if p else QQ
-    for rows, _, ncols, red, pivots in _textbook_cases(p, 212):
+    for rows, nrows, ncols, red, pivots in _textbook_cases(p, 212):
         want = []
         for fc in range(ncols):
             if fc in pivots:
@@ -244,6 +245,36 @@ def test_nullspace_is_the_textbook_basis(p):
                     vec[pc] = field(-red[r][fc])
             want.append(vec)
         assert nullspace(field, rows, ncols) == want
+        columns = _sparse_columns(field, rows, range(ncols))
+        assert nullspace_columns(field, columns, nrows) == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
+def test_nullspace_columns_is_the_list_row_nullspace(field):
+    # resolve's syzygy step hands its sparse columns to nullspace_columns;
+    # the vectors, their order and the order of their keys must be exactly
+    # those of the list-row nullspace on the same matrix
+    rng = Random(213)
+    shapes = [(0, 0), (0, 6), (6, 0)] + [
+        (rng.randint(1, 30), rng.randint(1, 40)) for _ in range(40)
+    ]
+    for nrows, ncols in shapes:
+        for fill in (0.05, 0.3):
+            rows = [
+                [
+                    field(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                    if rng.random() < fill else field.zero
+                    for _ in range(ncols)
+                ]
+                for _ in range(nrows)
+            ]
+            for j in rng.sample(range(ncols), ncols // 4):  # all-zero columns
+                for row in rows:
+                    row[j] = field.zero
+            got = nullspace_columns(field, _sparse_columns(field, rows, range(ncols)), nrows)
+            want = nullspace(field, rows, ncols)
+            assert got == want
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 def test_extend_pivots_greedy():

@@ -1,15 +1,21 @@
 """Minimal graded free resolutions over R by syzygy extraction."""
 
+import json
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from koszul_lift.algebra import GradedRing, PolyMatrix
+from koszul_lift import linalg
+from koszul_lift.algebra import GradedRing, PolyMatrix, graded_matrix_rows
 from koszul_lift.complexes import check_complex, homology_dims, is_minimal
 from koszul_lift.errors import DegreeBoundTooLowError, InvalidInputError
 from koszul_lift.fields import GF, QQ
 from koszul_lift.resolve import Presentation, resolve_over_R
 from koszul_lift.samples import random_presentation, random_regular_ring
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _mat(ring, rows, ncols=None):
@@ -133,3 +139,28 @@ def test_randomized_resolutions_check_out():
         for (n, d), v in dims.items():
             if n > 0:
                 assert v == 0
+
+
+@pytest.mark.parametrize(
+    "name, length, bound", [("mixed", 4, 9), ("residue", 5, 6)], ids=["mixed", "residue"]
+)
+def test_resolve_builds_no_dense_rows(monkeypatch, name, length, bound):
+    # resolve eliminates sparse coordinate columns only: the dense view
+    # ``graded_matrix_rows`` and the list-row scan ``linalg._dict_rows`` are
+    # patched to raise under every name any package module holds them by
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense rows built on the resolve path")
+
+    dense = {id(graded_matrix_rows), id(linalg._dict_rows)}
+    for modname, module in list(sys.modules.items()):
+        if module is None or modname.split(".")[0] != "koszul_lift":
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in dense:
+                monkeypatch.setattr(module, attr, forbidden)
+    ring = GradedRing.from_json_dict(json.loads((FIXTURES / f"{name}_ring.json").read_text()))
+    pres = Presentation.from_json_dict(
+        ring, json.loads((FIXTURES / f"{name}_presentation.json").read_text())
+    )
+    golden = json.loads((FIXTURES / f"resolve_{name}_length{length}.json").read_text())
+    assert resolve_over_R(ring, pres, length, bound).to_json_dict() == golden["complex"]
