@@ -49,7 +49,6 @@ def paper_5_2():
         support="window",
     )
     expected = {
-        "level": 1,
         "homotopies": {
             2: [["0", "-1", "0"]],
             1: [["0", "-x"]],

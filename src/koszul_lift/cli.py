@@ -3,7 +3,7 @@
 Commands
 --------
 lift        solve the homotopy family of an R-complex's chosen lift
-assemble    build the product complex (optionally from t^{e_1} alone, c = 1)
+assemble    build the product complex from homotopies solved to level c
 verify      run the full check battery on an input, or a seeded random suite
 resolve     minimal free resolution of a presented module over R
 example     print or verify a built-in worked example
@@ -26,7 +26,6 @@ from .algebra import GradedRing, matrix_to_json
 from .assembly import (
     ProductComplex,
     assemble,
-    assemble_codim1,
     epsilon_C,
     minimality_and_lifting_report,
     permute_matrix,
@@ -79,11 +78,8 @@ def _load_complex(ring: GradedRing, path: str) -> FreeComplex:
 
 def _emit(args, text: str, payload=None):
     """Write the report (text mode) or the JSON payload (json mode)."""
-    if getattr(args, "format", "text") == "json":
-        out = json.dumps(payload, indent=2)
-    else:
-        out = text
-    if getattr(args, "out", None):
+    out = json.dumps(payload, indent=2) if args.format == "json" else text
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     else:
@@ -168,20 +164,12 @@ def _blocks_json(P: ProductComplex):
 
 
 def _cmd_assemble(args) -> int:
-    if args.codim1 and args.level is not None:
-        raise ParseError("--level does not apply with --codim1, which solves to level 1")
     ring = _load_ring(args.ring)
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":
         raise ParseError("assemble expects a complex over R")
     F = lift_to_Q(cbar)
-    if args.codim1:
-        fam = solve_homotopies(F, 1)
-        P = assemble_codim1(F, fam.maps.get((1,), {}))
-    else:
-        level = ring.c if args.level is None else args.level
-        fam = solve_homotopies(F, level)
-        P = assemble(F, fam)
+    P = assemble(F, solve_homotopies(F, ring.c))
     lines = [
         f"ring: {_describe_ring(ring)}",
         f"input: {_describe_complex(cbar)}",
@@ -210,7 +198,7 @@ def _cmd_assemble(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_input(ring, cbar, level, degree_bound, dim_q):
+def _verify_input(ring, cbar, degree_bound, dim_q):
     """The full battery; returns (checks, extras) where each check is a
     dict with name/ok/detail."""
     checks = []
@@ -234,10 +222,10 @@ def _verify_input(ring, cbar, level, degree_bound, dim_q):
     )
 
     F = lift_to_Q(cbar)
-    fam = solve_homotopies(F, level)
+    fam = solve_homotopies(F, ring.c)
     checks.append(
         {
-            "name": f"homotopy system solvable to level {level}",
+            "name": f"homotopy system solvable to level {ring.c}",
             "ok": True,
             "detail": f"{sum(len(v) for v in fam.maps.values())} matrices",
         }
@@ -287,37 +275,35 @@ def _verify_input(ring, cbar, level, degree_bound, dim_q):
     # between complexes: the homology is read once d^2 = 0 has passed
     hom_ok = prep.ok
     hom_detail = "" if prep.ok else "product is not a complex"
-    prod = minimize(P.complex) if prep.ok else P.complex
-    p_int = set(prod.interior_positions())
-    shared = sorted(p_int & set(cbar.interior_positions())) if prep.ok else []
-    if shared:
-        hp = homology_dims(prod, shared, degree_bound)
-        hc = homology_dims(cbar, shared, degree_bound)
+    if prep.ok:
+        prod = minimize(P.complex)
+        p_int = set(prod.interior_positions())
+        c_int = set(cbar.interior_positions())
+        shared = sorted(p_int & c_int)
+        # past the input's window, where its rank is known to be 0, the
+        # product must be exact; one call shares the rank cache
+        extra_zero = sorted(n for n in p_int - c_int if cbar.known_rank(n) == 0)
+        positions = shared + extra_zero
+        hp = homology_dims(prod, positions, degree_bound) if positions else {}
+        hc = homology_dims(cbar, shared, degree_bound) if shared else {}
         diffs = {
             key: (hc.get(key, 0), hp.get(key, 0))
-            for key in set(hp) | set(hc)
+            for key in set(hc) | {k for k in hp if k[0] in c_int}
             if hp.get(key, 0) != hc.get(key, 0)
         }
-        hom_ok = not diffs
+        stray = sorted(k for k, v in hp.items() if v and k[0] not in c_int)
         if diffs:
-            key = sorted(diffs)[0]
+            hom_ok = False
+            key = min(diffs)
             hom_detail = (
                 f"H_{key[0]} degree {key[1]}: input {diffs[key][0]}, "
                 f"product {diffs[key][1]}"
             )
-        else:
-            hom_detail = f"positions {shared}, degrees <= {degree_bound}"
-    extra_zero = sorted(
-        n
-        for n in p_int - set(cbar.interior_positions())
-        if cbar.known_rank(n) == 0
-    )
-    if hom_ok and extra_zero:
-        hz = homology_dims(prod, extra_zero, degree_bound)
-        bad = {k: v for k, v in hz.items() if v}
-        if bad:
+        elif stray:
             hom_ok = False
-            hom_detail = f"stray homology beyond the input window: {sorted(bad)[0]}"
+            hom_detail = f"stray homology beyond the input window: {stray[0]}"
+        elif shared:
+            hom_detail = f"positions {shared}, degrees <= {degree_bound}"
     checks.append(
         {
             "name": f"homology agreement up to degree {degree_bound}",
@@ -336,11 +322,10 @@ def _cmd_verify(args) -> int:
     if args.dim_q is not None and args.dim_q < 0:
         raise InvalidInputError(f"--dim-q must be >= 0, got {args.dim_q}")
     if args.seed is not None and not args.ring:
-        for flag, value in (("--complex", args.complex), ("--level", args.level)):
+        for flag, value in (("--complex", args.complex), ("--dim-q", args.dim_q)):
             if value is not None:
                 raise ParseError(
-                    f"verify --seed makes its own inputs and solves them to "
-                    f"level c; {flag} needs --ring"
+                    f"verify --seed makes its own inputs; {flag} needs --ring"
                 )
         return _cmd_verify_random(args)
     if not args.ring or not args.complex:
@@ -360,10 +345,7 @@ def _cmd_verify(args) -> int:
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":
         raise ParseError("verify expects a complex over R")
-    level = ring.c if args.level is None else args.level
-    checks, extras = _verify_input(
-        ring, cbar, level, args.degree_bound, args.dim_q
-    )
+    checks, extras = _verify_input(ring, cbar, args.degree_bound, args.dim_q)
     lines = [
         f"ring: {_describe_ring(ring)}",
         f"complex: {_describe_complex(cbar)}",
@@ -404,7 +386,7 @@ def _cmd_verify_random(args) -> int:
         c = rng.randint(1, min(3, nvars))
         ring = random_regular_ring(rng, field, nvars, c)
         cbar = random_resolved_complex(rng, ring, rng.randint(2, 5))
-        checks, _ = _verify_input(ring, cbar, c, args.degree_bound, args.dim_q)
+        checks, _ = _verify_input(ring, cbar, args.degree_bound, None)
         ok = all(check["ok"] for check in checks)
         if not ok:
             failures += 1
@@ -455,8 +437,8 @@ def _cmd_resolve(args) -> int:
 def _cmd_example(args) -> int:
     ring, cbar, expected = get_example(args.name)
     F = lift_to_Q(cbar)
-    fam = solve_homotopies(F, expected["level"])
-    P = assemble_codim1(F, fam.maps.get((1,), {}))
+    fam = solve_homotopies(F, ring.c)
+    P = assemble(F, fam)
     eps = epsilon_C(P, cbar)
 
     displayed = {}
@@ -589,35 +571,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True, fmt=True, out=True):
-        if ring:
-            p.add_argument("--ring", help="ring JSON file")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "json"), default="text"
-            )
-        if out:
-            p.add_argument("--out", help="write output to a file")
+    def common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", help="write output to a file")
 
     p = sub.add_parser("lift", help="solve homotopies on a lifted complex")
+    p.add_argument("--ring", required=True, help="ring JSON file")
     common(p)
     p.add_argument("--complex", required=True, help="complex JSON file")
     p.add_argument("--level", type=int, default=None)
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("assemble", help="build the product complex")
+    p.add_argument("--ring", required=True, help="ring JSON file")
     common(p)
     p.add_argument("--complex", required=True)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument(
-        "--codim1", action="store_true", help="use the codimension-one path"
-    )
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("verify", help="run the check battery")
+    p.add_argument("--ring", help="ring JSON file")
     common(p)
     p.add_argument("--complex")
-    p.add_argument("--level", type=int, default=None)
     p.add_argument("--degree-bound", type=int, default=8)
     p.add_argument("--dim-q", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -625,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("resolve", help="minimal free resolution over R")
+    p.add_argument("--ring", required=True, help="ring JSON file")
     common(p)
     p.add_argument("--presentation", required=True)
     p.add_argument("--length", type=int, required=True)
@@ -632,18 +607,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("example", help="print or verify a built-in example")
-    common(p, ring=False)
+    common(p)
     p.add_argument("name")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("regularity", help="regularity certificate")
+    p.add_argument("--ring", required=True, help="ring JSON file")
     common(p)
     p.add_argument("--degree-bound", type=int, default=8)
     p.set_defaults(func=_cmd_regularity)
 
     p = sub.add_parser("vandermonde", help="binomial convolution identity")
-    common(p, ring=False)
+    common(p)
     p.add_argument("c", type=int)
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)

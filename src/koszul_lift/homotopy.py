@@ -93,6 +93,9 @@ class HomotopyFamily:
         raw = data.get("maps", {}) if isinstance(data, dict) else None
         if not isinstance(raw, dict):
             raise ParseError("homotopy family JSON needs a maps object")
+        level = json_int(data.get("level", 0), "homotopy level")
+        if not 0 <= level <= ring.c:
+            raise ParseError(f"homotopy level must lie in 0..{ring.c}, got {level}")
         maps = {}
         for key, positions in raw.items():
             try:
@@ -101,6 +104,8 @@ class HomotopyFamily:
                 raise ParseError(f"bad index key {key!r}: {exc}") from exc
             if not alpha:
                 raise ParseError(f"index key {key!r} is not a nonempty subset")
+            if len(alpha) > level:
+                raise ParseError(f"index key {key!r} lies above level {level}")
             if not isinstance(positions, dict):
                 raise ParseError(f"maps of {key} must be an object")
             per = {}
@@ -112,7 +117,7 @@ class HomotopyFamily:
                     raise ParseError(f"map {key} at {n} outside the window")
                 per[n] = matrix_from_json(ring, rows, tgt, src, f"map {key} at {n}")
             maps[alpha] = per
-        return cls(base, json_int(data.get("level", 0), "homotopy level"), maps)
+        return cls(base, level, maps)
 
 
 def pair_sum(H: HomotopyFamily, gamma, n: int):

@@ -123,7 +123,7 @@ def test_homology_is_not_read_off_a_product_that_is_not_a_complex(monkeypatch):
     monkeypatch.setattr(cli, "assemble", assemble_with_a_wrong_entry)
     monkeypatch.setattr(cli, "minimize", no_minimize)
     ring = cli._load_ring(RING)
-    checks, _ = cli._verify_input(ring, cli._load_complex(ring, COMPLEX), 1, 8, None)
+    checks, _ = cli._verify_input(ring, cli._load_complex(ring, COMPLEX), 8, None)
     by_name = {c["name"]: c for c in checks}
     assert not by_name["product differential squares to zero"]["ok"]
     assert by_name["homology agreement up to degree 8"] == {
@@ -131,6 +131,64 @@ def test_homology_is_not_read_off_a_product_that_is_not_a_complex(monkeypatch):
         "ok": False,
         "detail": "product is not a complex",
     }
+
+
+def _finite_input(tmp_path):
+    # R/(x) over R = Q[x,y]/(y^2), support finite: the product reaches
+    # position 2, past the input's window, where the input is known to be 0
+    ring = {"field": "Q", "variables": ["x", "y"], "relations": [], "sequence": ["y^2"]}
+    cpx = {
+        "over": "R",
+        "window": [0, 1],
+        "support": "finite",
+        "twists": {"0": [0], "1": [1]},
+        "diffs": {"1": [["x"]]},
+    }
+    rp = tmp_path / "ring.json"
+    cp = tmp_path / "cpx.json"
+    rp.write_text(json.dumps(ring))
+    cp.write_text(json.dumps(cpx))
+    return str(rp), str(cp)
+
+
+def test_verify_checks_exactness_past_a_finite_input(tmp_path):
+    ring, cpx = _finite_input(tmp_path)
+    out = run_cli("verify", "--ring", ring, "--complex", cpx)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert (
+        "[PASS] homology agreement up to degree 8: positions [0, 1], degrees <= 8"
+        in out.stdout
+    )
+
+
+def test_stray_homology_past_a_finite_input_fails(tmp_path, monkeypatch, capsys):
+    # one homology pass over the product covers the shared positions and
+    # those past the input; a mismatch is reported before stray homology
+    from koszul_lift import cli
+
+    ring, cpx = _finite_input(tmp_path)
+    calls = []
+
+    def product_homology_at(stray_positions):
+        def homology_dims(C, positions, bound):
+            calls.append((C.over, list(positions)))
+            return {(n, 0): int(C.over == "Q" and n in stray_positions) for n in positions}
+
+        return homology_dims
+
+    monkeypatch.setattr(cli, "homology_dims", product_homology_at({2}))
+    assert cli.main(["verify", "--ring", ring, "--complex", cpx]) == 1
+    assert calls == [("Q", [0, 1, 2]), ("R", [0, 1])]
+    assert (
+        "[FAIL] homology agreement up to degree 8: "
+        "stray homology beyond the input window: (2, 0)"
+    ) in capsys.readouterr().out
+
+    monkeypatch.setattr(cli, "homology_dims", product_homology_at({1, 2}))
+    assert cli.main(["verify", "--ring", ring, "--complex", cpx]) == 1
+    assert (
+        "[FAIL] homology agreement up to degree 8: H_1 degree 0: input 0, product 1"
+    ) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -142,7 +200,7 @@ def test_seeded_suite_needs_a_positive_count(count):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--level", "0"), ("--complex", "/nonexistent.json")]
+    "flag, value", [("--dim-q", "2"), ("--complex", "/nonexistent.json")]
 )
 def test_seeded_suite_rejects_file_input_flags(flag, value):
     # the seeded suite makes its own inputs: a flag it would ignore is an error
@@ -321,20 +379,50 @@ def test_lift_json_payload():
 
 
 def test_assemble_text_golden():
-    out = run_cli("assemble", "--ring", RING, "--complex", COMPLEX, "--codim1")
+    out = run_cli("assemble", "--ring", RING, "--complex", COMPLEX)
     assert out.returncode == 0
     assert "P_2 = F_2^3 + F_1*e1^2" in out.stdout
     assert "d_2:" in out.stdout
     assert "-y^2" in out.stdout
 
 
-def test_assemble_codim1_rejects_level():
-    # the codimension-one path always solves to level 1, so a level is an error
-    out = run_cli("assemble", "--ring", RING, "--complex", COMPLEX, "--codim1", "--level", "7")
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("assemble", ["--level", "1"]),
+        ("assemble", ["--codim1"]),
+        ("verify", ["--level", "1"]),
+    ],
+)
+def test_assemble_and_verify_take_the_level_from_the_ring(command, flags):
+    # a product complex needs the full homotopy system, to level c
+    out = run_cli(command, "--ring", RING, "--complex", COMPLEX, *flags)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr.startswith("error:")
-    assert "--level" in out.stderr and "--codim1" in out.stderr
+    assert "unrecognized arguments" in out.stderr and flags[0] in out.stderr
+
+
+def test_lift_stops_at_a_given_level():
+    out = run_cli("lift", "--ring", RING, "--complex", COMPLEX, "--level", "0")
+    assert out.returncode == 0, out.stderr
+    assert "solved homotopies to level 0" in out.stdout
+    assert "t^" not in out.stdout
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("lift", ["--complex", COMPLEX]),
+        ("assemble", ["--complex", COMPLEX]),
+        ("resolve", ["--presentation", RES_PRES, "--length", "2"]),
+        ("regularity", []),
+    ],
+)
+def test_missing_ring_is_a_usage_error(command, args):
+    out = run_cli(command, *args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--ring" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_assemble_out_file(tmp_path):

@@ -254,6 +254,9 @@ def test_family_json_keys_are_subset_lists():
         {"maps": {"[1]": {"1": [["0", "-x", "0"]]}}},  # wrong shape
         {"maps": {"[1]": {"1": ["xy"]}}},  # a string row, not ["x", "y"]
         {"maps": {"[1]": {"1": [["0", 7]]}}},
+        {"level": 5},  # outside 0..c
+        {"level": -3},
+        {"level": 0},  # holds a [1] map above its level
     ],
 )
 def test_family_json_rejects_malformed_input(change):
