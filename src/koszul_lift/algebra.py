@@ -187,26 +187,19 @@ def format_poly(p: Poly) -> str:
     """Render in the text grammar, terms in descending canonical order."""
     if not p.terms:
         return "0"
-    field = p.ring.field
-    names = p.ring.variables
+    ring = p.ring
+    field = ring.field
     pieces = []
     for m in sorted(p.terms, key=mono_key, reverse=True):
         c = p.terms[m]
         negative = field.char == 0 and c < 0
         mag = -c if negative else c
-        factors = []
-        for name, e in zip(names, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono_str = "*".join(factors)
-        if not mono_str:
+        if not any(m):
             body = field.format(mag)
         elif mag == field.one:
-            body = mono_str
+            body = ring.format_monomial(m)
         else:
-            body = f"{field.format(mag)}*{mono_str}"
+            body = f"{field.format(mag)}*{ring.format_monomial(m)}"
         pieces.append(("-" if negative else "+", body))
     sign0, body0 = pieces[0]
     text = ("-" if sign0 == "-" else "") + body0
@@ -218,6 +211,30 @@ def format_poly(p: Poly) -> str:
 _NUM_RE = re.compile(r"^\d+(/\d+)?$")
 _SIGN_RE = re.compile(r"([+-])")
 _VAR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
+
+
+def _parse_term(ring: "GradedRing", var_index, chunk: str, text: str):
+    """One unsigned term ``chunk`` of ``text``: a '*'-separated product of
+    integer-or-a/b numbers and variable powers ``x^k``.  Returns the
+    numbers' product (None when there is none) and the exponent tuple."""
+    field = ring.field
+    number = None
+    expts = [0] * ring.nvars
+    for part in chunk.split("*"):
+        if not part:
+            raise ParseError(f"empty factor in {text!r}")
+        if _NUM_RE.match(part):
+            value = field(part)
+            number = value if number is None else field.mul(number, value)
+            continue
+        mvar = _VAR_RE.match(part)
+        if not mvar:
+            raise ParseError(f"bad factor {part!r} in {text!r}")
+        name, exp = mvar.group(1), mvar.group(2)
+        if name not in var_index:
+            raise ParseError(f"unknown variable {name!r}; ring has {ring.variables}")
+        expts[var_index[name]] += 1 if exp is None else int(exp)
+    return number, tuple(expts)
 
 
 def parse_poly(ring: "GradedRing", text: str) -> Poly:
@@ -245,23 +262,9 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
     terms: dict[Monomial, object] = {}
     for sgn, chunk in chunks:
         coeff = field.one if sgn == "+" else field.neg(field.one)
-        expts = [0] * ring.nvars
-        for part in chunk.split("*"):
-            if not part:
-                raise ParseError(f"empty factor in {text!r}")
-            if _NUM_RE.match(part):
-                coeff = field.mul(coeff, field(part))
-                continue
-            mvar = _VAR_RE.match(part)
-            if not mvar:
-                raise ParseError(f"bad factor {part!r} in {text!r}")
-            name, exp = mvar.group(1), mvar.group(2)
-            if name not in var_index:
-                raise ParseError(
-                    f"unknown variable {name!r}; ring has {ring.variables}"
-                )
-            expts[var_index[name]] += 1 if exp is None else int(exp)
-        m = tuple(expts)
+        number, m = _parse_term(ring, var_index, chunk, text)
+        if number is not None:
+            coeff = field.mul(coeff, number)
         s = field.add(terms.get(m, field.zero), coeff)
         if field.is_zero(s):
             terms.pop(m, None)
@@ -399,18 +402,16 @@ class GradedRing:
         return tuple(kept)
 
     def _parse_monomial(self, text: str) -> Monomial:
-        # parse without J reduction: a relation generator is a bare monomial
-        compact = text.replace(" ", "")
-        expts = [0] * self.nvars
+        # parse without J reduction: a relation generator is a bare
+        # monomial, a term with no number in it
         var_index = {name: k for k, name in enumerate(self.variables)}
-        for part in compact.split("*"):
-            mvar = _VAR_RE.match(part)
-            if not mvar or mvar.group(1) not in var_index:
-                raise ParseError(f"bad monomial {text!r}")
-            expts[var_index[mvar.group(1)]] += (
-                1 if mvar.group(2) is None else int(mvar.group(2))
-            )
-        return tuple(expts)
+        try:
+            number, m = _parse_term(self, var_index, text.replace(" ", ""), text)
+            if number is None:
+                return m
+        except ParseError:
+            pass
+        raise ParseError(f"bad monomial {text!r}")
 
     # -- structure ---------------------------------------------------------
 

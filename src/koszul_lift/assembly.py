@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebra import GradedRing, PolyMatrix, block_matrix, matrix_to_json
 from .complexes import FreeComplex, is_minimal
@@ -54,9 +55,6 @@ class ProductComplex:
     @property
     def ring(self) -> GradedRing:
         return self.complex.ring
-
-    def window(self):
-        return self.complex.window
 
     def gen_tags(self, n: int):
         """Per-generator provenance: (subset, F position, F generator)."""
@@ -193,8 +191,7 @@ def _assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
             # homotopy part: signs (-1)**(m |alpha|) and the wedge sign
             rest = tuple(i for i in range(1, c + 1) if i not in beta)
             for asize in range(len(rest) + 1):
-                for alpha in subsets_of_size(len(rest), asize):
-                    alpha = tuple(rest[i - 1] for i in alpha)
+                for alpha in combinations(rest, asize):
                     t = family.map(alpha, m)
                     if t is None:
                         raise InvalidInputError(
@@ -297,16 +294,6 @@ class PositionRank:
 
 
 @dataclass
-class TransferReport:
-    dim_q: int
-    base_total: int
-    product_total: int
-    premise: bool  # base_total < 2**(dim_q - 1)
-    conclusion: bool  # product_total < 2**dim_q
-    ok: bool  # premise implies conclusion
-
-
-@dataclass
 class VandermondeReport:
     c: int
     d: int
@@ -322,7 +309,6 @@ class RankReport:
     per_position: list
     blockwise_ok: bool
     total: tuple | None  # (product total, 2^c * base total, ok)
-    transfer: TransferReport | None
     ok: bool
 
 
@@ -341,18 +327,15 @@ def vandermonde_identity(c: int, d: int, n: int) -> VandermondeReport:
     return VandermondeReport(c, d, n, terms, lhs, rhs, lhs == rhs)
 
 
-def rank_report(
-    P: ProductComplex,
-    cbar: FreeComplex | None = None,
-    dim_q: int | None = None,
-) -> RankReport:
+def rank_report(P: ProductComplex) -> RankReport:
     """Blockwise and total rank accounting for an assembly.
 
-    Every position must satisfy rank P_n = sum_i C(c,i) rank F_{n-i}; for
-    finite complexes the totals satisfy sum rank P = 2^c sum rank F.  When
-    ``dim_q`` is given (the ambient variable count) the total-rank transfer
-    bound is evaluated."""
-    ranks_from = cbar if cbar is not None else P.lift
+    Every rank of the input is read from ``P.lift``, which carries the
+    input's twists.  Every position must satisfy rank P_n = sum_i C(c,i)
+    rank F_{n-i}, and every block must have the rank of its F position;
+    for finite complexes the totals must satisfy sum rank P = 2^c sum
+    rank F."""
+    F = P.lift
     c = P.ring.c
     per = []
     blockwise_ok = True
@@ -360,42 +343,23 @@ def rank_report(
         actual = len(P.complex.twists[n])
         expected = 0
         for i in range(c + 1):
-            r = ranks_from.known_rank(n - i)
+            r = F.known_rank(n - i)
             if r is None:
                 raise InvalidInputError(f"rank undetermined at {n - i}")
             expected += math.comb(c, i) * r
         per.append(PositionRank(n, actual, expected, actual == expected))
         for blk in P.blocks[n]:
-            if blk.rank != ranks_from.known_rank(blk.f_position):
+            if blk.rank != F.known_rank(blk.f_position):
                 blockwise_ok = False
 
     total = None
-    transfer = None
     if P.complex.support == "finite":
-        base_total = sum(
-            ranks_from.known_rank(m) for m in ranks_from.positions()
-        )
+        base_total = sum(F.known_rank(m) for m in F.positions())
         product_total = sum(len(P.complex.twists[n]) for n in P.complex.positions())
         total = (product_total, (2**c) * base_total, product_total == (2**c) * base_total)
-        if dim_q is not None:
-            premise = base_total < 2 ** (dim_q - 1)
-            conclusion = product_total < 2**dim_q
-            transfer = TransferReport(
-                dim_q,
-                base_total,
-                product_total,
-                premise,
-                conclusion,
-                (not premise) or conclusion,
-            )
 
-    ok = (
-        all(p.ok for p in per)
-        and blockwise_ok
-        and (total is None or total[2])
-        and (transfer is None or transfer.ok)
-    )
-    return RankReport(per, blockwise_ok, total, transfer, ok)
+    ok = all(p.ok for p in per) and blockwise_ok and (total is None or total[2])
+    return RankReport(per, blockwise_ok, total, ok)
 
 
 # -- minimality and the degenerate shapes -------------------------------------------

@@ -198,11 +198,11 @@ def _cmd_assemble(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_input(ring, cbar, degree_bound, dim_q):
-    """The full battery; returns (checks, extras) where each check is a
-    dict with name/ok/detail."""
+def _verify_input(ring, cbar, degree_bound):
+    """The full battery; returns (checks, minimality report) where each
+    check is a dict with name/ok/detail.  The report is None when the input
+    is not a complex, as nothing is assembled then."""
     checks = []
-    extras = {}
 
     rep = check_complex(cbar)
     detail = "" if rep.ok else rep.first().detail
@@ -210,7 +210,7 @@ def _verify_input(ring, cbar, degree_bound, dim_q):
         {"name": "input complex structure", "ok": rep.ok, "detail": detail}
     )
     if not rep.ok:
-        return checks, extras
+        return checks, None
 
     reg = check_regular_up_to(ring, degree_bound)
     checks.append(
@@ -262,14 +262,13 @@ def _verify_input(ring, cbar, degree_bound, dim_q):
         }
     )
 
-    rr = rank_report(P, cbar, dim_q=dim_q)
+    rr = rank_report(P)
     rank_detail = f"{len(rr.per_position)} positions"
     if rr.total:
         rank_detail += f"; totals {rr.total[0]} = {rr.total[1]}"
     checks.append(
         {"name": "rank identities", "ok": rr.ok, "detail": rank_detail}
     )
-    extras["ranks"] = rr
 
     # minimize is a homotopy equivalence, which keeps graded homology only
     # between complexes: the homology is read once d^2 = 0 has passed
@@ -312,21 +311,15 @@ def _verify_input(ring, cbar, degree_bound, dim_q):
         }
     )
 
-    extras["minimality"] = minimality_and_lifting_report(P)
-    extras["product"] = P
-    extras["family"] = fam
-    return checks, extras
+    return checks, minimality_and_lifting_report(P)
 
 
 def _cmd_verify(args) -> int:
-    if args.dim_q is not None and args.dim_q < 0:
-        raise InvalidInputError(f"--dim-q must be >= 0, got {args.dim_q}")
     if args.seed is not None and not args.ring:
-        for flag, value in (("--complex", args.complex), ("--dim-q", args.dim_q)):
-            if value is not None:
-                raise ParseError(
-                    f"verify --seed makes its own inputs; {flag} needs --ring"
-                )
+        if args.complex is not None:
+            raise ParseError(
+                "verify --seed makes its own inputs; --complex needs --ring"
+            )
         return _cmd_verify_random(args)
     if not args.ring or not args.complex:
         raise ParseError("verify needs --ring and --complex (or --seed)")
@@ -337,22 +330,16 @@ def _cmd_verify(args) -> int:
                 f"the seeded suite, which runs without --ring"
             )
     ring = _load_ring(args.ring)
-    if args.dim_q is not None and args.dim_q > ring.nvars:
-        raise InvalidInputError(
-            f"--dim-q {args.dim_q} exceeds the ring's {ring.nvars} variables "
-            f"(Krull dim Q <= nvars)"
-        )
     cbar = _load_complex(ring, args.complex)
     if cbar.over != "R":
         raise ParseError("verify expects a complex over R")
-    checks, extras = _verify_input(ring, cbar, args.degree_bound, args.dim_q)
+    checks, mr = _verify_input(ring, cbar, args.degree_bound)
     lines = [
         f"ring: {_describe_ring(ring)}",
         f"complex: {_describe_complex(cbar)}",
         "",
     ]
     lines.extend(_check_line(c["name"], c["ok"], c["detail"]) for c in checks)
-    mr = extras.get("minimality")
     if mr:
         lines.append(
             "[INFO] assembly: "
@@ -386,7 +373,7 @@ def _cmd_verify_random(args) -> int:
         c = rng.randint(1, min(3, nvars))
         ring = random_regular_ring(rng, field, nvars, c)
         cbar = random_resolved_complex(rng, ring, rng.randint(2, 5))
-        checks, _ = _verify_input(ring, cbar, args.degree_bound, None)
+        checks, _ = _verify_input(ring, cbar, args.degree_bound)
         ok = all(check["ok"] for check in checks)
         if not ok:
             failures += 1
@@ -593,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--complex")
     p.add_argument("--degree-bound", type=int, default=8)
-    p.add_argument("--dim-q", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

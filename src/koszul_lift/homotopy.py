@@ -266,11 +266,10 @@ def verify_relation(H: HomotopyFamily, gamma) -> RelationReport:
     window determines; reports the first violating entry if any."""
     ring = H.ring
     gamma = validate_index(gamma, ring.c)
-    size = len(gamma)
-    if not (size <= H.level - 1 or (size == ring.c and H.level == ring.c)):
+    if gamma not in checkable_gammas(H):
         raise InvalidInputError(
-            f"relation at {gamma} needs level {size + 1} maps; family has "
-            f"level {H.level}"
+            f"relation at {gamma} needs level {len(gamma) + 1} maps; family "
+            f"has level {H.level}"
         )
     positions = []
     first = None

@@ -152,7 +152,7 @@ def test_criterion_2_differential_squares_to_zero_randomized():
         rep = check_complex(P.complex)
         if not rep.ok:
             failures.append(f"input {count}: {rep.first().detail}")
-        if not rank_report(P, cbar).ok:
+        if not rank_report(P).ok:
             failures.append(f"input {count}: rank identity")
         seen_c.add(c)
         count += 1
@@ -240,7 +240,7 @@ def test_criterion_4_rank_identities():
     # every assembly produced so far satisfies the per-position identity
     swept = 0
     for P, cbar in _PRODUCED:
-        if not rank_report(P, cbar).ok:
+        if not rank_report(P).ok:
             failures.append(f"rank identity fails on {P!r}")
         swept += 1
     if swept < 3:  # criteria 1-3 must have fed this sweep
@@ -255,7 +255,7 @@ def test_criterion_4_rank_identities():
             K = random_finite_complex(rng, ring, rng.randint(1, 2))
             F = lift_to_Q(K)
             P = assemble(F, solve_homotopies(F, c))
-            rep = rank_report(P, K)
+            rep = rank_report(P)
             if rep.total is None or not rep.total[2] or not rep.ok:
                 failures.append(f"finite c={c}: totals {rep.total}")
             finite_checked[c] += 1

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, graded pieces, parsing, and the graded solver."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -132,6 +133,10 @@ def test_parse_rejects_garbage():
     for text in bad:
         with pytest.raises(ParseError):
             parse_poly(PLAIN, text)
+    # a relation generator is a bare monomial in the ring's variables
+    for rel in ("2*x", "x*w"):
+        with pytest.raises(ParseError, match=re.escape(f"bad monomial {rel!r}")):
+            GradedRing(QQ, ["x", "y"], relations=[rel])
 
 
 def test_format_then_parse_random():

@@ -123,7 +123,7 @@ def test_homology_is_not_read_off_a_product_that_is_not_a_complex(monkeypatch):
     monkeypatch.setattr(cli, "assemble", assemble_with_a_wrong_entry)
     monkeypatch.setattr(cli, "minimize", no_minimize)
     ring = cli._load_ring(RING)
-    checks, _ = cli._verify_input(ring, cli._load_complex(ring, COMPLEX), 8, None)
+    checks, _ = cli._verify_input(ring, cli._load_complex(ring, COMPLEX), 8)
     by_name = {c["name"]: c for c in checks}
     assert not by_name["product differential squares to zero"]["ok"]
     assert by_name["homology agreement up to degree 8"] == {
@@ -133,22 +133,42 @@ def test_homology_is_not_read_off_a_product_that_is_not_a_complex(monkeypatch):
     }
 
 
-def _finite_input(tmp_path):
-    # R/(x) over R = Q[x,y]/(y^2), support finite: the product reaches
-    # position 2, past the input's window, where the input is known to be 0
-    ring = {"field": "Q", "variables": ["x", "y"], "relations": [], "sequence": ["y^2"]}
+def _finite_input(tmp_path, variables=("x", "y"), sequence=("y^2",), entry="x"):
+    # R --entry--> R, support finite; by default R/(x) over R = Q[x,y]/(y^2),
+    # whose product reaches position 2, past the input's window, where the
+    # input is known to be 0
+    ring = {
+        "field": "Q",
+        "variables": list(variables),
+        "relations": [],
+        "sequence": list(sequence),
+    }
     cpx = {
         "over": "R",
         "window": [0, 1],
         "support": "finite",
         "twists": {"0": [0], "1": [1]},
-        "diffs": {"1": [["x"]]},
+        "diffs": {"1": [[entry]]},
     }
     rp = tmp_path / "ring.json"
     cp = tmp_path / "cpx.json"
     rp.write_text(json.dumps(ring))
     cp.write_text(json.dumps(cpx))
     return str(rp), str(cp)
+
+
+def test_finite_codim2_input_passes_the_rank_row(tmp_path):
+    # R --z--> R over R = Q[x,y,z]/(x^2, y^2): the finite product has total
+    # rank 2^2 * 2 = 8, and the rank row reads it off the product alone
+    ring, cpx = _finite_input(tmp_path, ["x", "y", "z"], ["x^2", "y^2"], "z")
+    out = run_cli("verify", "--ring", ring, "--complex", cpx)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "[PASS] rank identities: 4 positions; totals 8 = 8\n" in out.stdout
+    assert out.stdout.endswith("result: PASS (8/8)\n")
+    out = run_cli("verify", "--ring", ring, "--complex", cpx, "--dim-q", "3")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "unrecognized arguments" in out.stderr
 
 
 def test_verify_checks_exactness_past_a_finite_input(tmp_path):
@@ -199,9 +219,7 @@ def test_seeded_suite_needs_a_positive_count(count):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--dim-q", "2"), ("--complex", "/nonexistent.json")]
-)
+@pytest.mark.parametrize("flag, value", [("--complex", "/nonexistent.json")])
 def test_seeded_suite_rejects_file_input_flags(flag, value):
     # the seeded suite makes its own inputs: a flag it would ignore is an error
     out = run_cli("verify", "--seed", "1", "--count", "2", flag, value)
@@ -329,21 +347,15 @@ def test_malformed_input_is_exit_2(tmp_path):
             assert out.returncode == 2, (top, args)
             assert out.stderr == f"error: {what} JSON must be an object\n", (top, args)
 
-    # --dim-q is the variable count of the ambient ring: negative, or above
-    # the ring's own count (Krull dim Q <= nvars), it exits 2
+    # the rank row takes every rank from the product: --dim-q is no option
     for args in (
-        ("--ring", RING, "--complex", COMPLEX, "--dim-q", "-1"),
-        ("--ring", RING, "--complex", COMPLEX, "--dim-q", "3"),
+        ("--ring", RING, "--complex", COMPLEX, "--dim-q", "2"),
         ("--seed", "1", "--count", "1", "--dim-q", "-1"),
     ):
         out = run_cli("verify", *args)
         assert out.returncode == 2, args
         assert out.stdout == ""
-        assert out.stderr.startswith("error: --dim-q"), args
-    for dim_q in ("0", "1", "2"):
-        out = run_cli("verify", "--ring", RING, "--complex", COMPLEX, "--dim-q", dim_q)
-        assert out.returncode == 0, (dim_q, out.stderr)
-        assert "result: PASS (8/8)" in out.stdout
+        assert "unrecognized arguments: --dim-q" in out.stderr, args
 
     # "lift" must be a JSON boolean: the string "no" is not read as true
     for flag in ("no", 0, None):
