@@ -14,7 +14,6 @@ the submodules (``koszul_lift.algebra``, ``koszul_lift.complexes``, ...).
 from .algebra import GradedRing, PolyMatrix
 from .assembly import (
     assemble,
-    assemble_codim1,
     epsilon_C,
     minimality_and_lifting_report,
     rank_report,
@@ -33,7 +32,6 @@ from .errors import (
     KoszulLiftError,
     LevelTooLowError,
     ParseError,
-    WrongCodimensionError,
 )
 from .fields import GF, QQ
 from .homotopy import eisenbud_operator_checks, solve_homotopies
@@ -55,9 +53,7 @@ __all__ = [
     "PolyMatrix",
     "Presentation",
     "QQ",
-    "WrongCodimensionError",
     "assemble",
-    "assemble_codim1",
     "backend_name",
     "check_complex",
     "check_regular_up_to",

@@ -26,11 +26,7 @@ from itertools import combinations
 
 from .algebra import GradedRing, PolyMatrix, block_matrix, matrix_to_json
 from .complexes import FreeComplex, is_minimal
-from .errors import (
-    InvalidInputError,
-    LevelTooLowError,
-    WrongCodimensionError,
-)
+from .errors import InvalidInputError, LevelTooLowError
 from .homotopy import HomotopyFamily
 from .koszul import koszul_differential, subsets_of_size, wedge
 
@@ -113,39 +109,6 @@ def assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
             f"assembly needs homotopies up to level {c}; family has level "
             f"{family.level}"
         )
-    return _assemble(F, family)
-
-
-def assemble_codim1(F: FreeComplex, t_e) -> ProductComplex:
-    """Codimension one, with the single homotopy t^{e_1} supplied directly
-    as a mapping position -> matrix.  After checking c = 1 and the shapes it
-    runs the general assembler."""
-    ring = F.ring
-    if ring.c != 1:
-        raise WrongCodimensionError(
-            f"codimension-one assembly requires c = 1, got c = {ring.c}"
-        )
-    maps = {}
-    for n, mat in dict(t_e).items():
-        n = int(n)
-        tgt = F.known_rank(n - 2)
-        src = F.known_rank(n)
-        if tgt is None or src is None:
-            raise InvalidInputError(f"t_e at position {n} is outside the window")
-        if (mat.nrows, mat.ncols) != (tgt, src):
-            raise InvalidInputError(
-                f"t_e at {n} is {mat.nrows}x{mat.ncols}, expected {tgt}x{src}"
-            )
-        maps[n] = mat.map_entries(ring.normal_form)
-    family = HomotopyFamily(F, 1, {(1,): maps})
-    return _assemble(F, family)
-
-
-def _assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
-    ring = F.ring
-    c = ring.c
-    if F.over != "Q":
-        raise InvalidInputError("assemble expects a lift over Q")
     plo, phi = _product_window(F, c)
     blocks = {n: _blocks_for(F, c, n) for n in range(plo, phi + 1)}
 

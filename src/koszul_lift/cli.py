@@ -527,7 +527,7 @@ def _cmd_vandermonde(args) -> int:
     rep = vandermonde_identity(args.c, args.d, args.n)
     text = (
         f"sum_i C({rep.c},i)*C({rep.d - rep.c},{rep.n}-i) = "
-        f"{' + '.join(str(t) for t in rep.terms)} = {rep.lhs}; "
+        f"{' + '.join(str(t) for t in rep.terms) or '0'} = {rep.lhs}; "
         f"C({rep.d},{rep.n}) = {rep.rhs}: {'PASS' if rep.ok else 'FAIL'}"
     )
     payload = {

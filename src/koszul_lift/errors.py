@@ -18,10 +18,6 @@ class LevelTooLowError(KoszulLiftError):
     """A homotopy family of insufficient level was passed to assembly."""
 
 
-class WrongCodimensionError(KoszulLiftError):
-    """The codimension-one fast path was invoked with c != 1."""
-
-
 class DegreeBoundTooLowError(KoszulLiftError):
     """Syzygy search hit the internal degree bound while new generators
     were still appearing; raise the bound and retry."""

@@ -49,12 +49,36 @@ class HomotopyFamily:
     1 <= |alpha| <= level; t^{()} is read off the base complex."""
 
     def __init__(self, base: FreeComplex, level: int, maps):
+        """Raises InvalidInputError unless the level lies in 0..c, every key
+        is a nonempty subset of {1..c} no larger than the level, and every
+        map has the shape the window determines at its position."""
         if base.over != "Q":
             raise InvalidInputError("homotopies live on a complex over Q")
         self.base = base
         self.ring = base.ring
         self.level = int(level)
-        self.maps = {tuple(a): dict(pos) for a, pos in maps.items()}
+        c = self.ring.c
+        if not 0 <= self.level <= c:
+            raise InvalidInputError(f"homotopy level must lie in 0..{c}, got {level}")
+        self.maps = {}
+        for key, positions in maps.items():
+            alpha = validate_index(key, c)
+            if not 0 < len(alpha) <= self.level:
+                raise InvalidInputError(
+                    f"index {alpha} is not a nonempty subset of size at most "
+                    f"level {self.level}"
+                )
+            for n, mat in positions.items():
+                src = base.known_rank(n)
+                tgt = base.known_rank(n - len(alpha) - 1)
+                if src is None or tgt is None:
+                    raise InvalidInputError(f"t^{alpha} at {n} is outside the window")
+                if (mat.nrows, mat.ncols) != (tgt, src):
+                    raise InvalidInputError(
+                        f"t^{alpha} at {n} is {mat.nrows}x{mat.ncols}, "
+                        f"expected {tgt}x{src}"
+                    )
+            self.maps[alpha] = dict(positions)
 
     def map(self, alpha, n: int):
         """t^alpha at position n; implied zero matrices where a rank
@@ -94,18 +118,13 @@ class HomotopyFamily:
         if not isinstance(raw, dict):
             raise ParseError("homotopy family JSON needs a maps object")
         level = json_int(data.get("level", 0), "homotopy level")
-        if not 0 <= level <= ring.c:
-            raise ParseError(f"homotopy level must lie in 0..{ring.c}, got {level}")
         maps = {}
         for key, positions in raw.items():
             try:
-                alpha = index_from_json(json.loads(key), ring.c)
+                # null, the zero index, is no subset either
+                alpha = index_from_json(json.loads(key), ring.c) or ()
             except (ValueError, InvalidInputError) as exc:
                 raise ParseError(f"bad index key {key!r}: {exc}") from exc
-            if not alpha:
-                raise ParseError(f"index key {key!r} is not a nonempty subset")
-            if len(alpha) > level:
-                raise ParseError(f"index key {key!r} lies above level {level}")
             if not isinstance(positions, dict):
                 raise ParseError(f"maps of {key} must be an object")
             per = {}
@@ -117,7 +136,10 @@ class HomotopyFamily:
                     raise ParseError(f"map {key} at {n} outside the window")
                 per[n] = matrix_from_json(ring, rows, tgt, src, f"map {key} at {n}")
             maps[alpha] = per
-        return cls(base, level, maps)
+        try:
+            return cls(base, level, maps)
+        except InvalidInputError as exc:
+            raise ParseError(str(exc)) from exc
 
 
 def pair_sum(H: HomotopyFamily, gamma, n: int):
@@ -301,67 +323,41 @@ class EisenbudReport:
 
 
 def eisenbud_operator_checks(H: HomotopyFamily) -> EisenbudReport:
-    """Structural facts about the degree-2 operators t^{e_i} after reduction
-    mod (f): each is a chain map, and each commutator [t^{e_i}, t^{e_j}]
-    equals -(d h + h d) with h = t^{e_i e_j}.  Both are consequences of the
-    defining relations; this check recomputes them directly from the stored
-    matrices and ideal membership."""
+    """Eisenbud's operators are the level-one maps t^{e_i}.  Modulo (f) each
+    is a chain map, and each commutator [t^{e_i}, t^{e_j}] is null-homotopic
+    through h = t^{e_i e_j}.  These are the pair sums of the defining
+    relation at gamma = (i,) and (i, j): d t^{e_i} - t^{e_i} d, and
+    [t^{e_i}, t^{e_j}] + d h + h d.  The relation puts both in (f); this
+    check tests every entry by ideal membership."""
     ring = H.ring
     c = ring.c
     if H.level < 1 and c >= 1:
         raise InvalidInputError("chain-map checks need a level >= 1 family")
     if H.level < 2 and c >= 2:
         raise InvalidInputError("commutator checks need a level >= 2 family")
-    F = H.base
 
-    def in_f(mat: PolyMatrix):
-        for i, j, p in mat.nonzeros():
-            if not ring.in_sequence_ideal(p):
-                return (i, j)
-        return None
-
-    def check(residual) -> CheckItem:
-        """Every position where ``residual(n)`` is determined, and the first
-        (position, row, col) whose entry lies outside (f)."""
+    def check(gamma) -> CheckItem:
+        """Every position where the pair sum at gamma is determined, and the
+        first (position, row, col) whose entry lies outside (f)."""
         positions, first = [], None
-        for n in F.positions():
-            resid = residual(n)
+        for n in H.base.positions():
+            resid = pair_sum(H, gamma, n)
             if resid is None:
                 continue
             positions.append(n)
-            bad = in_f(resid) if first is None else None
-            if bad is not None:
-                first = (n,) + bad
+            if first is None:
+                first = next(
+                    (
+                        (n, i, j)
+                        for i, j, p in resid.nonzeros()
+                        if not ring.in_sequence_ideal(p)
+                    ),
+                    None,
+                )
         return CheckItem(first is None, positions, first)
 
-    def chain_map(i, n):
-        """d t^{e_i} - t^{e_i} d at position n."""
-        t_n, t_prev = H.map((i,), n), H.map((i,), n - 1)
-        d_n, d_tgt = F.differential(n), F.differential(n - 2)
-        if None in (t_n, t_prev, d_n, d_tgt):
-            return None
-        return d_tgt.mul(t_n, ring).sub(t_prev.mul(d_n, ring))
-
-    def commutator(i, j, n):
-        """[t^{e_i}, t^{e_j}] + d h + h d at position n."""
-        ti_n, ti_hi = H.map((i,), n), H.map((i,), n - 2)
-        tj_n, tj_hi = H.map((j,), n), H.map((j,), n - 2)
-        h_n, h_prev = H.map((i, j), n), H.map((i, j), n - 1)
-        d_n, d_tgt = F.differential(n), F.differential(n - 3)
-        if None in (ti_hi, tj_n, tj_hi, ti_n, h_n, h_prev, d_n, d_tgt):
-            return None
-        return (
-            ti_hi.mul(tj_n, ring)
-            .sub(tj_hi.mul(ti_n, ring))
-            .add(h_prev.mul(d_n, ring))
-            .add(d_tgt.mul(h_n, ring))
-        )
-
-    chain = {i: check(lambda n: chain_map(i, n)) for i in range(1, c + 1)}
-    comms = {
-        (i, j): check(lambda n: commutator(i, j, n))
-        for i, j in combinations(range(1, c + 1), 2)
-    }
+    chain = {i: check((i,)) for i in range(1, c + 1)}
+    comms = {pair: check(pair) for pair in combinations(range(1, c + 1), 2)}
     ok = all(item.ok for item in chain.values()) and all(
         item.ok for item in comms.values()
     )

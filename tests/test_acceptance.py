@@ -14,7 +14,6 @@ from random import Random
 
 from koszul_lift.assembly import (
     assemble,
-    assemble_codim1,
     epsilon_C,
     minimality_and_lifting_report,
     permute_matrix,
@@ -108,7 +107,7 @@ def test_criterion_1_golden_worked_example():
     if _strs(t[0]) != [["0"], ["-x"]]:
         failures.append(f"t at 0: {_strs(t[0])}")
 
-    P = assemble_codim1(F, t)
+    P = assemble(F, fam)
     _PRODUCED.append((P, cbar))
     for n, rows in expected["product_displayed"].items():
         got = _displayed(P, int(n))

@@ -11,7 +11,6 @@ from koszul_lift.algebra import GradedRing, PolyMatrix
 from koszul_lift.assembly import (
     ProductComplex,
     assemble,
-    assemble_codim1,
     epsilon_C,
     minimality_and_lifting_report,
     permute_matrix,
@@ -34,11 +33,7 @@ from koszul_lift.complexes import (
     minimize,
     reduce_to_R,
 )
-from koszul_lift.errors import (
-    InvalidInputError,
-    LevelTooLowError,
-    WrongCodimensionError,
-)
+from koszul_lift.errors import InvalidInputError, LevelTooLowError
 from koszul_lift.fields import GF, QQ
 from koszul_lift.homotopy import HomotopyFamily, solve_homotopies
 from koszul_lift.koszul import koszul_complex
@@ -72,12 +67,11 @@ def _displayed(P, n):
 def _golden_product():
     _, cbar, expected = paper_5_2()
     F = lift_to_Q(cbar)
-    fam = solve_homotopies(F, 1)
-    return cbar, F, fam, assemble_codim1(F, fam.maps[(1,)]), expected
+    return cbar, assemble(F, solve_homotopies(F, 1)), expected
 
 
 def test_golden_displayed_matrices():
-    cbar, _, _, P, expected = _golden_product()
+    cbar, P, expected = _golden_product()
     assert P.complex.window == (-1, 2)
     for n, rows in expected["product_displayed"].items():
         assert _displayed(P, int(n)) == rows
@@ -88,7 +82,7 @@ def test_golden_displayed_matrices():
 
 
 def test_golden_epsilon():
-    cbar, _, _, P, expected = _golden_product()
+    cbar, P, expected = _golden_product()
     eps = epsilon_C(P, cbar)
     assert eps.ok and eps.first_failure is None
     for n, rows in expected["epsilon_displayed"].items():
@@ -110,29 +104,12 @@ def test_golden_epsilon():
 
 
 def test_golden_squares_to_zero_and_ranks():
-    cbar, _, _, P, _ = _golden_product()
+    cbar, P, _ = _golden_product()
     assert check_complex(P.complex).ok
     rep = rank_report(P)
     assert rep.ok and rep.blockwise_ok
     got = {p.position: p.actual for p in rep.per_position}
     assert got == {-1: 3, 0: 2, 1: 3, 2: 5}
-
-
-def test_codim1_path_matches_general_assembler():
-    cbar, F, fam, P1, _ = _golden_product()
-    P2 = assemble(F, fam)
-    assert P1.complex == P2.complex
-    assert P1.blocks == P2.blocks
-
-
-def test_assemble_codim1_wrong_codimension():
-    rng = Random(501)
-    ring = random_regular_ring(rng, QQ, 2, 2)
-    cbar = random_resolved_complex(rng, ring, 3)
-    F = lift_to_Q(cbar)
-    fam = solve_homotopies(F, 2)
-    with pytest.raises(WrongCodimensionError):
-        assemble_codim1(F, fam.maps[(1,)])
 
 
 def test_assemble_level_too_low():
@@ -184,7 +161,7 @@ def test_randomized_assemblies_square_to_zero():
 
 
 def test_block_bookkeeping():
-    cbar, _, _, P, _ = _golden_product()
+    cbar, P, _ = _golden_product()
     for n in P.complex.positions():
         offset = 0
         for blk in P.blocks[n]:
@@ -215,7 +192,7 @@ def test_product_twists_follow_blocks():
 
 
 def test_homology_preservation_on_golden():
-    cbar, _, _, P, _ = _golden_product()
+    cbar, P, _ = _golden_product()
     hp = homology_dims(P.complex, [0, 1], 8)
     hc = homology_dims(cbar, [0, 1], 8)
     # the two sides enumerate degrees from their own lowest twist; compare
@@ -253,7 +230,7 @@ def test_finite_total_rank_factor():
 
 
 def test_transfer_bound_report():
-    cbar, _, _, P, _ = _golden_product()
+    cbar, P, _ = _golden_product()
     # window support: no totals; use a finite input instead
     assert rank_report(P).total is None
     ring, G = lifted_koszul_pair()
@@ -332,7 +309,7 @@ def test_matrix_factorization_verdict_reads_the_nonzeros():
 
 
 def test_epsilon_reports_the_row_major_first_failure():
-    cbar, _, _, P, _ = _golden_product()
+    cbar, P, _ = _golden_product()
     ring = P.ring
     # two entries of d_1 of cbar that are not in (f): the residual of the
     # square at position 1 fails in row 0 at the columns of both, and the
@@ -363,7 +340,7 @@ def test_koszul_complex_assembles_over_itself():
 
 
 def test_render_differential_smoke():
-    _, _, _, P, _ = _golden_product()
+    _, P, _ = _golden_product()
     text = render_differential(P, 2)
     assert "d_2" in text and "|" in text and "-y^2" in text
 

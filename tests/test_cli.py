@@ -544,6 +544,11 @@ def test_vandermonde_command():
     out = run_cli("vandermonde", "2", "7", "4")
     assert out.returncode == 0
     assert "= 35; C(7,4) = 35: PASS" in out.stdout
+    # no term of the sum is in range: the empty sum reads 0
+    for n in ("-1", "5"):
+        out = run_cli("vandermonde", "2", "3", n)
+        assert out.returncode == 0
+        assert f"sum_i C(2,i)*C(1,{n}-i) = 0 = 0; C(3,{n}) = 0: PASS" in out.stdout
 
 
 def test_usage_error_is_exit_2():

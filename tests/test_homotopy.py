@@ -267,6 +267,25 @@ def test_family_json_rejects_malformed_input(change):
         HomotopyFamily.from_json_dict(F, data)
 
 
+@pytest.mark.parametrize(
+    "level, maps",
+    [
+        # the window gives t^{e_1} at 2 the shape 1x3
+        (1, lambda F, t: {(1,): {**t, 2: PolyMatrix.zeros(F.ring, 2, 2)}}),
+        (5, lambda F, t: {(1,): t}),  # outside 0..c
+        (1, lambda F, t: {(1,): t, (2,): t}),  # outside 1..c
+        (0, lambda F, t: {(1,): t}),  # a [1] map above the level
+    ],
+    ids=["shape", "level", "key", "key-above-level"],
+)
+def test_family_constructor_rejects_bad_levels_keys_and_shapes(level, maps):
+    _, cbar, _ = paper_5_2()
+    F = lift_to_Q(cbar)
+    t = solve_homotopies(F, 1).maps[(1,)]
+    with pytest.raises(InvalidInputError):
+        HomotopyFamily(F, level, maps(F, t))
+
+
 def _perturbed(fam, alpha, n, r, s, p):
     """The family with p added to entry (r, s) of t^alpha at position n."""
     maps = {a: dict(pos) for a, pos in fam.maps.items()}

@@ -1,5 +1,6 @@
 """The package's public surface: the README's "Library entry points" block
-imports exactly ``koszul_lift.__all__`` and runs as written."""
+imports exactly ``koszul_lift.__all__`` and runs as written, and the error
+list after it names exactly the exported ``KoszulLiftError`` subclasses."""
 
 import ast
 import re
@@ -28,3 +29,17 @@ def test_readme_entry_points_are_the_exported_names():
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
     assert all(namespace[name] is getattr(koszul_lift, name) for name in imported)
+
+
+def test_readme_error_list_is_the_exported_subclasses():
+    section = README.read_text().split("## Library entry points", 1)[1]
+    listed = re.search(r"subclass of\s+`KoszulLiftError`\s+\((.*?)\)", section, re.S)
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(names) == len(set(names))
+    exported = {
+        name
+        for name in koszul_lift.__all__
+        if isinstance(getattr(koszul_lift, name), type)
+        and issubclass(getattr(koszul_lift, name), koszul_lift.KoszulLiftError)
+    }
+    assert set(names) == exported - {"KoszulLiftError"}
