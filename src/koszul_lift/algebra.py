@@ -667,11 +667,6 @@ class PolyMatrix:
         )
 
     @staticmethod
-    def identity(ring: GradedRing, n: int) -> "PolyMatrix":
-        one = ring.one
-        return PolyMatrix._from_sparse(n, n, [{i: one} for i in range(n)], ring.zero)
-
-    @staticmethod
     def from_rows(rows, ncols=None) -> "PolyMatrix":
         rows = [list(r) for r in rows]
         if rows:
@@ -810,36 +805,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
-
-
-def block_matrix(
-    ring: GradedRing,
-    row_sizes: list[int],
-    col_sizes: list[int],
-    blocks: Mapping[tuple[int, int], PolyMatrix],
-) -> PolyMatrix:
-    """Assemble a matrix from a sparse grid of blocks; absent blocks are 0."""
-    nrows = sum(row_sizes)
-    ncols = sum(col_sizes)
-    out = [{} for _ in range(nrows)]
-    row_offsets = [0]
-    for s in row_sizes:
-        row_offsets.append(row_offsets[-1] + s)
-    col_offsets = [0]
-    for s in col_sizes:
-        col_offsets.append(col_offsets[-1] + s)
-    for (bi, bj), blk in blocks.items():
-        if blk.nrows != row_sizes[bi] or blk.ncols != col_sizes[bj]:
-            raise ValueError(
-                f"block ({bi},{bj}) is {blk.nrows}x{blk.ncols}, expected "
-                f"{row_sizes[bi]}x{col_sizes[bj]}"
-            )
-        r0, c0 = row_offsets[bi], col_offsets[bj]
-        for i, row in enumerate(blk._rows):
-            target = out[r0 + i]
-            for j, p in row.items():
-                target[c0 + j] = p
-    return PolyMatrix._from_sparse(nrows, ncols, out, ring.zero)
 
 
 # -- graded coordinates ----------------------------------------------------------

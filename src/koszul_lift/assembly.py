@@ -16,6 +16,10 @@ Generators at each position are ordered block by block: |beta| ascending,
 subsets in sorted order, then the F generators in their own order.  Blocks
 of rank zero are dropped.  ``blocks`` and ``gen_tags`` expose the
 provenance of every generator.
+
+Each differential is written as sparse rows at the blocks' offsets: a
+Koszul term +-f_i lands on its block's diagonal, and each homotopy map's
+nonzeros are copied into its block.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import GradedRing, PolyMatrix, block_matrix, matrix_to_json
+from .algebra import GradedRing, PolyMatrix, matrix_to_json
 from .complexes import FreeComplex, is_minimal
 from .errors import InvalidInputError, LevelTooLowError
 from .homotopy import HomotopyFamily
@@ -123,34 +127,17 @@ def assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
 
     diffs = {}
     for n in range(plo + 1, phi + 1):
-        src_blocks = blocks[n]
-        tgt_blocks = blocks[n - 1]
-        tgt_index = {(b.subset, b.f_position): k for k, b in enumerate(tgt_blocks)}
-        grid = {}
-
-        def put(tkey, sidx, mat):
-            tidx = tgt_index.get(tkey)
-            if tidx is None:
-                if not mat.is_zero():
-                    raise InvalidInputError(
-                        f"assembly hit a missing target block {tkey} at {n}"
-                    )
-                return
-            if (tidx, sidx) in grid:
-                raise AssertionError("block written twice")
-            grid[(tidx, sidx)] = mat
-
-        for sidx, sblk in enumerate(src_blocks):
-            beta, m = sblk.subset, sblk.f_position
-            # Koszul part: (-1)**m x tensor dK(e_beta)
+        offsets = {(b.subset, b.f_position): b.offset for b in blocks[n - 1]}
+        rows = [{} for _ in twists[n - 1]]
+        for sblk in blocks[n]:
+            beta, m, s0 = sblk.subset, sblk.f_position, sblk.offset
+            # Koszul part: (-1)**m x tensor dK(e_beta), on the block diagonal
             for gamma, coeff in koszul_differential(ring, beta):
                 if m % 2:
                     coeff = -coeff
-                put(
-                    (gamma, m),
-                    sidx,
-                    PolyMatrix.identity(ring, sblk.rank).scale_poly(coeff, ring),
-                )
+                t0 = offsets[(gamma, m)]
+                for g in range(sblk.rank):
+                    rows[t0 + g][s0 + g] = coeff
             # homotopy part: signs (-1)**(m |alpha|) and the wedge sign
             rest = tuple(i for i in range(1, c + 1) if i not in beta)
             for asize in range(len(rest) + 1):
@@ -160,22 +147,16 @@ def assemble(F: FreeComplex, family: HomotopyFamily) -> ProductComplex:
                         raise InvalidInputError(
                             f"family does not determine t^{alpha} at {m}"
                         )
-                    if t.nrows == 0:
+                    if t.is_zero():
                         continue
                     gamma, sign = wedge(alpha, beta)
                     if (m * asize) % 2:
                         sign = -sign
-                    put(
-                        (gamma, m - asize - 1),
-                        sidx,
-                        t if sign > 0 else t.neg(),
-                    )
-        diffs[n] = block_matrix(
-            ring,
-            [b.rank for b in tgt_blocks],
-            [b.rank for b in src_blocks],
-            grid,
-        )
+                    # a nonzero map has a nonzero target rank, hence a block
+                    t0 = offsets[(gamma, m - asize - 1)]
+                    for i, j, p in t.nonzeros():
+                        rows[t0 + i][s0 + j] = p if sign > 0 else -p
+        diffs[n] = PolyMatrix._from_sparse(len(rows), len(twists[n]), rows, ring.zero)
 
     product = FreeComplex(
         ring,

@@ -91,7 +91,7 @@ def _describe_ring(ring: GradedRing) -> str:
         "Q" if ring.field.char == 0 else f"F_{ring.field.char}"
     )
     rel = ", ".join(ring.format_monomial(m) for m in ring.relations) or "0"
-    seq = ", ".join(str(f) for f in ring.sequence) or "(empty)"
+    seq = ", ".join(str(f) for f in ring.sequence)
     return (
         f"k = {field}; P = k[{', '.join(ring.variables)}]; J = ({rel}); "
         f"f = ({seq})"
@@ -303,6 +303,8 @@ def _verify_input(ring, cbar, degree_bound):
             hom_detail = f"stray homology beyond the input window: {stray[0]}"
         elif shared:
             hom_detail = f"positions {shared}, degrees <= {degree_bound}"
+        else:
+            hom_detail = "no interior position in common"
     checks.append(
         {
             "name": f"homology agreement up to degree {degree_bound}",

@@ -11,7 +11,6 @@ from koszul_lift.algebra import (
     GradedRing,
     Poly,
     PolyMatrix,
-    block_matrix,
     coords_to_columns,
     graded_columns,
     graded_matrix_rows,
@@ -511,7 +510,7 @@ def test_poly_matrix_ops():
     a = PolyMatrix.from_rows(
         [[RING.parse("x"), RING.parse("y")], [RING.zero, RING.parse("x*y")]]
     )
-    b = PolyMatrix.identity(RING, 2)
+    b = PolyMatrix.from_rows([[RING.one, RING.zero], [RING.zero, RING.one]])
     assert a.mul(b, RING) == a
     assert b.mul(a, RING) == a
     assert a.sub(a).is_zero()
@@ -611,19 +610,6 @@ def test_poly_matrix_mul_associative_random():
         empty_cols.mul(m, RING)
 
 
-def test_block_matrix_layout():
-    x, y = RING.parse("x"), RING.parse("y")
-    blocks = {
-        (0, 0): PolyMatrix.from_rows([[x]]),
-        (1, 1): PolyMatrix.from_rows([[y, y], [x, x]]),
-    }
-    m = block_matrix(RING, [1, 2], [1, 2], blocks)
-    assert m.nrows == 3 and m.ncols == 3
-    assert m.entry(0, 0) == x
-    assert m.entry(1, 0).is_zero() and m.entry(0, 1).is_zero()
-    assert m.entry(1, 1) == y and m.entry(2, 2) == x
-
-
 def _random_grid(rng, nrows, ncols, against=None):
     """A dense grid of polynomials over RING, about half of them zero.  With
     ``against`` (a grid of the same shape) some cells are its negatives, so
@@ -708,27 +694,10 @@ def test_sparse_ops_match_dense_reference():
             ],
         )
 
-        # a block grid with absent blocks and zero-size blocks
-        row_sizes = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
-        col_sizes = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
-        big = [[RING.zero] * sum(col_sizes) for _ in range(sum(row_sizes))]
-        blocks = {}
-        for bi, h in enumerate(row_sizes):
-            for bj, w in enumerate(col_sizes):
-                if rng.random() < 0.5:
-                    continue
-                grid = _random_grid(rng, h, w)
-                blocks[bi, bj] = PolyMatrix(h, w, grid)
-                r0, c0 = sum(row_sizes[:bi]), sum(col_sizes[:bj])
-                for i in range(h):
-                    big[r0 + i][c0 : c0 + w] = grid[i]
-        _assert_matches_grid(block_matrix(RING, row_sizes, col_sizes, blocks), big)
-
     zero = PolyMatrix.zeros(RING, 2, 3)
     _assert_matches_grid(zero, [[RING.zero] * 3 for _ in range(2)])
-    _assert_matches_grid(
-        PolyMatrix.identity(RING, 2), [[RING.one, RING.zero], [RING.zero, RING.one]]
-    )
+    eye = [[RING.one, RING.zero], [RING.zero, RING.one]]
+    _assert_matches_grid(PolyMatrix.from_rows(eye), eye)
     assert zero != PolyMatrix.zeros(RING, 3, 2)
 
 

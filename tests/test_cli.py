@@ -181,6 +181,41 @@ def test_verify_checks_exactness_past_a_finite_input(tmp_path):
     )
 
 
+def test_homology_row_says_when_no_position_is_compared(tmp_path):
+    # a window complex on [0, 2] has the one interior position 1, and its
+    # codimension-one product the window [1, 2], with none: the row passes
+    # but says that nothing was compared
+    ring = {"field": "Q", "variables": ["x", "y"], "relations": [], "sequence": ["x^2"]}
+    cpx = {
+        "over": "R",
+        "window": [0, 2],
+        "support": "window",
+        "twists": {"0": [0], "1": [1], "2": [2]},
+        "diffs": {"1": [["x"]], "2": [["x"]]},
+    }
+    rp = tmp_path / "ring.json"
+    cp = tmp_path / "cpx.json"
+    rp.write_text(json.dumps(ring))
+    cp.write_text(json.dumps(cpx))
+    out = run_cli("verify", "--ring", str(rp), "--complex", str(cp))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert (
+        "[PASS] homology agreement up to degree 8: no interior position in common\n"
+        in out.stdout
+    )
+    out = run_cli("verify", "--ring", str(rp), "--complex", str(cp), "--format", "json")
+    row = json.loads(out.stdout)["checks"][-1]
+    assert row["detail"] == "no interior position in common"
+
+
+def test_empty_sequence_is_described_as_empty(tmp_path):
+    ring, cpx = _finite_input(tmp_path, sequence=())
+    for command in ("lift", "assemble", "verify"):
+        out = run_cli(command, "--ring", ring, "--complex", cpx)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.startswith("ring: k = Q; P = k[x, y]; J = (0); f = ()\n")
+
+
 def test_stray_homology_past_a_finite_input_fails(tmp_path, monkeypatch, capsys):
     # one homology pass over the product covers the shared positions and
     # those past the input; a mismatch is reported before stray homology
@@ -500,7 +535,9 @@ def test_resolve_json_golden(name, length, bound):
 
 
 @pytest.mark.parametrize("command", ["lift", "assemble", "verify"])
-@pytest.mark.parametrize("name, length", [("residue", 5), ("mixed", 4)])
+@pytest.mark.parametrize(
+    "name, length", [("residue", 5), ("mixed", 4), ("generic", 4)]
+)
 def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
     # lift and assemble compose matrices with PolyMatrix.mul: every homotopy
     # and every product block is pinned, not only that the checks pass.
