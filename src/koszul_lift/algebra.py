@@ -21,6 +21,15 @@ module map's k-matrix on degree-d pieces as sparse columns {row: nonzero};
 eliminations that still take list rows, ``linalg.rank`` in
 ``homology_dims`` and ``linalg.rref`` in ``solve_graded_linear``.
 
+``graded_columns`` and ``quotient_matrix_rows`` read multiplication by a
+monomial m0 from the ring's shift tables (``GradedRing.shift_table`` and
+``GradedRing.quotient_shift_table``), so each term of an entry costs one
+tuple lookup per cell.  The ring caches one table per distinct (m0,
+degree) pair it is asked for, so that cache grows with the monomials and
+degrees a ring sees.  ``PolyMatrix.mul`` adds the products of terms into
+one {monomial: coefficient} dict per output cell and reduces it (mod p,
+and mod J) once, when the cell's Poly is built.
+
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
 listed in descending order under it.
@@ -360,6 +369,8 @@ class GradedRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._quotient_cache: dict[int, tuple] = {}
+        self._shift_cache: dict[tuple, tuple] = {}
+        self._quotient_shift_cache: dict[tuple, tuple] = {}
 
         seq = []
         for f in sequence:
@@ -569,6 +580,34 @@ class GradedRing:
             cached = self._quotient_cache[d] = (basis, forms)
         return cached
 
+    # -- shift tables ----------------------------------------------------------
+    # Multiplication by a monomial m0 on the degree-e piece, read by the
+    # coordinate builders once per term of an entry.  Each cache keeps one
+    # table per distinct (m0, e) asked for, as long as the ring lives.
+
+    def shift_table(self, m0: Monomial, e: int) -> tuple:
+        """For each monomial mu of ``monomial_basis(e)``, the index of
+        m0 * mu in ``basis_index(e + |m0|)``, or -1 when m0 * mu lies in J."""
+        key = (m0, e)
+        table = self._shift_cache.get(key)
+        if table is None:
+            get = self.basis_index(e + sum(m0)).get
+            table = tuple(get(mono_mul(m0, mu), -1) for mu in self.monomial_basis(e))
+            self._shift_cache[key] = table
+        return table
+
+    def quotient_shift_table(self, m0: Monomial, e: int) -> tuple:
+        """For each monomial mu of ``quotient_basis(e)[0]``, the normal form
+        of m0 * mu in R_{e + |m0|} (a dict of ``quotient_basis(e + |m0|)[1]``),
+        or None when m0 * mu lies in J."""
+        key = (m0, e)
+        table = self._quotient_shift_cache.get(key)
+        if table is None:
+            get = self.quotient_basis(e + sum(m0))[1].get
+            table = tuple(get(mono_mul(m0, mu)) for mu in self.quotient_basis(e)[0])
+            self._quotient_shift_cache[key] = table
+        return table
+
     def in_sequence_ideal(self, p: Poly) -> bool:
         """Membership of p (taken mod J) in the ideal (f_1..f_c) of Q: every
         homogeneous part of p has normal form zero in R."""
@@ -721,9 +760,11 @@ class PolyMatrix:
     def mul(self, other: "PolyMatrix", ring: GradedRing) -> "PolyMatrix":
         """Matrix product with J-reduction of every entry.
 
-        Entry ``(i, j)`` sums ``a * b`` over the stored ``a = self[i][k]``
-        and ``b = other[k][j]`` and is reduced once; an entry that the
-        reduction sends to zero is dropped.
+        Entry ``(i, j)`` adds every product ``c1 * c2`` of a term of a stored
+        ``a = self[i][k]`` and a term of ``b = other[k][j]`` into one
+        {monomial: coefficient} dict.  Only when that entry's Poly is built
+        are its coefficients reduced mod p and its zero coefficients and J
+        monomials dropped; an entry left with no term is dropped.
         """
         if self.ncols != other.nrows:
             raise ValueError(
@@ -731,19 +772,33 @@ class PolyMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         right = other._rows
-        normal_form = ring.normal_form
+        char = ring.field.char
+        in_j = ring._mono_is_zero_in_q
+        add = operator.add
         out = []
         for row in self._rows:
             acc = {}
             for k, a in row.items():
+                a_terms = a.terms.items()
                 for j, b in right[k].items():
-                    prev = acc.get(j)
-                    acc[j] = a * b if prev is None else prev + a * b
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    b_terms = b.terms.items()
+                    for m1, c1 in a_terms:
+                        for m2, c2 in b_terms:
+                            m = tuple(map(add, m1, m2))
+                            cell[m] = cell.get(m, 0) + c1 * c2
             out_row = {}
-            for j, p in acc.items():
-                p = normal_form(p)
-                if p.terms:
-                    out_row[j] = p
+            for j, cell in acc.items():
+                terms = {}
+                for m, c in cell.items():
+                    if char:
+                        c %= char
+                    if c and not in_j(m):
+                        terms[m] = c
+                if terms:
+                    out_row[j] = Poly._of(ring, terms)
             out.append(out_row)
         return PolyMatrix._from_sparse(self.nrows, other.ncols, out, ring.zero)
 
@@ -828,6 +883,22 @@ def span_map(ring: GradedRing, twists):
     return columns, src
 
 
+def _column_terms(column, j: int, a: int, targets):
+    """``(row offset, monomial, coefficient)`` of every term of ``column``,
+    the source column j of twist a, entry by entry and term by term.
+    ``targets[i]`` is the row offset and twist of target block i.  A term
+    whose degree is not ``a`` minus that twist is an InvalidInputError
+    naming its entry, as the map would not be of degree 0."""
+    for i, p in column:
+        r0, b = targets[i]
+        for m0, c0 in p.terms.items():
+            if sum(m0) != a - b:
+                raise InvalidInputError(
+                    f"entry ({i}, {j}) = {p} is not homogeneous of degree {a - b}"
+                )
+            yield r0, m0, c0
+
+
 def graded_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """The k-linear matrix of a degree-0 module map on degree-d pieces, as
     sparse columns {row: nonzero}.
@@ -836,26 +907,27 @@ def graded_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     of degree ``src_twists[j]``, as ``(row, Poly)`` pairs.  Rows follow the
     generator-major monomial basis of the degree-d piece of the target
     (generator index, then monomial in descending order); there is one
-    column per element of that basis of the source.  Each cell is written
-    at most once: distinct entries of a column lie in distinct row blocks,
-    and distinct terms of an entry times one monomial stay distinct.
+    column per element of that basis of the source.  Each term m0 of an
+    entry writes one cell per such column through ``GradedRing.shift_table``
+    and each cell is written at most once: distinct entries of a column lie
+    in distinct row blocks, and distinct terms of an entry times one
+    monomial stay distinct.  A column dict is filled entry by entry and
+    term by term.
     """
     targets = []
     nrows = 0
     for b in tgt_twists:
-        targets.append((nrows, ring.basis_index(d - b)))
+        targets.append((nrows, b))
         nrows += ring.dim(d - b)
     out = []
     for j, a in enumerate(src_twists):
-        entries = [(targets[i], p.terms) for i, p in columns[j]]
-        for mu in ring.monomial_basis(d - a):
-            col = {}
-            for (r0, index), terms in entries:
-                for m0, c0 in terms.items():
-                    m = mono_mul(m0, mu)
-                    if not ring._mono_is_zero_in_q(m):
-                        col[r0 + index[m]] = c0
-            out.append(col)
+        cols = [{} for _ in ring.monomial_basis(d - a)]
+        for r0, m0, c0 in _column_terms(columns[j], j, a, targets):
+            if cols:
+                for col, r in zip(cols, ring.shift_table(m0, d - a)):
+                    if r >= 0:
+                        col[r0 + r] = c0
+        out += cols
     return out
 
 
@@ -884,30 +956,30 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
     map of free R-modules, R = Q/(f).
 
     Laid out as ``graded_matrix_rows`` from the same ``columns``, but over
-    the bases of ``GradedRing.quotient_basis``: a column per basis monomial of R_{d-a}
-    for each source twist a, and each image reduced to its normal form on
-    the rows of R_{d-b} for each target twist b.
+    the bases of ``GradedRing.quotient_basis``: a column per basis monomial
+    of R_{d-a} for each source twist a, and each image reduced to its
+    normal form on the rows of R_{d-b} for each target twist b, through
+    ``GradedRing.quotient_shift_table``.
     """
     field = ring.field
+    add, mul = field.add, field.mul
     targets = []
     nrows = 0
     for b in tgt_twists:
-        basis, forms = ring.quotient_basis(d - b)
-        targets.append((nrows, forms))
-        nrows += len(basis)
-    sources = [ring.quotient_basis(d - a)[0] for a in src_twists]
-    rows = [[field.zero] * sum(map(len, sources)) for _ in range(nrows)]
-    col = 0
-    for j, basis in enumerate(sources):
-        entries = [(targets[i], p.terms) for i, p in columns[j]]
-        for mu in basis:
-            for (r0, forms), terms in entries:
-                for m0, c0 in terms.items():
-                    # None when m0 * mu lies in J
-                    for r, v in (forms.get(mono_mul(m0, mu)) or {}).items():
-                        row = rows[r0 + r]
-                        row[col] = field.add(row[col], field.mul(c0, v))
-            col += 1
+        targets.append((nrows, b))
+        nrows += len(ring.quotient_basis(d - b)[0])
+    widths = [len(ring.quotient_basis(d - a)[0]) for a in src_twists]
+    rows = [[field.zero] * sum(widths) for _ in range(nrows)]
+    col0 = 0
+    for j, a in enumerate(src_twists):
+        for r0, m0, c0 in _column_terms(columns[j], j, a, targets):
+            if widths[j]:
+                for col, form in enumerate(ring.quotient_shift_table(m0, d - a), col0):
+                    if form:  # None when m0 * mu lies in J
+                        for r, v in form.items():
+                            row = rows[r0 + r]
+                            row[col] = add(row[col], mul(c0, v))
+        col0 += widths[j]
     return rows
 
 

@@ -268,7 +268,8 @@ def homogeneity_failures(C: FreeComplex):
         tgt = C.twists[n - 1]
         for i, j, p in C.diffs[n].nonzeros():
             want = src[j] - tgt[i]
-            if not p.is_homogeneous() or p.homogeneous_degree() != want:
+            # one scan of the degrees; a stored entry has at least one term
+            if {sum(m) for m in p.terms} != {want}:
                 yield ComplexFailure(
                     "homogeneity",
                     n,

@@ -151,6 +151,50 @@ def homology_dim_in_Q_coordinates(C, n, d):
     return dim - block_rank(n) + naive_rank_over(p, span(n - 1)) - block_rank(n + 1)
 
 
+# -- graded coordinates by multiplying out -------------------------------------
+
+
+def reference_columns(ring, columns, src_twists, tgt_twists, d):
+    """``graded_columns`` cell by cell: one sparse column per basis element
+    mu of each source piece, every entry of the source column times mu,
+    written out with ``ring.coords`` on its own target block."""
+    out = []
+    for j, a in enumerate(src_twists):
+        entries = dict(columns[j])
+        for mu in ring.monomial_basis(d - a):
+            dense = []
+            for i, b in enumerate(tgt_twists):
+                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
+                dense += ring.coords(p, d - b)
+            out.append({r: v for r, v in enumerate(dense) if v})
+    return out
+
+
+def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
+    """``quotient_matrix_rows`` cell by cell: for each basis monomial mu of
+    R_{d-a} (``quotient_basis``) and each entry p of the source column, the
+    product p * mu reduced mod J, its every term replaced by that
+    monomial's normal form in R_{d-b}, on the target block of the entry's
+    row.  Dense list rows."""
+    field = ring.field
+    blocks = [ring.quotient_basis(d - b) for b in tgt_twists]
+    offsets = [sum(len(basis) for basis, _ in blocks[:i]) for i in range(len(blocks))]
+    nrows = sum(len(basis) for basis, _ in blocks)
+    cols = []
+    for j, a in enumerate(src_twists):
+        entries = dict(columns[j])
+        for mu in ring.quotient_basis(d - a)[0]:
+            vec = [field.zero] * nrows
+            for i, (_, forms) in enumerate(blocks):
+                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
+                for m, c in p.terms.items():
+                    for k, v in forms[m].items():
+                        r = offsets[i] + k
+                        vec[r] = field.add(vec[r], field.mul(c, v))
+            cols.append(vec)
+    return [[col[r] for col in cols] for r in range(nrows)]
+
+
 # -- minimal form of a complex by full rescans ---------------------------------
 
 

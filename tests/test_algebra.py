@@ -18,6 +18,8 @@ from koszul_lift.algebra import (
     matrix_to_json,
     module_dim,
     parse_poly,
+    quotient_matrix_rows,
+    quotient_module_dim,
     solve_graded_linear,
     span_map,
 )
@@ -33,6 +35,8 @@ from oracles import (
     preduce,
     pscale,
     quotient_dim,
+    reference_columns,
+    reference_quotient_rows,
 )
 
 RING = GradedRing(QQ, ["x", "y"], relations=["x^2"], sequence=["y^2"])
@@ -321,22 +325,6 @@ def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
             assert naive_rank_over(p, span + [vec]) == base
 
 
-def _reference_columns(ring, columns, src_twists, tgt_twists, d):
-    """One sparse column per basis element mu of each source piece: every
-    entry of the source column times mu, written out with ``ring.coords``
-    on its own target block."""
-    out = []
-    for j, a in enumerate(src_twists):
-        entries = dict(columns[j])
-        for mu in ring.monomial_basis(d - a):
-            dense = []
-            for i, b in enumerate(tgt_twists):
-                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
-                dense += ring.coords(p, d - b)
-            out.append({r: v for r, v in enumerate(dense) if v})
-    return out
-
-
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
 def test_graded_columns_match_per_column_coords(field):
     # random degree-0 maps between free modules with negative and repeated
@@ -355,7 +343,7 @@ def test_graded_columns_match_per_column_coords(field):
         for d in range(-3, 5):
             got = graded_columns(ring, columns, src, tgt, d)
             assert len(got) == module_dim(ring, src, d)
-            assert got == _reference_columns(ring, columns, src, tgt, d)
+            assert got == reference_columns(ring, columns, src, tgt, d)
     # x * x lies in J: the column of the basis monomial x is empty
     x = ring.parse("x")
     assert graded_columns(ring, [[(0, x)]], (1,), (0,), 2) == [{}, {0: 1}, {1: 1}]
@@ -365,8 +353,58 @@ def test_graded_columns_match_per_column_coords(field):
             span, span_twists = span_map(r, twists)
             for d in range(-1, 6):
                 got = graded_columns(r, span, span_twists, twists, d)
-                assert got == _reference_columns(r, span, span_twists, twists, d)
+                assert got == reference_columns(r, span, span_twists, twists, d)
     assert span_map(c0, (0, 1)) == ([], ())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_quotient_matrix_rows_match_per_cell_normal_forms(field):
+    # random degree-0 maps read over R = Q/(f), with negative and repeated
+    # twists and pieces that are zero; one ring's f are monomials (so some
+    # normal forms are empty), the other's are not (so they spread), and
+    # J kills some products in both
+    rng = Random(331)
+    rings = [
+        GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"], sequence=["x*y", "z^2"]),
+        GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3 - x*z^2"]),
+    ]
+    for ring in rings:
+        for _ in range(20):
+            src = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 4)))
+            tgt = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
+            columns = []
+            for a in src:
+                col = [(i, _homogeneous(rng, ring, a - b, 0.5)) for i, b in enumerate(tgt)]
+                columns.append([(i, p) for i, p in col if p.terms])
+            for d in range(-3, 6):
+                got = quotient_matrix_rows(ring, columns, src, tgt, d)
+                assert len(got) == quotient_module_dim(ring, tgt, d)
+                assert all(len(row) == quotient_module_dim(ring, src, d) for row in got)
+                assert got == reference_quotient_rows(ring, columns, src, tgt, d)
+    # x * x lies in J and x * y in (f): over R, x kills x and y in degree
+    # 1 and sends z to x*z, the first of x*z, y^2, y*z
+    ring = rings[0]
+    x = ring.parse("x")
+    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 2) == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 1) == [[1], [0], [0]]
+    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 0) == [[]]  # zero source piece
+    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), -1) == []  # both zero
+
+
+@pytest.mark.parametrize("build", [graded_columns, quotient_matrix_rows])
+def test_coordinate_builders_reject_a_term_of_the_wrong_degree(build):
+    # a map from twist 2 to twist (0, 1) needs entries of degrees 2 and 1;
+    # the term x of row 0 (column 1) is named at every degree, also where
+    # the source piece is zero or where J kills its products
+    ring = GradedRing(QQ, ["x", "y"], relations=["x^2"], sequence=["y^2"])
+    good = [(0, ring.parse("y^2")), (1, ring.parse("y"))]
+    bad = [(0, ring.parse("y^2 + x")), (1, ring.parse("x"))]
+    for d in range(0, 5):
+        build(ring, [good], (2,), (0, 1), d)
+        with pytest.raises(
+            InvalidInputError, match=r"^entry \(0, 1\) = y\^2 \+ x is not homogeneous of degree 2$"
+        ):
+            build(ring, [good, bad], (2, 2), (0, 1), d)
 
 
 def test_sequence_span_columns_are_coordinates_of_multiples():
@@ -543,13 +581,13 @@ def _random_matrix(rng, nrows, ncols, density):
     return PolyMatrix.from_rows(rows, ncols=ncols)
 
 
-def _reference_product(a, b):
+def _reference_product(a, b, ring=RING):
     """The plain triple sum of reduced products, entry by entry."""
     return [
         [
             sum(
-                (RING.mul(a.entry(i, k), b.entry(k, j)) for k in range(a.ncols)),
-                RING.zero,
+                (ring.mul(a.entry(i, k), b.entry(k, j)) for k in range(a.ncols)),
+                ring.zero,
             )
             for j in range(b.ncols)
         ]
@@ -699,6 +737,51 @@ def test_sparse_ops_match_dense_reference():
     eye = [[RING.one, RING.zero], [RING.zero, RING.one]]
     _assert_matches_grid(PolyMatrix.from_rows(eye), eye)
     assert zero != PolyMatrix.zeros(RING, 3, 2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_poly_matrix_mul_matches_reference_over_both_fields(field):
+    # Q = k[x, y, z]/(x^2, y*z^2), so J kills some products; over F_7 the
+    # coefficients wrap.  Half the trials pair each inner index k with a
+    # k' whose column of a is u times column k and whose row of b is -1/u
+    # times row k, so that whole sums cancel; no product may store a zero
+    ring = GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"])
+    rng = Random(1213)
+    cancelled = 0
+    for trial in range(120):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        ga = [[_random_poly(rng, ring, maxdeg=2, nterms=3) for _ in range(k)] for _ in range(r)]
+        gb = [[_random_poly(rng, ring, maxdeg=2, nterms=3) for _ in range(c)] for _ in range(k)]
+        if trial % 2:
+            for t in range(k):
+                u = rng.choice([1, 2, 3, 5, -4])
+                for row in ga:
+                    row.append(row[t] * u)
+                gb.append([p * Fraction(-1, u) for p in gb[t]])
+            k *= 2
+        a, b = PolyMatrix(r, k, ga), PolyMatrix(k, c, gb)
+        expected = _reference_product(a, b, ring)
+        _assert_matches_grid(a.mul(b, ring), expected)
+        cancelled += trial % 2 and r * c > 0 and all(p.is_zero() for row in expected for p in row)
+    assert cancelled > 10
+
+    x, y = ring.parse("x"), ring.parse("y")
+    cases = [
+        # x * y - y * x cancels over both fields
+        ([[x, y]], [[y], [-x]], "0"),
+        # 3 + 4 = 7 wraps to 0 over F_7
+        ([[x * 3, y * 4]], [[y], [x]], "7*x*y" if field.char == 0 else "0"),
+        # 5 * 3 = 15 wraps to 1 over F_7
+        ([[x * 5]], [[y * 3]], "15*x*y" if field.char == 0 else "x*y"),
+        # x^2 lies in J, alone and inside a sum
+        ([[x]], [[x]], "0"),
+        ([[x + y]], [[x - y]], "-y^2" if field.char == 0 else "6*y^2"),
+    ]
+    for ga, gb, want in cases:
+        a, b = PolyMatrix.from_rows(ga), PolyMatrix.from_rows(gb)
+        expected = _reference_product(a, b, ring)
+        assert str(expected[0][0]) == want
+        _assert_matches_grid(a.mul(b, ring), expected)
 
 
 def test_ring_json_roundtrip():

@@ -313,6 +313,21 @@ def test_homology_rejects_lift():
         homology_dims(F, [0], 4)
 
 
+@pytest.mark.parametrize("over", ["Q", "R"])
+def test_homology_rejects_an_entry_of_the_wrong_degree(over):
+    # d_1 = (x + y^2) from twist 1 to twist 0: the term y^2 has degree 2,
+    # not 1.  No degree's k-matrix may skip it (over R that gave the dims
+    # of d_1 = (x)) or fail on a lookup (over Q a bare KeyError)
+    ring = GradedRing(QQ, ["x", "y"], sequence=["x^2", "y^2"])
+    C = FreeComplex(
+        ring, over, (0, 1), {0: (0,), 1: (1,)}, {1: _mat(ring, [["x + y^2"]])}, support="finite"
+    )
+    with pytest.raises(
+        InvalidInputError, match=r"^entry \(0, 0\) = y\^2 \+ x is not homogeneous of degree 1$"
+    ):
+        homology_dims(C, [0, 1], 4)
+
+
 def test_is_minimal():
     _, cbar, _ = paper_5_2()
     assert is_minimal(cbar)
