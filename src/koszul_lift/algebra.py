@@ -88,7 +88,7 @@ class Poly:
         clean = {}
         for m, c in terms.items():
             c = field(c)
-            if not field.is_zero(c):
+            if c:
                 clean[m] = c
         self.ring = ring
         self.terms = clean
@@ -109,18 +109,10 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
-    def is_homogeneous(self) -> bool:
+    def degree(self):
+        """Common degree of all terms; None when zero or inhomogeneous."""
         degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_degree(self):
-        """Common degree of all terms; None when zero; raises when mixed."""
-        degrees = {sum(m) for m in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"not homogeneous: {self}")
-        return degrees.pop()
+        return degrees.pop() if len(degrees) == 1 else None
 
     # -- ring operations in P (no J reduction) ----------------------------
 
@@ -137,7 +129,7 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = field.add(terms.get(m, field.zero), c)
-            if field.is_zero(s):
+            if not s:
                 terms.pop(m, None)
             else:
                 terms[m] = s
@@ -161,14 +153,14 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     m = mono_mul(m1, m2)
                     s = field.add(terms.get(m, field.zero), field.mul(c1, c2))
-                    if field.is_zero(s):
+                    if not s:
                         terms.pop(m, None)
                     else:
                         terms[m] = s
             return Poly._of(self.ring, terms)
         # scalar on the right
         c0 = field(other)
-        if field.is_zero(c0):
+        if not c0:
             return self.ring.zero
         return Poly._of(self.ring, {m: field.mul(c, c0) for m, c in self.terms.items()})
 
@@ -204,11 +196,11 @@ def format_poly(p: Poly) -> str:
         negative = field.char == 0 and c < 0
         mag = -c if negative else c
         if not any(m):
-            body = field.format(mag)
+            body = str(mag)
         elif mag == field.one:
             body = ring.format_monomial(m)
         else:
-            body = f"{field.format(mag)}*{ring.format_monomial(m)}"
+            body = f"{mag}*{ring.format_monomial(m)}"
         pieces.append(("-" if negative else "+", body))
     sign0, body0 = pieces[0]
     text = ("-" if sign0 == "-" else "") + body0
@@ -275,7 +267,7 @@ def parse_poly(ring: "GradedRing", text: str) -> Poly:
         if number is not None:
             coeff = field.mul(coeff, number)
         s = field.add(terms.get(m, field.zero), coeff)
-        if field.is_zero(s):
+        if not s:
             terms.pop(m, None)
         else:
             terms[m] = s
@@ -378,7 +370,7 @@ class GradedRing:
                 f = parse_poly(self, f)
             else:
                 f = self.normal_form(Poly(self, f.terms))
-            d = f.homogeneous_degree() if f.is_homogeneous() else None
+            d = f.degree()
             if d is None or d < 1:
                 raise InvalidInputError(
                     "sequence entries must be homogeneous of degree >= 1 "
@@ -390,7 +382,7 @@ class GradedRing:
             raise InvalidInputError(
                 f"sequence length {len(self.sequence)} exceeds {MAX_C}"
             )
-        self.seq_degrees = tuple(f.homogeneous_degree() for f in self.sequence)
+        self.seq_degrees = tuple(f.degree() for f in self.sequence)
 
     def _canonical_relations(self, relations) -> tuple[Monomial, ...]:
         monos = []
@@ -536,7 +528,7 @@ class GradedRing:
         vec = [self.field.zero] * self.dim(d)
         if p.is_zero():
             return vec
-        if p.homogeneous_degree() != d:
+        if p.degree() != d:
             raise ValueError(f"{p} is not homogeneous of degree {d}")
         index = self.basis_index(d)
         for m, c in p.terms.items():
@@ -617,7 +609,7 @@ class GradedRing:
             d = sum(m)
             for k, v in self.quotient_basis(d)[1][m].items():
                 acc[d, k] = field.add(acc.get((d, k), field.zero), field.mul(c, v))
-        return all(field.is_zero(x) for x in acc.values())
+        return not any(acc.values())
 
     # -- serialization -------------------------------------------------------
 
@@ -1022,7 +1014,7 @@ def solve_graded_linear(
     rank = sum(1 for col in pivots if col < width)
     vecs = []
     for k in range(width, width + rhs.ncols):
-        if any(not field.is_zero(red[r][k]) for r in range(rank, len(pivots))):
+        if any(red[r][k] for r in range(rank, len(pivots))):
             vecs.append(None)
         else:
             vecs.append({col: red[r][k] for r, col in enumerate(pivots[:rank]) if red[r][k]})

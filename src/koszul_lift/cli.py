@@ -64,7 +64,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -201,7 +202,8 @@ def _cmd_assemble(args) -> int:
 def _verify_input(ring, cbar, degree_bound):
     """The full battery; returns (checks, minimality report) where each
     check is a dict with name/ok/detail.  The report is None when the input
-    is not a complex, as nothing is assembled then."""
+    is not a complex or its homotopy system has no solution, as nothing is
+    assembled then."""
     checks = []
 
     rep = check_complex(cbar)
@@ -222,10 +224,15 @@ def _verify_input(ring, cbar, degree_bound):
     )
 
     F = lift_to_Q(cbar)
-    fam = solve_homotopies(F, ring.c)
+    name = f"homotopy system solvable to level {ring.c}"
+    try:
+        fam = solve_homotopies(F, ring.c)
+    except InvalidInputError as exc:
+        checks.append({"name": name, "ok": False, "detail": str(exc)})
+        return checks, None
     checks.append(
         {
-            "name": f"homotopy system solvable to level {ring.c}",
+            "name": name,
             "ok": True,
             "detail": f"{sum(len(v) for v in fam.maps.values())} matrices",
         }

@@ -1,8 +1,13 @@
-"""Exact coefficient fields.
+"""Exact coefficient fields: Q and F_p, one ``Field`` class keyed by ``char``.
 
-Elements are plain Python values (``Fraction`` over the rationals, ints in
-``[0, p)`` over a prime field); a ``Field`` object supplies the operations.
-Keeping elements unboxed keeps the linear algebra cheap.
+``char`` is 0 for Q, whose elements are ``Fraction``s, and a prime
+p < 2**31 for F_p, whose elements are ints in ``[0, p)``; the bound keeps
+every element inside the int64 array that ``linalg.rref`` builds over F_p.
+Elements are plain Python values, so the linear algebra stays cheap: zero
+is falsy, an element prints with ``str``, and the kernel reduces with
+``% char``.  A ``Field`` coerces outside input and hides the reduction
+mod p in ``add``, ``mul`` and ``neg``.  Fields compare and hash by
+``char``.
 """
 
 from __future__ import annotations
@@ -13,115 +18,28 @@ from .errors import ParseError
 
 
 class Field:
-    """Abstract exact field. ``char`` is 0 or a prime p < 2**31."""
+    """Q when ``char`` is 0, else F_p with p = ``char``.  Build one with
+    ``QQ``, ``GF(p)`` or ``field_from_spec``."""
 
-    char: int
+    def __init__(self, char: int):
+        self.char = char
+        self.zero = Fraction(0) if char == 0 else 0
+        self.one = Fraction(1) if char == 0 else 1
 
     def __call__(self, value):
         """Coerce an int, Fraction, or string to a field element."""
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def to_spec(self) -> object:
-        """JSON-serializable field tag: "Q" or the prime p."""
-        raise NotImplementedError
-
-
-class RationalField(Field):
-    char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def __call__(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational literal {value!r}") from exc
-        raise ParseError(f"cannot coerce {value!r} to Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def to_spec(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "QQ"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-class PrimeField(Field):
-    """F_p with p an odd-or-even prime below 2**31.
-
-    ``linalg.rref`` hands F_p matrices to the row reduction as int64 arrays
-    (``_kernel.rref_mod``), and the bound keeps every element well inside
-    int64; every other call reduces dict rows.  The elimination itself runs
-    on Python ints.  That array is the library's only use of numpy, and the
-    homotopy solve is its only pipeline caller, so numpy is loaded there and
-    nowhere else.  It remains a dependency because the benchmark's tracer
-    probes ``_kernel.rref_mod`` and reads the array's size and shape.
-    """
-
-    def __init__(self, p: int):
-        if not (1 < p < 2**31):
-            raise ValueError(f"prime must lie in (1, 2^31), got {p}")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def __call__(self, value):
         p = self.char
+        if p == 0:
+            if isinstance(value, Fraction):
+                return value
+            if isinstance(value, int):
+                return Fraction(value)
+            if isinstance(value, str):
+                try:
+                    return Fraction(value)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ParseError(f"bad rational literal {value!r}") from exc
+            raise ParseError(f"cannot coerce {value!r} to Q")
         if isinstance(value, int):
             return value % p
         if isinstance(value, Fraction):
@@ -137,44 +55,61 @@ class PrimeField(Field):
         raise ParseError(f"cannot coerce {value!r} to F_{p}")
 
     def add(self, a, b):
-        s = a + b
         p = self.char
-        return s - p if s >= p else s
+        s = a + b
+        return s - p if p and s >= p else s
 
     def mul(self, a, b):
-        return a * b % self.char
+        p = self.char
+        return a * b % p if p else a * b
 
     def neg(self, a):
-        return self.char - a if a else 0
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def format(self, a) -> str:
-        return str(a)
+        p = self.char
+        if not p:
+            return -a
+        return p - a if a else 0
 
     def to_spec(self):
-        return self.char
+        """JSON-serializable field tag: "Q" or the prime p."""
+        return self.char or "Q"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.char == self.char
+        return isinstance(other, Field) and other.char == self.char
 
     def __hash__(self):
-        return hash(("GF", self.char))
+        return hash(self.char)
 
     def __repr__(self):
-        return f"GF({self.char})"
+        return f"GF({self.char})" if self.char else "QQ"
 
 
-QQ = RationalField()
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
-_gf_cache: dict[int, PrimeField] = {}
+
+QQ = Field(0)
+
+_gf_cache: dict[int, Field] = {}
 
 
-def GF(p: int) -> PrimeField:
+def GF(p: int) -> Field:
+    """The prime field F_p, one instance per p."""
     field = _gf_cache.get(p)
     if field is None:
-        field = _gf_cache[p] = PrimeField(p)
+        if not (1 < p < 2**31):
+            raise ValueError(f"prime must lie in (1, 2^31), got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        field = _gf_cache[p] = Field(p)
     return field
 
 
@@ -182,7 +117,7 @@ def field_from_spec(spec) -> Field:
     """Inverse of ``Field.to_spec``; also accepts "QQ" and digit strings."""
     if spec in ("Q", "QQ"):
         return QQ
-    if isinstance(spec, str) and spec.isdigit():
+    if isinstance(spec, str) and spec.isdecimal():
         spec = int(spec)
     if isinstance(spec, int):
         try:

@@ -119,15 +119,15 @@ def koszul_complex(ring: GradedRing, elements=None, over: str = "Q"):
             ring.parse(g) if isinstance(g, str) else ring.normal_form(g)
             for g in elements
         )
-    for g in elements:
-        if g.is_zero() or not g.is_homogeneous() or g.homogeneous_degree() < 1:
+    degs = [g.degree() for g in elements]
+    for g, d in zip(elements, degs):
+        if d is None or d < 1:
             raise InvalidInputError(
                 f"Koszul complex needs homogeneous elements of degree >= 1, got {g}"
             )
     c = len(elements)
     if c > MAX_C:
         raise InvalidInputError(f"too many elements ({c} > {MAX_C})")
-    degs = [g.homogeneous_degree() for g in elements]
 
     twists = {}
     for j in range(c + 1):

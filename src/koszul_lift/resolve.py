@@ -63,18 +63,19 @@ class Presentation:
                 p = ring.normal_form(p)
                 if p.is_zero():
                     continue
-                if not p.is_homogeneous():
+                e = p.degree()
+                if e is None:
                     raise InvalidInputError(
                         f"relation entry ({i},{j}) is not homogeneous"
                     )
-                d = p.homogeneous_degree() + self.twists[i]
+                d = e + self.twists[i]
                 if deg is None:
                     deg = d
                 elif deg != d:
                     raise InvalidInputError(
                         f"column {j} mixes degrees {deg} and {d}"
                     )
-                if p.homogeneous_degree() == 0:
+                if e == 0:
                     raise InvalidInputError(
                         f"unit entry at ({i},{j}); present the module "
                         "minimally"

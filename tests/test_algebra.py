@@ -211,11 +211,10 @@ def test_monomial_basis_descending_and_coords_roundtrip():
 
 
 def test_homogeneous_degree():
-    assert parse_poly(PLAIN, "x*y + z^2").homogeneous_degree() == 2
-    assert PLAIN.zero.homogeneous_degree() is None
-    with pytest.raises(ValueError):
-        parse_poly(PLAIN, "x + x*y").homogeneous_degree()
-    assert not parse_poly(PLAIN, "x + x*y").is_homogeneous()
+    assert parse_poly(PLAIN, "x*y + z^2").degree() == 2
+    assert parse_poly(PLAIN, "7").degree() == 0
+    assert PLAIN.zero.degree() is None
+    assert parse_poly(PLAIN, "x + x*y").degree() is None
 
 
 def test_relation_canonicalization_prunes_multiples():
@@ -320,7 +319,7 @@ def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
         for m in monos:
             vec = ring.coords(ring.monomial(m), d)
             for k, c in forms[m].items():
-                assert not field.is_zero(c)
+                assert c
                 vec[index[basis[k]]] -= c
             assert naive_rank_over(p, span + [vec]) == base
 
@@ -532,7 +531,7 @@ def test_coords_to_columns_inverts_graded_columns(field):
                 gens = [j for j, _ in col]
                 assert gens == sorted(set(gens))
                 assert all(p.terms for _, p in col)
-                assert all(p.homogeneous_degree() == d - twists[j] for j, p in col)
+                assert all(p.degree() == d - twists[j] for j, p in col)
             assert graded_columns(ring, cols, (d,) * len(cols), twists, d) == vecs
 
 

@@ -415,6 +415,67 @@ def test_wrong_degree_entry_is_exit_2_in_lift_and_assemble(tmp_path):
     assert f"[FAIL] input complex structure: {message}" in out.stdout
 
 
+def test_unsolvable_homotopy_system_is_a_failed_row(tmp_path, capsys):
+    # f = (x^2, x*y) is not regular, and the resolution of coker(x, y) over
+    # R has no homotopy system at level 2: verify reports a FAIL row and
+    # stops there, as it does for a failed structure check
+    from koszul_lift import cli
+
+    ring = tmp_path / "ring.json"
+    ring.write_text(
+        json.dumps({"field": "Q", "variables": ["x", "y"], "sequence": ["x^2", "x*y"]})
+    )
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"twists": [0], "relations": [["x", "y"]]}))
+    resolution = tmp_path / "resolution.json"
+    argv = ["resolve", "--ring", str(ring), "--presentation", str(pres)]
+    argv += ["--length", "4", "--degree-bound", "8"]
+    assert cli.main(argv + ["--format", "json", "--out", str(resolution)]) == 0
+    cpx = tmp_path / "complex.json"
+    cpx.write_text(json.dumps(json.loads(resolution.read_text())["complex"]))
+
+    assert cli.main(["verify", "--ring", str(ring), "--complex", str(cpx)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith(
+        "\n\n[PASS] input complex structure\n"
+        "[FAIL] sequence regular up to degree 8: Koszul homology at (1, 3)\n"
+        "[FAIL] homotopy system solvable to level 2: homotopy system "
+        "inconsistent at level 2, position 3, entry (0,0); the input is not "
+        "a lift of an R-complex\n"
+        "\n"
+        "result: FAIL (1/3)\n"
+    )
+
+    argv = ["verify", "--ring", str(ring), "--complex", str(cpx), "--format", "json"]
+    assert cli.main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["ok"] for c in payload["checks"]] == [True, False, False]
+    assert payload["labels"] == [] and payload["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"field": "\u00b2", "variables": ["x"], "sequence": ["x"]}'.encode(),
+        b'{"field": "Q", "variables": ["\xff"]}',
+        b"[" * 100000,
+    ],
+    ids=["superscript-field", "invalid-utf8", "deep-nesting"],
+)
+def test_malformed_file_is_exit_2_in_process(tmp_path, capsys, content):
+    # a superscript digit passes str.isdigit but not int; bytes that are
+    # not UTF-8 and nesting too deep to parse are no JSON either
+    from koszul_lift import cli
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert cli.main(["regularity", "--ring", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lift_json_payload():
     out = run_cli("lift", "--ring", RING, "--complex", COMPLEX, "--format", "json")
     assert out.returncode == 0

@@ -175,7 +175,7 @@ def test_homotopy_degree_forcing():
             for i, j, p in mat.entries():
                 if p.is_zero():
                     continue
-                assert p.homogeneous_degree() == fam.entry_degree(
+                assert p.degree() == fam.entry_degree(
                     alpha, src[j], tgt[i]
                 )
     for g in checkable_gammas(fam):

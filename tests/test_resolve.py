@@ -123,6 +123,43 @@ def test_nakayama_base_holds_multiples_of_every_lower_generator():
     assert str(C.diffs[1].rows[0][0]) == "y"
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_zero_target_piece_makes_unit_candidates(monkeypatch, field):
+    # with f = () the ring Q[x]/(x^2) is Artinian: at step n the target
+    # piece vanishes in degree n, where the source piece is spanned by x,
+    # so that basis vector is a syzygy candidate with no elimination
+    from koszul_lift import cli, resolve
+
+    ring = GradedRing(field, ["x"], relations=["x^2"])
+    pres = Presentation((0,), _mat(ring, [["x"]]))
+    syzygy_candidates = resolve._syzygy_candidates
+    nullspace_columns = linalg.nullspace_columns
+    yielded, eliminated = [], []
+
+    def recording_candidates(*args):
+        for d, vecs in syzygy_candidates(*args):
+            yielded.append((d, vecs))
+            yield d, vecs
+
+    def recording_nullspace(fld, cols, nrows):
+        eliminated.append(nrows)
+        return nullspace_columns(fld, cols, nrows)
+
+    monkeypatch.setattr(resolve, "_syzygy_candidates", recording_candidates)
+    monkeypatch.setattr(linalg, "nullspace_columns", recording_nullspace)
+    C = resolve_over_R(ring, pres, 4, 6)
+    assert C.twists == {n: (n,) for n in range(5)}
+    assert all(str(C.diffs[n].entry(0, 0)) == "x" for n in range(1, 5))
+    # step n eliminates only in degree n - 1, where x kills nothing
+    assert [(d, vecs) for d, vecs in yielded if vecs] == [
+        (n, [{0: field.one}]) for n in (2, 3, 4)
+    ]
+    assert eliminated == [1, 1, 1]
+
+    checks, _ = cli._verify_input(ring, C, 8)
+    assert len(checks) == 8 and all(c["ok"] for c in checks), checks
+
+
 def test_randomized_resolutions_check_out():
     rng = Random(601)
     field = GF(32003)

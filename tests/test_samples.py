@@ -34,7 +34,7 @@ def test_random_homogeneous_degree():
     for d in range(5):
         for _ in range(10):
             p = random_homogeneous(rng, ring, d)
-            assert p.is_zero() or p.homogeneous_degree() == d
+            assert p.is_zero() or p.degree() == d
 
 
 def test_random_presentations_resolve():
