@@ -1,46 +1,97 @@
 """Sparse Gauss-Jordan elimination, the one row reduction behind every rank,
 solve and nullspace over F_p and over Q.
 
-Rows are dicts {column: nonzero entry}: ints in [0, p) over F_p, Fractions
-over Q.  ``echelon`` is the forward pass and finds the pivot columns, which
-is all a rank needs; ``gauss_jordan`` adds the back substitution.  The
-reduced row echelon form of a matrix is unique for its column order, so the
-order in which rows become pivots does not change the result.
+Rows are dicts {column: nonzero entry}: ints in [0, p) over F_p; over Q,
+Fractions or ints.  ``echelon`` is the forward pass and finds the pivot
+columns, which is all a rank needs; ``gauss_jordan`` adds the back
+substitution.  The reduced row echelon form of a matrix is unique for its
+column order, so the order in which rows become pivots does not change the
+result.
+
+Over Q the elimination runs on primitive integer rows (integer-preserving
+elimination, Bareiss 1968, in the primitive-row form with content removal).
+On entry each row is scaled in place by the lcm of its denominators and
+divided by its content, the gcd of its entries.  A row step is
+``row = (lead/g)*row - (b/g)*pivot_row`` with g = gcd(lead, b), followed
+by division by the content.  That is the rational row step up to a nonzero
+scalar, so every row keeps the support it would have over Fractions: the
+sparsest-pivot choice, the fill and the pivot columns are those of the
+rational elimination.  Fractions appear only at the kernel's boundary:
+``gauss_jordan`` divides each reduced row by its lead, one ``Fraction`` per
+nonzero, and ``echelon`` hands back its integer pivot rows, of which
+callers read only the keys.
 
 ``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
 eliminations) transpose sparse columns into dict rows; ``linalg.rank`` (for
 ``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
 benchmark's tracer) scan dense list rows into them.  All hand those rows
-straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod`` wraps ``gauss_jordan`` for an int64 array;
-only ``linalg.rref`` over F_p takes that route, and only the homotopy solve
-calls it.  This module does not import numpy: ``rref_mod`` uses nothing but
-the methods of the array it is handed, so numpy is loaded only when
-``linalg.rref`` first builds one.  The array stays, and numpy with it,
-because ``perfbench/tracing.py`` probes ``rref_mod`` and reads the array's
-size and shape.
+straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod`` wraps
+``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p takes
+that route, and only the homotopy solve calls it.  This module does not
+import numpy: ``rref_mod`` uses nothing but the methods of the array it is
+handed, so numpy is loaded only when ``linalg.rref`` first builds one.  The
+array stays, and numpy with it, because ``perfbench/tracing.py`` probes
+``rref_mod`` and reads the array's size and shape.
 """
 
 import heapq
+from fractions import Fraction
+from math import gcd, lcm
 
 
-def _subtract(row: dict, f, prow: dict, char: int) -> None:
-    """row -= f * prow, dropping the entries that cancel."""
+def _subtract(row: dict, f: int, prow: dict, p: int) -> None:
+    """row -= f * prow over F_p, dropping the entries that cancel."""
     get = row.get
     for k, v in prow.items():
-        x = get(k, 0) - f * v
-        if char:
-            x %= char
+        x = (get(k, 0) - f * v) % p
         if x:
             row[k] = x
         else:
             del row[k]
 
 
+def _divide_content(row: dict) -> None:
+    """Divide the integer row ``row`` in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        for k, v in row.items():
+            row[k] = v // g
+
+
+def _make_primitive(row: dict) -> None:
+    """Scale the rational row ``row`` in place to a primitive integer row."""
+    den = lcm(*[v.denominator for v in row.values()])
+    for k, v in row.items():
+        row[k] = v.numerator * (den // v.denominator)
+    _divide_content(row)
+
+
+def _combine(row: dict, b: int, lead: int, prow: dict) -> None:
+    """Clear the entry ``b`` of the primitive integer row ``row`` in the
+    pivot column of ``prow``, whose entry there is ``lead``: row becomes
+    (lead/g)*row - (b/g)*prow with g = gcd(lead, b), made primitive."""
+    g = gcd(lead, b)
+    a, b = lead // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    get = row.get
+    for k, v in prow.items():
+        x = get(k, 0) - b * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    if row:
+        _divide_content(row)
+
+
 def echelon(rows, char: int) -> dict:
     """Row echelon form of the dict rows ``rows`` over F_char (Q when
     ``char`` is 0): {pivot column: pivot row}, in ascending column order.
-    Each pivot row holds a 1 in its pivot column and no entry in an earlier
-    column.  ``rows`` are modified.
+    Each pivot row has no entry in an earlier column; over F_p it holds a 1
+    in its pivot column, over Q it is a primitive integer row.  ``rows``
+    are modified.
 
     Columns are taken in ascending order and only the rows that lead in the
     current column are touched; the sparsest of them becomes the pivot,
@@ -50,6 +101,8 @@ def echelon(rows, char: int) -> dict:
     leading: dict = {}  # column -> the rows whose first entry is there
     for row in rows:
         if row:
+            if not char:
+                _make_primitive(row)
             leading.setdefault(min(row), []).append(row)
     queue = list(leading)
     heapq.heapify(queue)
@@ -59,17 +112,17 @@ def echelon(rows, char: int) -> dict:
         group = leading.pop(col)
         pick = prow = min(group, key=len)
         lead = prow[col]
-        if lead != 1:
-            if char:
-                inv = pow(lead, -1, char)
-                prow = {k: v * inv % char for k, v in prow.items()}
-            else:
-                prow = {k: v / lead for k, v in prow.items()}
+        if char and lead != 1:
+            inv = pow(lead, -1, char)
+            prow = {k: v * inv % char for k, v in prow.items()}
         pivots[col] = prow
         for row in group:
             if row is pick:
                 continue
-            _subtract(row, row[col], prow, char)
+            if char:
+                _subtract(row, row[col], prow, char)
+            else:
+                _combine(row, row[col], lead, prow)
             if row:
                 first = min(row)
                 if first not in leading:
@@ -83,7 +136,8 @@ def gauss_jordan(rows, char: int) -> list:
     """Reduced row echelon form of the dict rows ``rows`` over F_char (Q
     when ``char`` is 0), as (pivot column, reduced row) pairs in ascending
     column order.  Each reduced row holds a 1 in its pivot column and no
-    entry in any other pivot column.  ``rows`` are modified.
+    entry in any other pivot column; over Q its entries are Fractions.
+    ``rows`` are modified.
 
     ``echelon`` does the forward elimination; back substitution then clears
     each pivot row's later pivot columns, last pivot first.
@@ -92,8 +146,16 @@ def gauss_jordan(rows, char: int) -> list:
     for col in reversed(pivots):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:
-            _subtract(row, row[c], pivots[c], char)
-    return list(pivots.items())
+            if char:
+                _subtract(row, row[c], pivots[c], char)
+            else:
+                _combine(row, row[c], pivots[c][c], pivots[c])
+    if char:
+        return list(pivots.items())
+    return [
+        (col, {k: Fraction(v, row[col]) for k, v in row.items()})
+        for col, row in pivots.items()
+    ]
 
 
 def rref_mod(a, p: int, pivots) -> int:

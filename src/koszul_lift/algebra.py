@@ -928,9 +928,11 @@ def graded_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int
     take list rows: ``linalg.rank`` in ``complexes.homology_dims`` and
     ``linalg.rref`` in ``solve_graded_linear``.  They stay dense because
     ``perfbench/tracing.py`` counts the cells of ``rank``'s rows and reads
-    the array that ``rref`` builds over F_p; see ``linalg``."""
+    the array that ``rref`` builds over F_p; see ``linalg``.  Empty cells
+    hold the int 0 over either field, which the scan into dict rows skips
+    without a call into ``Fraction``."""
     cols = graded_columns(ring, columns, src_twists, tgt_twists, d)
-    rows = [[ring.field.zero] * len(cols) for _ in range(module_dim(ring, tgt_twists, d))]
+    rows = [[0] * len(cols) for _ in range(module_dim(ring, tgt_twists, d))]
     for k, col in enumerate(cols):
         for r, v in col.items():
             rows[r][k] = v
@@ -951,7 +953,8 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
     the bases of ``GradedRing.quotient_basis``: a column per basis monomial
     of R_{d-a} for each source twist a, and each image reduced to its
     normal form on the rows of R_{d-b} for each target twist b, through
-    ``GradedRing.quotient_shift_table``.
+    ``GradedRing.quotient_shift_table``.  Empty cells hold the int 0, as
+    in ``graded_matrix_rows``.
     """
     field = ring.field
     add, mul = field.add, field.mul
@@ -961,7 +964,7 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
         targets.append((nrows, b))
         nrows += len(ring.quotient_basis(d - b)[0])
     widths = [len(ring.quotient_basis(d - a)[0]) for a in src_twists]
-    rows = [[field.zero] * sum(widths) for _ in range(nrows)]
+    rows = [[0] * sum(widths) for _ in range(nrows)]
     col0 = 0
     for j, a in enumerate(src_twists):
         for r0, m0, c0 in _column_terms(columns[j], j, a, targets):

@@ -4,14 +4,16 @@
 p < 2**31 for F_p, whose elements are ints in ``[0, p)``; the bound keeps
 every element inside the int64 array that ``linalg.rref`` builds over F_p.
 Elements are plain Python values, so the linear algebra stays cheap: zero
-is falsy, an element prints with ``str``, and the kernel reduces with
-``% char``.  A ``Field`` coerces outside input and hides the reduction
-mod p in ``add``, ``mul`` and ``neg``.  Fields compare and hash by
-``char``.
+is falsy and an element prints with ``str``.  Over F_p the kernel reduces
+with ``% char``; over Q it works on integer rows internally and returns
+Fractions, so Fractions appear only at its boundary.  A ``Field`` coerces
+outside input and hides the reduction mod p in ``add``, ``mul`` and
+``neg``.  Fields compare and hash by ``char``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -38,7 +40,7 @@ class Field:
                 try:
                     return Fraction(value)
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad rational literal {value!r}") from exc
+                    raise _literal_error("rational", value, exc) from exc
             raise ParseError(f"cannot coerce {value!r} to Q")
         if isinstance(value, int):
             return value % p
@@ -51,7 +53,7 @@ class Field:
             try:
                 return self(Fraction(value))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coefficient literal {value!r}") from exc
+                raise _literal_error("coefficient", value, exc) from exc
         raise ParseError(f"cannot coerce {value!r} to F_{p}")
 
     def add(self, a, b):
@@ -81,6 +83,22 @@ class Field:
 
     def __repr__(self):
         return f"GF({self.char})" if self.char else "QQ"
+
+
+def _literal_error(kind: str, value: str, exc: Exception) -> ParseError:
+    """The ParseError for the string ``value`` that ``Fraction`` rejected
+    with ``exc``.  A literal whose digits exceed Python's limit on integer
+    string conversion (``sys.get_int_max_str_digits``) is valid but cannot
+    be read; the message names that limit and shows only the literal's
+    first 20 characters."""
+    if isinstance(exc, ValueError) and "int_max_str_digits" in str(exc):
+        return ParseError(
+            f"bad {kind} literal {value[:20]!r}... ({len(value)} "
+            "characters): more digits than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for integer string conversion "
+            "(sys.set_int_max_str_digits)"
+        )
+    return ParseError(f"bad {kind} literal {value!r}")
 
 
 def _is_prime(n: int) -> bool:

@@ -1,22 +1,25 @@
 """Exact linear algebra over the coefficient fields.
 
 Both fields reduce through the one sparse elimination in ``_kernel``, on
-dict rows {column: nonzero}.  Sparse columns {row: nonzero} become dict rows
-in one transpose, ``_transpose``, and a kernel basis is read off reduced
-rows in one loop, ``_kernel_basis``.  ``extend_pivots`` and
-``nullspace_columns`` take sparse columns; they are all that ``resolve``
-calls, so its path builds no list row.
+dict rows {column: nonzero}.  Over Q the kernel turns the rows it is handed
+into primitive integer rows and works on those; Fractions appear only at
+its boundary, in the reduced rows ``_kernel.gauss_jordan`` returns, so
+every function here still returns Fraction entries over Q.  Sparse columns
+{row: nonzero} become dict rows in one transpose, ``_transpose``, and a
+kernel basis is read off reduced rows in one loop, ``_kernel_basis``.
+``extend_pivots`` and ``nullspace_columns`` take sparse columns; they are
+all that ``resolve`` calls, so its path builds no list row.
 
-``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them into
-dict rows (``_dict_rows``).  ``perfbench/tracing.py`` probes all three by
-name and counts their list-row cells or reads the array of
-``_kernel.rref_mod``, and the benchmark's own tests require a traced
-instance to record ``linalg.rank`` cells under ``homology_dims`` and
-``rref_mod`` calls.  So ``complexes.homology_dims`` keeps calling ``rank``
-and ``algebra.solve_graded_linear`` keeps calling ``rref`` on list rows
-until those probes count dict rows.  ``nullspace`` has no library caller
-left; it is the list-row adapter of ``nullspace_columns``, kept for the
-tracer.
+``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them
+into dict rows (``_dict_rows``), which keeps each nonzero cell as it is
+over Q.  ``perfbench/tracing.py`` probes all three by name and counts their
+list-row cells or reads the array of ``_kernel.rref_mod``, and the
+benchmark's own tests require a traced instance to record ``linalg.rank``
+cells under ``homology_dims`` and ``rref_mod`` calls.  So
+``complexes.homology_dims`` keeps calling ``rank`` and
+``algebra.solve_graded_linear`` keeps calling ``rref`` on list rows until
+those probes count dict rows.  ``nullspace`` has no library caller left; it
+is the list-row adapter of ``nullspace_columns``, kept for the tracer.
 
 ``rank`` and ``extend_pivots`` need only the pivot columns, so they run the
 forward pass ``_kernel.echelon`` and nothing else: the pivot columns of the
@@ -51,16 +54,18 @@ def backend_name() -> str:
 
 
 def _dict_rows(rows, char: int) -> list:
-    """The list rows ``rows`` as dict rows of nonzero field elements: ints
-    in [0, char), or Fractions when ``char`` is 0."""
+    """The list rows ``rows`` as dict rows of their nonzero cells: ints in
+    [0, char), or the cells as they are (Fractions or ints) when ``char``
+    is 0; ``_kernel`` makes those integer rows itself."""
     out = []
     for row in rows:
         # compress skips the zero cells without a Python-level step each
+        # (the int 0 that fills the coordinate builders' rows needs none)
         nonzero = compress(range(len(row)), row)
         if char:
             out.append({j: v for j in nonzero if (v := row[j] % char)})
         else:
-            out.append({j: Fraction(row[j]) for j in nonzero})
+            out.append({j: row[j] for j in nonzero})
     return out
 
 

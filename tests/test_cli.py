@@ -476,6 +476,28 @@ def test_malformed_file_is_exit_2_in_process(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, kind", [("Q", "rational"), (32003, "coefficient")], ids=["QQ", "F32003"]
+)
+def test_literal_past_the_int_digit_limit_is_exit_2(tmp_path, field, kind):
+    # a valid coefficient with more digits than Python converts from a
+    # string (sys.get_int_max_str_digits): the error names that limit and
+    # shows the start of the literal, not all of its digits
+    limit = sys.get_int_max_str_digits()
+    literal = "1" + "0" * (limit + 700)
+    bad = tmp_path / "ring.json"
+    ring = {"field": field, "variables": ["x"], "relations": [], "sequence": [literal + "*x"]}
+    bad.write_text(json.dumps(ring))
+    out = run_cli("regularity", "--ring", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        f"error: bad {kind} literal '{literal[:20]}'... ({len(literal)} characters): "
+        f"more digits than Python's limit of {limit} for integer string conversion "
+        "(sys.set_int_max_str_digits)\n"
+    )
+
+
 def test_lift_json_payload():
     out = run_cli("lift", "--ring", RING, "--complex", COMPLEX, "--format", "json")
     assert out.returncode == 0

@@ -1,12 +1,14 @@
 """Exact row reduction against naive textbook references."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import numpy as np
 import pytest
 
 from koszul_lift import _kernel
+from koszul_lift.algebra import GradedRing, graded_columns, span_map
 from koszul_lift.fields import GF, QQ
 from koszul_lift.linalg import (
     backend_name,
@@ -275,6 +277,143 @@ def test_nullspace_columns_is_the_list_row_nullspace(field):
             want = nullspace(field, rows, ncols)
             assert got == want
             assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+
+
+def _big_qq_cases(seed):
+    """Random sparse matrices over Q with non-integral entries whose
+    numerators and denominators reach 10**40, on every shape: zero rows,
+    repeated rows and rational combinations of earlier rows included, with
+    leads of either sign.  Zero cells are the int 0 or Fraction(0).  Yields
+    (rows, nrows, ncols, textbook reduced rows, textbook pivot columns)."""
+    rng = Random(seed)
+    big = 10**40
+    shapes = [(0, 0), (0, 5), (5, 0)] + [
+        (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(50)
+    ]
+    for nrows, ncols in shapes:
+        rows = []
+        for _ in range(nrows):
+            roll = rng.random()
+            if rows and roll < 0.1:
+                rows.append(list(rng.choice(rows)))
+            elif rows and roll < 0.25:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.randint(-big, big), rng.randint(1, big))
+                rows.append([x + c * y for x, y in zip(a, b)])
+            elif roll < 0.35:
+                rows.append([rng.choice((0, Fraction(0))) for _ in range(ncols)])
+            else:
+                rows.append([
+                    Fraction(rng.randint(-big, big), rng.randint(2, big))
+                    if rng.random() < 0.45 else rng.choice((0, Fraction(0)))
+                    for _ in range(ncols)
+                ])
+        red, pivots = naive_rref(rows)
+        yield rows, nrows, ncols, red, pivots
+
+
+def _assert_reduced_fractions(reduced):
+    # the kernel works on integer rows over Q; what it returns is Fractions,
+    # with a Fraction 1 at each pivot
+    for col, row in reduced:
+        assert type(row[col]) is Fraction and row[col] == 1
+        assert all(type(v) is Fraction and v for v in row.values())
+
+
+def test_qq_kernel_matches_textbook_rref_on_big_entries():
+    field = QQ
+    for rows, nrows, ncols, red, pivots in _big_qq_cases(214):
+        want = [
+            (col, {j: v for j, v in enumerate(red[r]) if v}) for r, col in enumerate(pivots)
+        ]
+        dict_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        got = _kernel.gauss_jordan([dict(r) for r in dict_rows], 0)
+        assert got == want
+        _assert_reduced_fractions(got)
+        assert list(_kernel.echelon([dict(r) for r in dict_rows], 0)) == pivots
+        assert rank(field, rows) == len(pivots)
+
+        got_red, got_piv = rref(field, rows, ncols)
+        assert got_piv == pivots
+        assert got_red == red
+        assert all(type(v) is Fraction for row in got_red for v in row)
+
+        columns = _sparse_columns(field, rows, range(ncols))
+        basis = nullspace_columns(field, columns, nrows)
+        textbook = []
+        for fc in range(ncols):
+            if fc not in pivots:
+                vec = {fc: Fraction(1)}
+                vec.update((pc, -red[r][fc]) for r, pc in enumerate(pivots) if red[r][fc])
+                textbook.append(vec)
+        assert basis == textbook
+        assert all(type(v) is Fraction for vec in basis for v in vec.values())
+
+        for nbase in {0, ncols // 2, ncols}:
+            base = _sparse_columns(field, rows, range(nbase))
+            extra = _sparse_columns(field, rows, range(nbase, ncols))
+            picked = extend_pivots(field, base, extra, nrows)
+            assert picked == [c - nbase for c in pivots if c >= nbase]
+
+
+def test_qq_quotient_basis_forms_are_the_textbook_normal_forms():
+    # R_d is read off the reduced generators of (f)_d; over Q the forms
+    # hold Fractions, those of the textbook reduction of the generators
+    ring = GradedRing(
+        QQ, ["x", "y", "z"], sequence=["3/2*x^2 - 5/7*y*z", "-4/9*x*y + 11*z^2"]
+    )
+    for d in range(6):
+        monos = ring.monomial_basis(d)
+        gens = graded_columns(ring, *span_map(ring, (0,)), (0,), d)
+        red, pivots = naive_rref([[g.get(i, 0) for i in range(len(monos))] for g in gens])
+        basis, forms = ring.quotient_basis(d)
+        assert basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
+        index = {m: k for k, m in enumerate(basis)}
+        for r, pc in enumerate(pivots):
+            want = {index[monos[k]]: -v for k, v in enumerate(red[r]) if v and k != pc}
+            assert forms[monos[pc]] == want
+        for m in basis:
+            assert forms[m] == {index[m]: 1}
+        assert all(type(v) is Fraction for form in forms.values() for v in form.values())
+
+
+def _hilbert(n):
+    return [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+
+
+def test_hilbert_matrix_inverse_rank_and_nullspace():
+    # the 12 x 12 Hilbert matrix is the classic case of coefficient growth
+    # in exact elimination; its inverse has integer entries in closed form
+    n = 12
+    h = _hilbert(n)
+    aug = [{j: v for j, v in enumerate(row) if v} for row in h]
+    for i, row in enumerate(aug):
+        row[n + i] = Fraction(1)
+    reduced = _kernel.gauss_jordan(aug, 0)
+    _assert_reduced_fractions(reduced)
+    assert [col for col, _ in reduced] == list(range(n))
+    for i, (col, row) in enumerate(reduced):
+        assert {j: v for j, v in row.items() if j < n} == {i: 1}
+        inverse_row = [row.get(n + j, 0) for j in range(n)]
+        assert inverse_row == [
+            (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1)
+            * comb(i + j, i) ** 2
+            for j in range(n)
+        ]
+    assert rank(QQ, h) == n
+
+    # one row the sum of two others: rank 11, and the kernel is the
+    # textbook vector on the one free column
+    singular = h[:-1] + [[a + b for a, b in zip(h[2], h[5])]]
+    assert rank(QQ, singular) == n - 1
+    red, pivots = naive_rref(singular)
+    assert pivots == list(range(n - 1))
+    want = {n - 1: Fraction(1)}
+    want.update((r, -red[r][n - 1]) for r in range(n - 1))
+    columns = _sparse_columns(QQ, singular, range(n))
+    assert nullspace_columns(QQ, columns, n) == [want]
+    assert nullspace(QQ, singular, n) == [want]
+    assert all(sum(row[j] * v for j, v in want.items()) == 0 for row in singular)
 
 
 def test_extend_pivots_greedy():

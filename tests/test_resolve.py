@@ -201,3 +201,23 @@ def test_resolve_builds_no_dense_rows(monkeypatch, name, length, bound):
     )
     golden = json.loads((FIXTURES / f"resolve_{name}_length{length}.json").read_text())
     assert resolve_over_R(ring, pres, length, bound).to_json_dict() == golden["complex"]
+
+
+def test_residue_resolution_agrees_over_q_and_f_p():
+    # the residue field over k[x,y,z,w]/(w^2) with f = (x^2, y^2, z^3), at
+    # length 5 and bound 11: the largest eliminations over Q in the suite,
+    # where coefficient growth in the rational kernel would show.  The
+    # Betti numbers do not depend on the field here, so both resolutions
+    # have the same twists, and both pass the full verify battery
+    from koszul_lift import cli
+
+    twists = {}
+    for field in (QQ, GF(32003)):
+        ring = GradedRing(
+            field, ["x", "y", "z", "w"], relations=["w^2"], sequence=["x^2", "y^2", "z^3"]
+        )
+        C = resolve_over_R(ring, _residue_presentation(ring), 5, 11)
+        twists[field] = C.twists
+        checks, _ = cli._verify_input(ring, C, 8)
+        assert len(checks) == 8 and all(c["ok"] for c in checks), (field, checks)
+    assert twists[QQ] == twists[GF(32003)]
