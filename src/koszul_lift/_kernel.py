@@ -3,8 +3,9 @@ solve and nullspace over F_p and over Q.
 
 Rows are dicts {column: nonzero entry}: ints in [0, p) over F_p; over Q,
 Fractions or ints.  ``echelon`` is the forward pass and finds the pivot
-columns, which is all a rank needs; ``gauss_jordan`` adds the back
-substitution.  The reduced row echelon form of a matrix is unique for its
+columns, which is all a rank needs; ``_reduced_rows`` adds the back
+substitution, and ``gauss_jordan`` and ``kernel_basis`` read their results
+off its rows.  The reduced row echelon form of a matrix is unique for its
 column order, so the order in which rows become pivots does not change the
 result.
 
@@ -18,14 +19,15 @@ scalar, so every row keeps the support it would have over Fractions: the
 sparsest-pivot choice, the fill and the pivot columns are those of the
 rational elimination.  Fractions appear only at the kernel's boundary:
 ``gauss_jordan`` divides each reduced row by its lead, one ``Fraction`` per
-nonzero, and ``echelon`` hands back its integer pivot rows, of which
-callers read only the keys.
+nonzero; ``kernel_basis`` builds one negated ``Fraction`` per kernel-vector
+entry straight from the integer rows; and ``echelon`` hands back its
+integer pivot rows, of which callers read only the keys.
 
 ``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
 eliminations) transpose sparse columns into dict rows; ``linalg.rank`` (for
 ``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
 benchmark's tracer) scan dense list rows into them.  All hand those rows
-straight to ``echelon`` or ``gauss_jordan``.  ``rref_mod`` wraps
+straight to ``echelon`` or ``kernel_basis``.  ``rref_mod`` wraps
 ``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p takes
 that route, and only the homotopy solve calls it.  This module does not
 import numpy: ``rref_mod`` uses nothing but the methods of the array it is
@@ -132,16 +134,10 @@ def echelon(rows, char: int) -> dict:
     return pivots
 
 
-def gauss_jordan(rows, char: int) -> list:
-    """Reduced row echelon form of the dict rows ``rows`` over F_char (Q
-    when ``char`` is 0), as (pivot column, reduced row) pairs in ascending
-    column order.  Each reduced row holds a 1 in its pivot column and no
-    entry in any other pivot column; over Q its entries are Fractions.
-    ``rows`` are modified.
-
-    ``echelon`` does the forward elimination; back substitution then clears
-    each pivot row's later pivot columns, last pivot first.
-    """
+def _reduced_rows(rows, char: int) -> dict:
+    """``echelon``, then each pivot row cleared in the other pivot columns,
+    last pivot first: the reduced row echelon form, over Q up to the scale
+    of each (primitive integer) row.  ``rows`` are modified."""
     pivots = echelon(rows, char)
     for col in reversed(pivots):
         row = pivots[col]
@@ -150,12 +146,39 @@ def gauss_jordan(rows, char: int) -> list:
                 _subtract(row, row[c], pivots[c], char)
             else:
                 _combine(row, row[c], pivots[c][c], pivots[c])
+    return pivots
+
+
+def gauss_jordan(rows, char: int) -> list:
+    """Reduced row echelon form of the dict rows ``rows`` over F_char (Q
+    when ``char`` is 0), as (pivot column, reduced row) pairs in ascending
+    column order.  Each reduced row holds a 1 in its pivot column and no
+    entry in any other pivot column; over Q its entries are Fractions.
+    ``rows`` are modified.
+    """
+    pivots = _reduced_rows(rows, char)
     if char:
         return list(pivots.items())
     return [
         (col, {k: Fraction(v, row[col]) for k, v in row.items()})
         for col, row in pivots.items()
     ]
+
+
+def kernel_basis(rows, ncols: int, char: int) -> list:
+    """Kernel basis of the dict rows ``rows`` with ``ncols`` columns, one
+    sparse vector per free column fc in ascending order: 1 at fc, then
+    -R[r][fc] at the pivot column of each row r of the RREF R, built once
+    from the integer rows over Q.  ``rows`` are modified."""
+    pivots = _reduced_rows(rows, char)
+    one = 1 if char else Fraction(1)
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
+    for col, row in pivots.items():
+        lead = row[col]
+        for fc, v in row.items():
+            if fc != col:
+                basis[fc][col] = char - v if char else Fraction(-v, lead)
+    return list(basis.values())
 
 
 def rref_mod(a, p: int, pivots) -> int:

@@ -10,8 +10,8 @@ must land back in Q goes through ``GradedRing.normal_form`` or
 and the normal form of every monomial in it.
 
 ``PolyMatrix`` is sparse: each row is a ``{column: Poly}`` dict of the
-nonzero entries only, and no stored entry is zero.  Products and sums walk
-those nonzeros; ``matrix_from_json`` reads JSON text straight into the row
+nonzero entries only, and no stored entry is zero.  Products walk those
+nonzeros; ``matrix_from_json`` reads JSON text straight into the row
 dicts and ``matrix_to_json`` writes them back.  Polynomial columns have one
 format, the nonzero ``(row, Poly)`` pairs of ``column_nonzeros``.  The one
 coordinate builder, ``graded_columns``, takes such columns and gives a
@@ -26,9 +26,11 @@ monomial m0 from the ring's shift tables (``GradedRing.shift_table`` and
 ``GradedRing.quotient_shift_table``), so each term of an entry costs one
 tuple lookup per cell.  The ring caches one table per distinct (m0,
 degree) pair it is asked for, so that cache grows with the monomials and
-degrees a ring sees.  ``PolyMatrix.mul`` adds the products of terms into
-one {monomial: coefficient} dict per output cell and reduces it (mod p,
-and mod J) once, when the cell's Poly is built.
+degrees a ring sees.  Matrix arithmetic is one function, ``product_sum``,
+a signed sum of products (``PolyMatrix.mul`` is its one-term case): it
+adds all the term products into one {monomial: coefficient} dict per
+output cell and reduces it (mod p, and mod J) once, when the cell's Poly
+is built, so no partial product or sum is ever built.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -39,9 +41,10 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from typing import Iterable, Mapping
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, KoszulLiftError, ParseError
 from .fields import Field, field_from_spec
 from . import _kernel, linalg
 
@@ -185,7 +188,8 @@ class Poly:
 
 
 def format_poly(p: Poly) -> str:
-    """Render in the text grammar, terms in descending canonical order."""
+    """Render in the text grammar, terms in descending canonical order.  A
+    coefficient too long for ``str`` is a KoszulLiftError naming the limit."""
     if not p.terms:
         return "0"
     ring = p.ring
@@ -195,12 +199,19 @@ def format_poly(p: Poly) -> str:
         c = p.terms[m]
         negative = field.char == 0 and c < 0
         mag = -c if negative else c
-        if not any(m):
-            body = str(mag)
-        elif mag == field.one:
+        if any(m) and mag == field.one:
             body = ring.format_monomial(m)
         else:
-            body = f"{mag}*{ring.format_monomial(m)}"
+            try:
+                body = str(mag)
+            except ValueError as exc:  # past Python's int-to-text digit limit
+                raise KoszulLiftError(
+                    "cannot write a coefficient with more digits than Python's "
+                    f"limit of {sys.get_int_max_str_digits()} for integer string "
+                    "conversion (sys.set_int_max_str_digits)"
+                ) from exc
+            if any(m):
+                body += "*" + ring.format_monomial(m)
         pieces.append(("-" if negative else "+", body))
     sign0, body0 = pieces[0]
     text = ("-" if sign0 == "-" else "") + body0
@@ -750,80 +761,9 @@ class PolyMatrix:
         return not any(self._rows)
 
     def mul(self, other: "PolyMatrix", ring: GradedRing) -> "PolyMatrix":
-        """Matrix product with J-reduction of every entry.
-
-        Entry ``(i, j)`` adds every product ``c1 * c2`` of a term of a stored
-        ``a = self[i][k]`` and a term of ``b = other[k][j]`` into one
-        {monomial: coefficient} dict.  Only when that entry's Poly is built
-        are its coefficients reduced mod p and its zero coefficients and J
-        monomials dropped; an entry left with no term is dropped.
-        """
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}"
-            )
-        right = other._rows
-        char = ring.field.char
-        in_j = ring._mono_is_zero_in_q
-        add = operator.add
-        out = []
-        for row in self._rows:
-            acc = {}
-            for k, a in row.items():
-                a_terms = a.terms.items()
-                for j, b in right[k].items():
-                    cell = acc.get(j)
-                    if cell is None:
-                        cell = acc[j] = {}
-                    b_terms = b.terms.items()
-                    for m1, c1 in a_terms:
-                        for m2, c2 in b_terms:
-                            m = tuple(map(add, m1, m2))
-                            cell[m] = cell.get(m, 0) + c1 * c2
-            out_row = {}
-            for j, cell in acc.items():
-                terms = {}
-                for m, c in cell.items():
-                    if char:
-                        c %= char
-                    if c and not in_j(m):
-                        terms[m] = c
-                if terms:
-                    out_row[j] = Poly._of(ring, terms)
-            out.append(out_row)
-        return PolyMatrix._from_sparse(self.nrows, other.ncols, out, ring.zero)
-
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        out = []
-        for r1, r2 in zip(self._rows, other._rows):
-            row = dict(r1)
-            for j, b in r2.items():
-                a = row.get(j)
-                if a is None:
-                    row[j] = b
-                    continue
-                s = a + b
-                if s.terms:
-                    row[j] = s
-                else:
-                    del row[j]
-            out.append(row)
-        return PolyMatrix._from_sparse(self.nrows, self.ncols, out, self._zero)
-
-    def sub(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.add(other.neg())
-
-    def neg(self) -> "PolyMatrix":
-        return self.map_entries(Poly.__neg__)
-
-    def scale(self, scalar) -> "PolyMatrix":
-        return self.map_entries(lambda p: p * scalar)
-
-    def scale_poly(self, g: Poly, ring: GradedRing) -> "PolyMatrix":
-        return self.map_entries(lambda p: ring.mul(p, g))
+        """Matrix product with J-reduction of every entry: ``product_sum``
+        of the one triple ``(1, self, other)``."""
+        return product_sum(ring, [(1, self, other)])
 
     def map_entries(self, fn) -> "PolyMatrix":
         """Apply ``fn`` to every nonzero entry and drop the zero results.
@@ -852,6 +792,61 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
+
+
+def product_sum(ring: GradedRing, products) -> PolyMatrix:
+    """The sum of ``sign * a * b`` over the triples ``(sign, a, b)`` of the
+    nonempty list ``products``, sign 1 or -1, J-reduced, in the shape of
+    the first product; any other sign or shape is a ValueError.
+
+    Entry ``(i, j)`` adds every ``c1 * c2`` of a term of ``a[i][k]`` (its
+    terms negated once when sign is -1) and a term of ``b[k][j]``, over all
+    the triples, into one {monomial: coefficient} dict, reduced mod p and
+    mod J only when the entry's Poly is built; an empty entry is dropped.
+    """
+    nrows, ncols = products[0][1].nrows, products[0][2].ncols
+    factors = []
+    for sign, a, b in products:
+        if a.ncols != b.nrows:
+            raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
+        if (a.nrows, b.ncols) != (nrows, ncols) or sign not in (1, -1):
+            raise ValueError(
+                f"cannot add {sign!r} times a {a.nrows}x{b.ncols} product "
+                f"to a {nrows}x{ncols} sum"
+            )
+        factors.append((sign < 0, a._rows, b._rows))
+    char = ring.field.char
+    in_j = ring._mono_is_zero_in_q
+    add = operator.add
+    out = []
+    for i in range(nrows):
+        acc = {}
+        for negate, left, right in factors:
+            for k, a in left[i].items():
+                a_terms = a.terms.items()
+                if negate:
+                    a_terms = [(m, -c) for m, c in a_terms]
+                for j, b in right[k].items():
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    b_terms = b.terms.items()
+                    for m1, c1 in a_terms:
+                        for m2, c2 in b_terms:
+                            m = tuple(map(add, m1, m2))
+                            cell[m] = cell.get(m, 0) + c1 * c2
+        out_row = {}
+        for j, cell in acc.items():
+            terms = {}
+            for m, c in cell.items():
+                if char:
+                    c %= char
+                if c and not in_j(m):
+                    terms[m] = c
+            if terms:
+                out_row[j] = Poly._of(ring, terms)
+        out.append(out_row)
+    return PolyMatrix._from_sparse(nrows, ncols, out, ring.zero)
 
 
 # -- graded coordinates ----------------------------------------------------------

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import GradedRing, PolyMatrix, matrix_to_json
+from .algebra import GradedRing, PolyMatrix, matrix_to_json, product_sum
 from .complexes import FreeComplex, is_minimal
 from .errors import InvalidInputError, LevelTooLowError
 from .homotopy import HomotopyFamily
@@ -184,7 +184,9 @@ def epsilon_C(P: ProductComplex, cbar: FreeComplex) -> EpsilonReport:
     """The projection of the product onto its defining R-complex: at each
     position select the e_{()} block and reduce mod (f).  Checks that the
     squares against both differentials commute over R, which holds exactly
-    when the assembled lift really lifts ``cbar``."""
+    when the assembled lift really lifts ``cbar``: each residual
+    eps_{n-1} D_n - d_n eps_n is one ``product_sum``, and every entry must
+    lie in (f)."""
     ring = P.ring
     if cbar.over != "R":
         raise InvalidInputError("epsilon_C compares against a complex over R")
@@ -213,10 +215,10 @@ def epsilon_C(P: ProductComplex, cbar: FreeComplex) -> EpsilonReport:
         d_c = cbar.differential(n)
         if d_c is None:
             continue
-        lhs = maps[n - 1].mul(P.complex.diffs[n], ring)
-        rhs = d_c.mul(maps[n], ring)
         positions.append(n)
-        resid = lhs.sub(rhs)
+        resid = product_sum(
+            ring, [(1, maps[n - 1], P.complex.diffs[n]), (-1, d_c, maps[n])]
+        )
         for i, j, p in resid.nonzeros():
             if not ring.in_sequence_ideal(p):
                 ok = False

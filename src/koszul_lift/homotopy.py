@@ -16,10 +16,13 @@ coherences.  ``solve_homotopies`` builds the family level by level: the
 maps of size < L determine the pair sums, and the size-L maps enter
 linearly.  At matrix entry (r, s) of entry degree e, the unknowns
 t^mu[r][s] are hit by (-1)**(L-1) times the Koszul differential
-K_L -> K_{L-1} on f, so the system is its degree-e strand with the
-negated pair sums on the right.  One position's entries of one entry
-degree share that strand and are eliminated together.  Echelon form with
-free variables pinned to zero makes the result deterministic.
+K_L -> K_{L-1} on f, so the system is the degree-e strand of that
+differential with (-1)**L times the pair sums on the right.  One
+position's entries of one entry degree share that strand and are
+eliminated together.  Echelon form with free variables pinned to zero
+makes the result deterministic.  Each pair sum and each full left-hand
+side of the relation is one ``algebra.product_sum`` call, which builds
+no intermediate matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import PolyMatrix, json_int, matrix_from_json, matrix_to_json
-from .algebra import solve_graded_linear
+from .algebra import product_sum, solve_graded_linear
 from .complexes import FreeComplex, homogeneity_failures
 from .errors import InvalidInputError, ParseError
 from .koszul import (
@@ -142,17 +145,13 @@ class HomotopyFamily:
             raise ParseError(str(exc)) from exc
 
 
-def pair_sum(H: HomotopyFamily, gamma, n: int):
-    """Sum of signed compositions t^beta o t^alpha over disjoint splittings
-    of gamma, evaluated at source position n.  None if any piece is
-    undetermined by the window."""
-    F = H.base
-    ring = H.ring
-    src = F.known_rank(n)
-    tgt = F.known_rank(n - len(gamma) - 2)
-    if src is None or tgt is None:
-        return None
-    acc = PolyMatrix.zeros(ring, tgt, src)
+def _compositions(H: HomotopyFamily, gamma, n: int):
+    """The signed compositions ``(sign, t^beta, t^alpha)`` of the disjoint
+    splittings gamma = alpha | beta at source position n, as
+    ``product_sum`` takes them.  None if any piece is undetermined by the
+    window; the splitting alpha = () alone needs the ranks at n and at the
+    target n - |gamma| - 2."""
+    out = []
     for asize in range(len(gamma) + 1):
         for alpha in combinations(gamma, asize):
             beta = tuple(i for i in gamma if i not in alpha)
@@ -162,31 +161,37 @@ def pair_sum(H: HomotopyFamily, gamma, n: int):
             t_b = H.map(beta, n - asize - 1)
             if t_b is None:
                 return None
-            prod = t_b.mul(t_a, ring)
-            if (len(beta) + inversions(alpha, beta)) % 2:
-                prod = prod.neg()
-            acc = acc.add(prod)
-    return acc
+            sign = -1 if (len(beta) + inversions(alpha, beta)) % 2 else 1
+            out.append((sign, t_b, t_a))
+    return out
+
+
+def pair_sum(H: HomotopyFamily, gamma, n: int):
+    """Sum of signed compositions t^beta o t^alpha over disjoint splittings
+    of gamma, evaluated at source position n.  None if any piece is
+    undetermined by the window."""
+    terms = _compositions(H, gamma, n)
+    return None if terms is None else product_sum(H.ring, terms)
 
 
 def relation_lhs(H: HomotopyFamily, gamma, n: int):
-    """Full left-hand side of the defining relation at gamma, position n."""
+    """Full left-hand side of the defining relation at gamma, position n,
+    with f_i t^{gamma + i} as the product of f_i times the identity."""
     ring = H.ring
-    acc = pair_sum(H, gamma, n)
-    if acc is None:
+    terms = _compositions(H, gamma, n)
+    if terms is None:
         return None
     for i in range(1, ring.c + 1):
         if i in gamma:
             continue
-        mu = insert_index(i, gamma)
-        t_mu = H.map(mu, n)
+        t_mu = H.map(insert_index(i, gamma), n)
         if t_mu is None:
             return None
-        coeff = ring.sequence[i - 1]
-        if (len(gamma) + insertion_count(i, gamma)) % 2:
-            coeff = -coeff
-        acc = acc.add(t_mu.scale_poly(coeff, ring))
-    return acc
+        f_i = [{r: ring.sequence[i - 1]} for r in range(t_mu.nrows)]
+        scalar = PolyMatrix._from_sparse(t_mu.nrows, t_mu.nrows, f_i, ring.zero)
+        sign = -1 if (len(gamma) + insertion_count(i, gamma)) % 2 else 1
+        terms.append((sign, scalar, t_mu))
+    return product_sum(ring, terms)
 
 
 def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
@@ -210,7 +215,6 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
     kos = koszul_complex(ring)
     H = HomotopyFamily(F, 0, {})
     for size in range(1, level + 1):
-        coeffs = kos.diffs[size] if size % 2 else kos.diffs[size].neg()
         gammas = list(subsets_of_size(c, size - 1))
         mus = list(subsets_of_size(c, size))
         new_maps = {mu: {} for mu in mus}
@@ -235,11 +239,11 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
                 for res, row in zip(residuals, rhs_rows):
                     for k, (r, s_) in enumerate(cells):
                         p = res.entry(r, s_)
-                        if p.terms:
-                            row[k] = -p
+                        if p.terms:  # K x = (-1)**size * (pair sum)
+                            row[k] = -p if size % 2 else p
                 rhs = PolyMatrix._from_sparse(len(gammas), len(cells), rhs_rows, ring.zero)
                 sols = solve_graded_linear(
-                    ring, coeffs, kos.twists[size], kos.twists[size - 1], e, rhs
+                    ring, kos.diffs[size], kos.twists[size], kos.twists[size - 1], e, rhs
                 )
                 for (r, s_), sol in zip(cells, sols):
                     if sol is None:

@@ -3,12 +3,12 @@
 Both fields reduce through the one sparse elimination in ``_kernel``, on
 dict rows {column: nonzero}.  Over Q the kernel turns the rows it is handed
 into primitive integer rows and works on those; Fractions appear only at
-its boundary, in the reduced rows ``_kernel.gauss_jordan`` returns, so
-every function here still returns Fraction entries over Q.  Sparse columns
-{row: nonzero} become dict rows in one transpose, ``_transpose``, and a
-kernel basis is read off reduced rows in one loop, ``_kernel_basis``.
-``extend_pivots`` and ``nullspace_columns`` take sparse columns; they are
-all that ``resolve`` calls, so its path builds no list row.
+its boundary, in the reduced rows of ``_kernel.gauss_jordan`` and the
+kernel vectors of ``_kernel.kernel_basis``, so every function here still
+returns Fraction entries over Q.  Sparse columns {row: nonzero} become
+dict rows in one transpose, ``_transpose``.  ``extend_pivots`` and
+``nullspace_columns`` take sparse columns; they are all that ``resolve``
+calls, so its path builds no list row.
 
 ``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them
 into dict rows (``_dict_rows``), which keeps each nonzero cell as it is
@@ -24,7 +24,7 @@ is the list-row adapter of ``nullspace_columns``, kept for the tracer.
 ``rank`` and ``extend_pivots`` need only the pivot columns, so they run the
 forward pass ``_kernel.echelon`` and nothing else: the pivot columns of the
 reduced row echelon form depend only on the column order.
-``nullspace_columns`` and ``nullspace`` run ``_kernel.gauss_jordan``.
+``nullspace_columns`` and ``nullspace`` run ``_kernel.kernel_basis``.
 Kernel vectors are sparse dicts {index: nonzero}.
 
 ``rref`` and ``solve_min`` return dense reduced rows.  Over Q they go to
@@ -131,35 +131,18 @@ def _transpose(columns, nrows: int) -> list:
     return rows
 
 
-def _kernel_basis(field, reduced, ncols: int) -> list:
-    """Basis of the kernel of a matrix with ``ncols`` columns from its
-    reduced row echelon form ``reduced`` (``_kernel.gauss_jordan`` pairs),
-    as sparse vectors {index: nonzero}, one per free column fc in ascending
-    order: 1 at fc and -R[r][fc] at the pivot column of each row r of R."""
-    pivots = {col for col, _ in reduced}
-    basis = {fc: {fc: field.one} for fc in range(ncols) if fc not in pivots}
-    neg = field.neg
-    for col, row in reduced:
-        for fc, v in row.items():
-            if fc != col:
-                basis[fc][col] = neg(v)
-    return list(basis.values())
-
-
 def nullspace_columns(field, columns, nrows: int):
     """Basis of ker(A) for the matrix A with the sparse columns ``columns``
     {row: nonzero field element} and ``nrows`` rows, as ``nullspace``
     gives it: one sparse vector per free column, in ascending order."""
-    reduced = _kernel.gauss_jordan(_transpose(columns, nrows), field.char)
-    return _kernel_basis(field, reduced, len(columns))
+    return _kernel.kernel_basis(_transpose(columns, nrows), len(columns), field.char)
 
 
 def nullspace(field, rows, ncols: int):
     """``nullspace_columns`` for a matrix given as list rows.  No library
     code calls this; perfbench/tracing.py probes it by name and counts the
     cells of its list rows."""
-    reduced = _kernel.gauss_jordan(_dict_rows(rows, field.char), field.char)
-    return _kernel_basis(field, reduced, ncols)
+    return _kernel.kernel_basis(_dict_rows(rows, field.char), ncols, field.char)
 
 
 def extend_pivots(field, base, extra, dim: int):

@@ -17,15 +17,15 @@ from .fields import Field
 from .koszul import koszul_complex
 from .resolve import Presentation, resolve_over_R
 
+# Sizes of the random inputs.  The seeded digests in fixtures/ are taken
+# over inputs drawn with these values.
+_MAX_POWER = 2  # a_i in f_i = x_i^{a_i}
+_MAX_J_GENERATORS = 2
+_MAX_ENTRY_DEGREE = 2  # of a presentation, above its largest twist
+_DEGREE_BOUND = 12  # of random_resolved_complex's resolve
 
-def random_regular_ring(
-    rng: Random,
-    field: Field,
-    nvars: int,
-    c: int,
-    max_power: int = 2,
-    max_relations: int = 2,
-) -> GradedRing:
+
+def random_regular_ring(rng: Random, field: Field, nvars: int, c: int) -> GradedRing:
     """A ring with a provably regular length-c sequence: f_i = x_i^{a_i} on
     the first c variables, J generated by monomials in the others."""
     if not (0 <= c <= nvars):
@@ -36,7 +36,7 @@ def random_regular_ring(
     relations = []
     free = list(range(c, nvars))
     if free:
-        for _ in range(rng.randint(0, max_relations)):
+        for _ in range(rng.randint(0, _MAX_J_GENERATORS)):
             expts = [0] * nvars
             for _ in range(rng.randint(1, 2)):
                 expts[rng.choice(free)] += rng.randint(1, 2)
@@ -44,7 +44,7 @@ def random_regular_ring(
     sequence = []
     for i in range(c):
         expts = [0] * nvars
-        expts[i] = rng.randint(1, max_power)
+        expts[i] = rng.randint(1, _MAX_POWER)
         sequence.append(expts)
     ring = GradedRing(field, names, relations=relations)
     seq_polys = [Poly(ring, {tuple(e): field.one}) for e in sequence]
@@ -66,11 +66,7 @@ def random_homogeneous(rng: Random, ring: GradedRing, d: int, density=0.7) -> Po
 
 
 def random_presentation(
-    rng: Random,
-    ring: GradedRing,
-    max_generators: int = 2,
-    max_relations: int = 2,
-    max_entry_degree: int = 2,
+    rng: Random, ring: GradedRing, max_generators: int = 2, max_relations: int = 2
 ) -> Presentation:
     """A random graded presentation with unit-free homogeneous columns."""
     ngens = rng.randint(1, max_generators)
@@ -78,7 +74,7 @@ def random_presentation(
     ncols = rng.randint(1, max_relations)
     cols = []
     for _ in range(ncols):
-        cd = max(twists) + rng.randint(1, max_entry_degree)
+        cd = max(twists) + rng.randint(1, _MAX_ENTRY_DEGREE)
         col = []
         for a in twists:
             p = random_homogeneous(rng, ring, cd - a)
@@ -89,16 +85,11 @@ def random_presentation(
     return Presentation(tuple(twists), PolyMatrix(len(twists), ncols, rows))
 
 
-def random_resolved_complex(
-    rng: Random,
-    ring: GradedRing,
-    length: int,
-    degree_bound: int = 12,
-) -> FreeComplex:
+def random_resolved_complex(rng: Random, ring: GradedRing, length: int) -> FreeComplex:
     """Minimal R-free resolution of a random module, bounded_below on
     [0, length].  Valid input for the lift/homotopy/assembly pipeline."""
     pres = random_presentation(rng, ring)
-    return resolve_over_R(ring, pres, length, degree_bound)
+    return resolve_over_R(ring, pres, length, _DEGREE_BOUND)
 
 
 def random_finite_complex(rng: Random, ring: GradedRing, k: int) -> FreeComplex:

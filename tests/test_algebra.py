@@ -18,6 +18,7 @@ from koszul_lift.algebra import (
     matrix_to_json,
     module_dim,
     parse_poly,
+    product_sum,
     quotient_matrix_rows,
     quotient_module_dim,
     solve_graded_linear,
@@ -550,9 +551,9 @@ def test_poly_matrix_ops():
     b = PolyMatrix.from_rows([[RING.one, RING.zero], [RING.zero, RING.one]])
     assert a.mul(b, RING) == a
     assert b.mul(a, RING) == a
-    assert a.sub(a).is_zero()
-    assert a.add(a) == a.scale(2)
-    assert a.neg() == a.scale(-1)
+    assert product_sum(RING, [(1, a, b), (-1, b, a)]).is_zero()
+    assert product_sum(RING, [(1, a, b), (1, b, a)]) == a.map_entries(lambda p: p * 2)
+    assert product_sum(RING, [(-1, a, b)]) == a.map_entries(Poly.__neg__)
 
     c = PolyMatrix.from_rows([[RING.parse("y")], [RING.parse("x")]], ncols=1)
     prod = a.mul(c, RING)
@@ -695,9 +696,20 @@ def _cellwise(fn, *grids):
     return [[fn(*ps) for ps in zip(*rows)] for rows in zip(*grids)]
 
 
+def _product_sum_reference(ring, products):
+    """The dense grid of sum sign * a * b, cell by cell through ``ring.mul``."""
+    _, a, b = products[0]
+    grid = [[ring.zero] * b.ncols for _ in range(a.nrows)]
+    for sign, a, b in products:
+        for i, row in enumerate(_reference_product(a, b, ring)):
+            for j, p in enumerate(row):
+                grid[i][j] += p if sign > 0 else -p
+    return grid
+
+
 def test_sparse_ops_match_dense_reference():
     rng = Random(1111)
-    x, y = RING.parse("x"), RING.parse("y")
+    x = RING.parse("x")
     for trial in range(150):
         # 0xn, nx0 and inner-zero shapes come up among the small dimensions
         r, k, c = (rng.randint(0, 4) for _ in range(3))
@@ -707,18 +719,8 @@ def test_sparse_ops_match_dense_reference():
         b = PolyMatrix(r, c, gb)
         _assert_matches_grid(a, ga)
         _assert_matches_grid(b, gb)
-        _assert_matches_grid(a.add(b), _cellwise(lambda p, q: p + q, ga, gb))
-        _assert_matches_grid(a.sub(b), _cellwise(lambda p, q: p - q, ga, gb))
-        _assert_matches_grid(a.neg(), _cellwise(lambda p: -p, ga))
-        for s in (Fraction(-2, 3), 0):
-            _assert_matches_grid(a.scale(s), _cellwise(lambda p: p * s, ga))
-        for g in (x, y + x, RING.zero):
-            _assert_matches_grid(
-                a.scale_poly(g, RING), _cellwise(lambda p: RING.mul(p, g), ga)
-            )
         times_x = lambda p: RING.mul(p, x)  # sends the x-multiples to 0 mod x^2
         _assert_matches_grid(a.map_entries(times_x), _cellwise(times_x, ga))
-        assert a.add(b).sub(b) == a and hash(a.add(b).sub(b)) == hash(a)
 
         gc = _random_grid(rng, c, k)
         prod = a.mul(PolyMatrix(c, k, gc), RING)
@@ -736,6 +738,76 @@ def test_sparse_ops_match_dense_reference():
     eye = [[RING.one, RING.zero], [RING.zero, RING.one]]
     _assert_matches_grid(PolyMatrix.from_rows(eye), eye)
     assert zero != PolyMatrix.zeros(RING, 3, 2)
+
+    # product_sum over both fields, in Q = k[x, y, z]/(x^2, y*z^2) where J
+    # kills some products, against the cellwise ring.mul reference.  Every
+    # third trial repeats a summand with the other sign, which cancels it
+    # across the triples; no result may store a zero
+    for field in (QQ, GF(7)):
+        ring = GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"])
+
+        def random_matrix(n, m):
+            cell = lambda: _random_poly(rng, ring, maxdeg=2, nterms=3)
+            return PolyMatrix(n, m, [[cell() for _ in range(m)] for _ in range(n)])
+
+        cancelled = 0
+        for trial in range(90):
+            r, c = rng.randint(0, 3), rng.randint(0, 3)
+            products = []
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(0, 3)
+                products.append((rng.choice([1, -1]), random_matrix(r, k), random_matrix(k, c)))
+            if trial % 3 == 0:
+                sign, a, b = rng.choice(products)
+                products.insert(rng.randint(0, len(products)), (-sign, a, b))
+            expected = _product_sum_reference(ring, products)
+            _assert_matches_grid(product_sum(ring, products), expected)
+            cancelled += trial % 3 == 0 and r * c > 0 and all(
+                p.is_zero() for row in expected for p in row
+            )
+        assert cancelled > 5
+
+        x, y, z = ring.parse("x"), ring.parse("y"), ring.parse("z")
+        one = lambda p: PolyMatrix.from_rows([[p]])
+        cases = [
+            # x*y - y*x cancels across the triples to an absent cell
+            ([(1, one(x), one(y)), (-1, one(y), one(x))], "0"),
+            # 3 + 4 = 7 wraps to 0 over F_7
+            ([(1, one(x * 3), one(y)), (1, one(y * 4), one(x))],
+             "7*x*y" if field.char == 0 else "0"),
+            # x^2 lies in J: its term dies, the other triple's stays
+            ([(1, one(x), one(x)), (-1, one(y), one(z))],
+             "-y*z" if field.char == 0 else "6*y*z"),
+            # x*z*y*z lies in J even though neither factor does
+            ([(-1, one(x * z), one(y * z + x))], "0"),
+        ]
+        for products, want in cases:
+            got = product_sum(ring, products)
+            assert str(got.entry(0, 0)) == want
+            _assert_matches_grid(got, _product_sum_reference(ring, products))
+
+        # 0-row and 0-column results, and a sum over an empty inner dimension
+        a, b = PolyMatrix.from_rows([[x, y]]), PolyMatrix.from_rows([[z], [x]])
+        zeros = lambda n, m: PolyMatrix.zeros(ring, n, m)
+        _assert_matches_grid(product_sum(ring, [(1, zeros(0, 2), b)]), [])
+        _assert_matches_grid(product_sum(ring, [(1, a, zeros(2, 0))]), [[]])
+        _assert_matches_grid(product_sum(ring, [(-1, zeros(0, 2), zeros(2, 0))]), [])
+        empty = product_sum(ring, [(1, zeros(1, 0), zeros(0, 1)), (-1, a, b)])
+        want = "-x*y - x*z" if field.char == 0 else "6*x*y + 6*x*z"
+        assert str(empty.entry(0, 0)) == want
+
+        # a triple that does not conform is an error, not a truncated zip
+        bad = [
+            ([(1, a, a)], "cannot multiply 1x2 by 1x2"),
+            ([(1, a, b), (1, zeros(0, 2), b)], "cannot add 1 times a 0x1 product to a 1x1 sum"),
+            ([(1, a, b), (1, a, zeros(2, 2))], "cannot add 1 times a 1x2 product to a 1x1 sum"),
+            ([(1, b, a), (-1, b, zeros(1, 3))], "cannot add -1 times a 2x3 product to a 2x2 sum"),
+            ([(1, a, b), (2, a, b)], "cannot add 2 times a 1x1 product to a 1x1 sum"),
+            ([(1, a, b), (1, a, a)], "cannot multiply 1x2 by 1x2"),
+        ]
+        for products, message in bad:
+            with pytest.raises(ValueError, match=message):
+                product_sum(ring, products)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])

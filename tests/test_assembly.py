@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from koszul_lift.algebra import GradedRing, PolyMatrix
+from koszul_lift.algebra import GradedRing, PolyMatrix, matrix_to_json
 from koszul_lift.assembly import (
     ProductComplex,
     assemble,
@@ -314,12 +314,10 @@ def test_epsilon_reports_the_row_major_first_failure():
     # two entries of d_1 of cbar that are not in (f): the residual of the
     # square at position 1 fails in row 0 at the columns of both, and the
     # report names the leftmost
-    d1 = cbar.diffs[1]
-    shift = PolyMatrix.from_rows([[ring.zero, ring.parse("x")]]).add(
-        PolyMatrix.from_rows([[ring.parse("x"), ring.zero]])
-    )
+    # d_1 of cbar is [[x, y]]; x is added to both entries
+    assert matrix_to_json(cbar.diffs[1]) == [["x", "y"]]
     diffs = dict(cbar.diffs)
-    diffs[1] = d1.add(shift)
+    diffs[1] = PolyMatrix.from_rows([[ring.parse("2*x"), ring.parse("x + y")]])
     bad = FreeComplex(ring, "R", cbar.window, cbar.twists, diffs, support=cbar.support)
     eps = epsilon_C(P, bad)
     offset = next(b.offset for b in P.blocks[1] if b.subset == ())

@@ -498,6 +498,30 @@ def test_literal_past_the_int_digit_limit_is_exit_2(tmp_path, field, kind):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficient_past_the_int_digit_limit_on_output_is_exit_2(tmp_path, fmt):
+    # two valid literals below the limit whose product is past it: the
+    # ring reads, and the writer of f's coefficient fails with a typed error
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit - 300)
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(
+        {"field": "Q", "variables": ["x", "y"], "relations": [], "sequence": [f"{nines}*{nines}*x^2"]}
+    ))
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"twists": [0], "relations": [["x", "y"]]}))
+    out = run_cli(
+        "resolve", "--ring", str(ring), "--presentation", str(pres), "--length", "2",
+        "--format", fmt,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: cannot write a coefficient with more digits than Python's limit of "
+        f"{limit} for integer string conversion (sys.set_int_max_str_digits)\n"
+    )
+
+
 def test_lift_json_payload():
     out = run_cli("lift", "--ring", RING, "--complex", COMPLEX, "--format", "json")
     assert out.returncode == 0

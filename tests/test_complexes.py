@@ -172,9 +172,9 @@ def test_failures_are_reported_row_major():
     ring = GradedRing(QQ, ["x", "y", "z"])
     # d_1 is built so that its row 1 stores column 2 before column 0; both
     # entries have the wrong degree, and (1, 0) comes first row-major
-    d1 = _mat(ring, [["x", "y", "0"], ["0", "y", "x^2"]]).add(
-        _mat(ring, [["0", "0", "0"], ["x*y", "0", "0"]])
-    )
+    x, y = ring.parse("x"), ring.parse("y")
+    rows = [{0: x, 1: y}, {1: y, 2: ring.parse("x^2"), 0: ring.parse("x*y")}]
+    d1 = PolyMatrix._from_sparse(2, 3, rows, ring.zero)
     C = FreeComplex(ring, "Q", (0, 1), {0: (0, 0), 1: (1, 1, 1)}, {1: d1})
     assert [(f.position, f.entry) for f in homogeneity_failures(C)] == [
         (1, (1, 0)),

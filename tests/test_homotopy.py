@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from koszul_lift.algebra import GradedRing, Poly, PolyMatrix
+from koszul_lift.algebra import GradedRing, Poly, PolyMatrix, matrix_to_json
 from koszul_lift.assembly import assemble
 from koszul_lift.builtin_examples import paper_5_2, periodic_factorization
 from koszul_lift.complexes import (
@@ -83,12 +83,13 @@ def test_relation_reports_the_row_major_first_failure():
     _, cbar, _ = paper_5_2()
     fam = solve_homotopies(lift_to_Q(cbar), 1)
     ring = fam.ring
-    # t^{e_1} at 2 gains units at (0, 2) and then (0, 0); f times them breaks
-    # the relation at () in both cells, and the report names (0, 0)
-    t2 = fam.maps[(1,)][2]
-    one, z = ring.one, ring.zero
-    bump = PolyMatrix.from_rows([[z, z, one]]).add(PolyMatrix.from_rows([[one, z, z]]))
-    bad = HomotopyFamily(fam.base, 1, {(1,): {**fam.maps[(1,)], 2: t2.add(bump)}})
+    # t^{e_1} at 2, [[0, -1, 0]], gains units stored at (0, 2) and then
+    # (0, 0); f times them breaks the relation at () in both cells, and the
+    # report names (0, 0)
+    assert matrix_to_json(fam.maps[(1,)][2]) == [["0", "-1", "0"]]
+    one = ring.one
+    t2 = PolyMatrix._from_sparse(1, 3, [{1: -one, 2: one, 0: one}], ring.zero)
+    bad = HomotopyFamily(fam.base, 1, {(1,): {**fam.maps[(1,)], 2: t2}})
     rep = verify_relation(bad, ())
     assert not rep.ok
     assert rep.first_failure == (2, 0, 0)

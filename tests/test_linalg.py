@@ -234,7 +234,8 @@ def test_nullspace_dimension_and_membership():
 def test_nullspace_is_the_textbook_basis(p):
     # resolve reads its syzygy candidates off these exact vectors: one per
     # free column fc in ascending order, 1 at fc, -R[r][fc] at the pivot
-    # column of row r of the reduced row echelon form R, nothing else
+    # column of row r of the reduced row echelon form R, nothing else; each
+    # vector's keys in that order (fc, then the pivot columns ascending)
     field = GF(p) if p else QQ
     for rows, nrows, ncols, red, pivots in _textbook_cases(p, 212):
         want = []
@@ -246,9 +247,11 @@ def test_nullspace_is_the_textbook_basis(p):
                 if red[r][fc]:
                     vec[pc] = field(-red[r][fc])
             want.append(vec)
-        assert nullspace(field, rows, ncols) == want
         columns = _sparse_columns(field, rows, range(ncols))
-        assert nullspace_columns(field, columns, nrows) == want
+        for got in (nullspace(field, rows, ncols), nullspace_columns(field, columns, nrows)):
+            assert got == want
+            assert [list(v) for v in got] == [list(v) for v in want]
+            assert all(type(c) is type(field.one) for v in got for c in v.values())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
