@@ -11,17 +11,19 @@ result.
 
 Over Q the elimination runs on primitive integer rows (integer-preserving
 elimination, Bareiss 1968, in the primitive-row form with content removal).
-On entry each row is scaled in place by the lcm of its denominators and
-divided by its content, the gcd of its entries.  A row step is
-``row = (lead/g)*row - (b/g)*pivot_row`` with g = gcd(lead, b), followed
-by division by the content.  That is the rational row step up to a nonzero
-scalar, so every row keeps the support it would have over Fractions: the
-sparsest-pivot choice, the fill and the pivot columns are those of the
-rational elimination.  Fractions appear only at the kernel's boundary:
-``gauss_jordan`` divides each reduced row by its lead, one ``Fraction`` per
-nonzero; ``kernel_basis`` builds one negated ``Fraction`` per kernel-vector
-entry straight from the integer rows; and ``echelon`` hands back its
-integer pivot rows, of which callers read only the keys.
+On entry each row is scaled in place by the lcm of its denominators
+(``clear_denominators``, which ``algebra.product_sum`` also uses on the
+terms of its factors) and divided by its content, the gcd of its entries.
+A row step is ``row = (lead/g)*row - (b/g)*pivot_row`` with
+g = gcd(lead, b), followed by division by the content.  That is the
+rational row step up to a nonzero scalar, so every row keeps the support it
+would have over Fractions: the sparsest-pivot choice, the fill and the
+pivot columns are those of the rational elimination.  Fractions appear
+only at the kernel's boundary: ``gauss_jordan`` divides each reduced row by
+its lead, one ``Fraction`` per nonzero; ``kernel_basis`` builds one negated
+``Fraction`` per kernel-vector entry straight from the integer rows; and
+``echelon`` hands back its integer pivot rows, of which callers read only
+the keys.
 
 ``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
 eliminations) transpose sparse columns into dict rows; ``linalg.rank`` (for
@@ -60,11 +62,22 @@ def _divide_content(row: dict) -> None:
             row[k] = v // g
 
 
+def clear_denominators(row: dict) -> int:
+    """Scale the rationals (Fractions or ints) of ``row`` in place to ints
+    by the lcm of their denominators, and return that lcm (1 when empty)."""
+    den = lcm(*[v.denominator for v in row.values()])
+    if den == 1:
+        for k, v in row.items():
+            row[k] = v.numerator
+    else:
+        for k, v in row.items():
+            row[k] = v.numerator * (den // v.denominator)
+    return den
+
+
 def _make_primitive(row: dict) -> None:
     """Scale the rational row ``row`` in place to a primitive integer row."""
-    den = lcm(*[v.denominator for v in row.values()])
-    for k, v in row.items():
-        row[k] = v.numerator * (den // v.denominator)
+    clear_denominators(row)
     _divide_content(row)
 
 

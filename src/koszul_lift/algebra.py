@@ -28,9 +28,12 @@ tuple lookup per cell.  The ring caches one table per distinct (m0,
 degree) pair it is asked for, so that cache grows with the monomials and
 degrees a ring sees.  Matrix arithmetic is one function, ``product_sum``,
 a signed sum of products (``PolyMatrix.mul`` is its one-term case): it
-adds all the term products into one {monomial: coefficient} dict per
-output cell and reduces it (mod p, and mod J) once, when the cell's Poly
-is built, so no partial product or sum is ever built.
+adds all the term products of an output cell into integer dicts
+{monomial: coefficient} and reduces them (mod p, and mod J) once, when the
+cell's Poly is built, so no partial product or sum is ever built.  Over Q
+it multiplies integer numerators: each entry's terms are read once, as
+the integer form cached on the immutable Poly, and only the surviving
+monomials of a cell become Fractions, one per monomial.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -42,6 +45,8 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError, KoszulLiftError, ParseError
@@ -79,12 +84,16 @@ def _monomials_of_degree(nvars: int, d: int):
 class Poly:
     """Element of P (a J-reduced representative when produced by a ring op).
 
-    ``terms`` maps exponent tuples to nonzero field elements.  Instances are
-    treated as immutable.  The constructor coerces outside input; library
-    code that already holds nonzero field elements uses ``Poly._of``.
+    ``terms`` maps exponent tuples to nonzero field elements.  A Poly is
+    immutable: neither ``terms`` nor the dict it names changes after the
+    Poly is built, and every operation returns a new Poly.  ``_of`` keeps
+    the dict it is handed, so its caller must not change that dict later.
+    Over Q the integer form that ``_integer_form`` caches relies on this.
+    The constructor coerces outside input; library code that already holds
+    nonzero field elements uses ``Poly._of``.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_int")
 
     def __init__(self, ring: "GradedRing", terms: Mapping[Monomial, object]):
         field = ring.field
@@ -95,14 +104,26 @@ class Poly:
                 clean[m] = c
         self.ring = ring
         self.terms = clean
+        self._int = None
 
     @staticmethod
     def _of(ring: "GradedRing", terms: dict) -> "Poly":
         """The Poly on ``terms`` as given, neither copied nor coerced: every
         value must already be a nonzero element of ``ring.field``."""
         out = Poly.__new__(Poly)
-        out.ring, out.terms = ring, terms
+        out.ring, out.terms, out._int = ring, terms, None
         return out
+
+    def _integer_form(self) -> tuple:
+        """Over Q, ``(den, numerators)``: ``den`` is the lcm of the
+        coefficients' denominators and ``numerators`` maps each monomial of
+        ``terms``, in the same order, to the int ``c * den``.  Built on the
+        first call and kept."""
+        form = self._int
+        if form is None:
+            numerators = dict(self.terms)
+            form = self._int = (_kernel.clear_denominators(numerators), numerators)
+        return form
 
     # -- basic queries ----------------------------------------------------
 
@@ -471,15 +492,6 @@ class GradedRing:
     # -- element constructors ----------------------------------------------
     # ``zero`` and ``one`` are attributes, built once in ``__init__``.
 
-    def var(self, name: str) -> Poly:
-        k = self.variables.index(name)
-        expts = [0] * self.nvars
-        expts[k] = 1
-        return Poly._of(self, {tuple(expts): self.field.one})
-
-    def monomial(self, expts: Iterable[int]) -> Poly:
-        return self.normal_form(Poly._of(self, {tuple(expts): self.field.one}))
-
     def parse(self, text: str) -> Poly:
         return parse_poly(self, text)
 
@@ -531,20 +543,6 @@ class GradedRing:
 
     def dim(self, d: int) -> int:
         return len(self.monomial_basis(d))
-
-    def coords(self, p: Poly, d: int) -> list:
-        """Coordinate vector of a homogeneous degree-d element over the
-        monomial basis of Q_d.  The zero element is accepted at any d."""
-        p = self.normal_form(p)
-        vec = [self.field.zero] * self.dim(d)
-        if p.is_zero():
-            return vec
-        if p.degree() != d:
-            raise ValueError(f"{p} is not homogeneous of degree {d}")
-        index = self.basis_index(d)
-        for m, c in p.terms.items():
-            vec[index[m]] = c
-        return vec
 
     def sequence_span_columns(self, d: int) -> list:
         """Dense coordinate columns spanning (f_1..f_c)_d inside Q_d.  No
@@ -735,13 +733,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self._rows[i].get(range(self.ncols)[j], self._zero)
 
-    def entries(self):
-        """Every cell as ``(i, j, entry)``, zeros included, row-major."""
-        zero = self._zero
-        for i, row in enumerate(self._rows):
-            for j in range(self.ncols):
-                yield i, j, row.get(j, zero)
-
     def nonzeros(self):
         """The nonzero cells as ``(i, j, entry)``, row-major."""
         for i, row in enumerate(self._rows):
@@ -799,10 +790,16 @@ def product_sum(ring: GradedRing, products) -> PolyMatrix:
     nonempty list ``products``, sign 1 or -1, J-reduced, in the shape of
     the first product; any other sign or shape is a ValueError.
 
-    Entry ``(i, j)`` adds every ``c1 * c2`` of a term of ``a[i][k]`` (its
-    terms negated once when sign is -1) and a term of ``b[k][j]``, over all
-    the triples, into one {monomial: coefficient} dict, reduced mod p and
-    mod J only when the entry's Poly is built; an empty entry is dropped.
+    Entry ``(i, j)`` adds every product of a term of ``a[i][k]`` (its terms
+    negated once when sign is -1) and a term of ``b[k][j]``, over all the
+    triples, into integer dicts {monomial: coefficient}, reduced mod p or
+    made into Fractions, and reduced mod J, only when the entry's Poly is
+    built; an empty entry is dropped.  Over F_p the coefficients are the
+    field's ints.  Over Q each factor entry is read in its cached integer
+    form ``(den, {monomial: numerator})`` (``Poly._integer_form``), the
+    numerator products go to the entry's dict for the denominator
+    ``den_a * den_b``, and each surviving monomial gets one normalized
+    Fraction; an entry with several denominators sums them exactly first.
     """
     nrows, ncols = products[0][1].nrows, products[0][2].ncols
     factors = []
@@ -815,6 +812,12 @@ def product_sum(ring: GradedRing, products) -> PolyMatrix:
                 f"to a {nrows}x{ncols} sum"
             )
         factors.append((sign < 0, a._rows, b._rows))
+    sum_rows = _sum_rows_mod_p if ring.field.char else _sum_rows_qq
+    return PolyMatrix._from_sparse(nrows, ncols, sum_rows(ring, factors, nrows), ring.zero)
+
+
+def _sum_rows_mod_p(ring: GradedRing, factors, nrows: int) -> list:
+    """``product_sum``'s row dicts over F_p."""
     char = ring.field.char
     in_j = ring._mono_is_zero_in_q
     add = operator.add
@@ -839,14 +842,63 @@ def product_sum(ring: GradedRing, products) -> PolyMatrix:
         for j, cell in acc.items():
             terms = {}
             for m, c in cell.items():
-                if char:
-                    c %= char
+                c %= char
                 if c and not in_j(m):
                     terms[m] = c
             if terms:
                 out_row[j] = Poly._of(ring, terms)
         out.append(out_row)
-    return PolyMatrix._from_sparse(nrows, ncols, out, ring.zero)
+    return out
+
+
+def _sum_rows_qq(ring: GradedRing, factors, nrows: int) -> list:
+    """``product_sum``'s row dicts over Q, on integer numerators."""
+    in_j = ring._mono_is_zero_in_q
+    add = operator.add
+    out = []
+    for i in range(nrows):
+        acc = {}  # column -> {denominator: {monomial: numerator}}
+        for negate, left, right in factors:
+            for k, a in left[i].items():
+                den_a, a_numerators = a._integer_form()
+                a_terms = a_numerators.items()
+                if negate:
+                    a_terms = [(m, -n) for m, n in a_terms]
+                for j, b in right[k].items():
+                    den_b, b_numerators = b._integer_form()
+                    b_terms = b_numerators.items()
+                    cell = acc.get(j)
+                    if cell is None:
+                        cell = acc[j] = {}
+                    den = den_a * den_b
+                    bucket = cell.get(den)
+                    if bucket is None:
+                        bucket = cell[den] = {}
+                    for m1, n1 in a_terms:
+                        for m2, n2 in b_terms:
+                            m = tuple(map(add, m1, m2))
+                            bucket[m] = bucket.get(m, 0) + n1 * n2
+        out_row = {}
+        for j, cell in acc.items():
+            if len(cell) == 1:
+                [(den, bucket)] = cell.items()
+            else:
+                den = lcm(*cell)
+                bucket = {}
+                for d, part in cell.items():
+                    scale = den // d
+                    for m, n in part.items():
+                        bucket[m] = bucket.get(m, 0) + n * scale
+            if den == 1:
+                terms = {m: Fraction(n) for m, n in bucket.items() if n and not in_j(m)}
+            else:
+                terms = {
+                    m: Fraction(n, den) for m, n in bucket.items() if n and not in_j(m)
+                }
+            if terms:
+                out_row[j] = Poly._of(ring, terms)
+        out.append(out_row)
+    return out
 
 
 # -- graded coordinates ----------------------------------------------------------

@@ -151,21 +151,54 @@ def homology_dim_in_Q_coordinates(C, n, d):
     return dim - block_rank(n) + naive_rank_over(p, span(n - 1)) - block_rank(n + 1)
 
 
+# -- elements and cells, spelled out -------------------------------------------
+
+
+def var(ring, name):
+    """The variable ``name`` of ``ring``, as a Poly."""
+    from koszul_lift.algebra import Poly
+
+    return Poly(ring, {tuple(int(v == name) for v in ring.variables): 1})
+
+
+def monomial(ring, expts):
+    """The monomial with exponents ``expts``, as a Poly of Q: zero when it
+    lies in J."""
+    from koszul_lift.algebra import Poly
+
+    return ring.normal_form(Poly(ring, {tuple(expts): 1}))
+
+
+def coords(ring, p, d):
+    """Dense coordinates of p (read mod J) over ``ring.monomial_basis(d)``;
+    a ValueError when p is nonzero and not homogeneous of degree d."""
+    terms = ring.normal_form(p).terms
+    if terms and {sum(m) for m in terms} != {d}:
+        raise ValueError(f"{p} is not homogeneous of degree {d}")
+    return [terms.get(m, ring.field.zero) for m in ring.monomial_basis(d)]
+
+
+def entries(mat):
+    """Every cell of the PolyMatrix ``mat`` as ``(i, j, entry)``, zeros
+    included, row-major."""
+    return [(i, j, mat.entry(i, j)) for i in range(mat.nrows) for j in range(mat.ncols)]
+
+
 # -- graded coordinates by multiplying out -------------------------------------
 
 
 def reference_columns(ring, columns, src_twists, tgt_twists, d):
     """``graded_columns`` cell by cell: one sparse column per basis element
     mu of each source piece, every entry of the source column times mu,
-    written out with ``ring.coords`` on its own target block."""
+    written out with ``coords`` on its own target block."""
     out = []
     for j, a in enumerate(src_twists):
         entries = dict(columns[j])
         for mu in ring.monomial_basis(d - a):
             dense = []
             for i, b in enumerate(tgt_twists):
-                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
-                dense += ring.coords(p, d - b)
+                p = ring.mul(entries.get(i, ring.zero), monomial(ring, mu))
+                dense += coords(ring, p, d - b)
             out.append({r: v for r, v in enumerate(dense) if v})
     return out
 
@@ -186,13 +219,56 @@ def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
         for mu in ring.quotient_basis(d - a)[0]:
             vec = [field.zero] * nrows
             for i, (_, forms) in enumerate(blocks):
-                p = ring.mul(entries.get(i, ring.zero), ring.monomial(mu))
+                p = ring.mul(entries.get(i, ring.zero), monomial(ring, mu))
                 for m, c in p.terms.items():
                     for k, v in forms[m].items():
                         r = offsets[i] + k
                         vec[r] = field.add(vec[r], field.mul(c, v))
             cols.append(vec)
     return [[col[r] for col in cols] for r in range(nrows)]
+
+
+# -- seeded complexes with homology --------------------------------------------
+
+
+def finite_complex_cases(rng, count):
+    """``count`` seeded ``(ring, K)`` inputs for the product pipeline whose
+    homology is not concentrated at one end.  K is the Koszul complex
+    ``samples.random_finite_complex`` on 1 or 2 random elements of R, with
+    c alternating 1, 2 and F_32003 for the first half of the cases, Q for
+    the rest.  A Koszul complex is a complex over Q already, so its
+    homotopies would all vanish; every cell of K therefore gets a random
+    multiple of each f_i of the cell's degree added.  That changes the lift
+    to Q, not K over R.  Drawn here rather than in ``samples``, so that the
+    inputs of ``verify --seed`` and their digests do not move."""
+    from koszul_lift.algebra import PolyMatrix
+    from koszul_lift.complexes import FreeComplex
+    from koszul_lift.fields import GF, QQ
+    from koszul_lift.samples import (
+        random_finite_complex,
+        random_homogeneous,
+        random_regular_ring,
+    )
+
+    for case in range(count):
+        field = GF(32003) if 2 * case < count else QQ
+        c = 1 + case % 2
+        ring = random_regular_ring(rng, field, rng.randint(c, 3), c)
+        K = random_finite_complex(rng, ring, rng.randint(1, 2))
+        diffs = {}
+        for n, mat in K.diffs.items():
+            rows = []
+            for i, b in enumerate(K.twists[n - 1]):
+                row = []
+                for j, a in enumerate(K.twists[n]):
+                    p = mat.entry(i, j)
+                    for f, e in zip(ring.sequence, ring.seq_degrees):
+                        if a - b >= e:
+                            p = p + ring.mul(f, random_homogeneous(rng, ring, a - b - e))
+                    row.append(p)
+                rows.append(row)
+            diffs[n] = PolyMatrix(mat.nrows, mat.ncols, rows)
+        yield ring, FreeComplex(ring, K.over, K.window, K.twists, diffs, support=K.support)
 
 
 # -- minimal form of a complex by full rescans ---------------------------------

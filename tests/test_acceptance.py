@@ -55,7 +55,7 @@ from koszul_lift.samples import (
 )
 from koszul_lift.algebra import GradedRing, PolyMatrix
 
-from oracles import brute_wedge
+from oracles import brute_wedge, var
 
 MODP = GF(32003)
 
@@ -172,7 +172,7 @@ def _residue_presentation(ring):
     return Presentation(
         (0,),
         PolyMatrix.from_rows(
-            [[ring.var(v) for v in ring.variables]],
+            [[var(ring, v) for v in ring.variables]],
             ncols=len(ring.variables),
         ),
     )

@@ -1,12 +1,15 @@
 """Polynomial arithmetic, graded pieces, parsing, and the graded solver."""
 
+import json
+import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from koszul_lift import linalg
+from koszul_lift import algebra, linalg
 from koszul_lift.algebra import (
     GradedRing,
     Poly,
@@ -29,6 +32,9 @@ from koszul_lift.fields import GF, QQ
 from koszul_lift.samples import random_homogeneous
 
 from oracles import (
+    coords,
+    entries,
+    monomial,
     naive_rank_over,
     padd,
     pdict,
@@ -204,10 +210,10 @@ def test_monomial_basis_descending_and_coords_roundtrip():
     for _ in range(50):
         terms = {m: Fraction(rng.randint(-4, 4)) for m in basis}
         p = Poly(RING, terms)
-        coords = RING.coords(p, 3)
+        vec = coords(RING, p, 3)
         rebuilt = RING.zero
-        for c, m in zip(coords, basis):
-            rebuilt = rebuilt + RING.monomial(m) * c
+        for c, m in zip(vec, basis):
+            rebuilt = rebuilt + monomial(RING, m) * c
         assert rebuilt == p
 
 
@@ -258,7 +264,7 @@ def test_in_sequence_ideal_against_rank_oracle():
 
             def in_span(part, d):
                 span = [list(col) for col in ring.sequence_span_columns(d)]
-                vec = ring.coords(part, d)
+                vec = coords(ring, part, d)
                 p = field.char
                 return naive_rank_over(p, span + [vec]) == naive_rank_over(p, span)
 
@@ -318,7 +324,7 @@ def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
             assert forms[m] == {k: field.one}
         index = ring.basis_index(d)
         for m in monos:
-            vec = ring.coords(ring.monomial(m), d)
+            vec = coords(ring, monomial(ring, m), d)
             for k, c in forms[m].items():
                 assert c
                 vec[index[basis[k]]] -= c
@@ -414,7 +420,7 @@ def test_sequence_span_columns_are_coordinates_of_multiples():
     f = ring.sequence[0]
     expected = []
     for m in ring.monomial_basis(d - 2):
-        expected.append(tuple(ring.coords(ring.mul(f, ring.monomial(m)), d)))
+        expected.append(tuple(coords(ring, ring.mul(f, monomial(ring, m)), d)))
     assert cols == expected
 
 
@@ -676,7 +682,7 @@ def _assert_matches_grid(m, grid):
     ncols = len(grid[0]) if grid else m.ncols  # a 0-row grid has no width
     assert (m.nrows, m.ncols) == (nrows, ncols)
     cells = [(i, j, p) for i, row in enumerate(grid) for j, p in enumerate(row)]
-    assert list(m.entries()) == cells
+    assert entries(m) == cells
     assert all(m.entry(i, j) == p for i, j, p in cells)
     assert [list(row) for row in m.rows] == grid
     # nonzeros() yields every stored entry: equality with the reference
@@ -853,6 +859,98 @@ def test_poly_matrix_mul_matches_reference_over_both_fields(field):
         expected = _reference_product(a, b, ring)
         assert str(expected[0][0]) == want
         _assert_matches_grid(a.mul(b, ring), expected)
+
+
+def _coefficients(mat):
+    return [c for _, _, p in mat.nonzeros() for c in p.terms.values()]
+
+
+def test_product_sum_over_q_gives_normalized_fractions():
+    # random sums whose factors carry denominators 1, 2, 3 and 6 (so that
+    # cells mix several denominators) and whose results include integers:
+    # every coefficient is a normalized Fraction, never an int, and equals
+    # the cellwise ring.mul reference
+    ring = GradedRing(QQ, ["x", "y", "z"], relations=["x^2", "y*z^2"])
+    rng = Random(1214)
+
+    def random_matrix(n, m):
+        def cell():
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in range(3))
+                terms[mono] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 6]))
+            return ring.normal_form(Poly(ring, terms))
+
+        return PolyMatrix(n, m, [[cell() for _ in range(m)] for _ in range(n)])
+
+    integral = 0
+    for _ in range(60):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        products = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3)
+            products.append((rng.choice([1, -1]), random_matrix(r, k), random_matrix(k, c)))
+        got = product_sum(ring, products)
+        _assert_matches_grid(got, _product_sum_reference(ring, products))
+        for v in _coefficients(got):
+            assert type(v) is Fraction and v
+            assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+            integral += v.denominator == 1
+    assert integral > 20
+
+    x, y = ring.parse("x"), ring.parse("y")
+    one = lambda p: PolyMatrix.from_rows([[p]])
+    # one triple whose coefficients multiply to an integer: 2/3 * 3/2 = 1
+    got = product_sum(ring, [(1, one(x * Fraction(2, 3)), one(y * Fraction(3, 2)))])
+    assert str(got.entry(0, 0)) == "x*y"
+    assert [type(v) for v in _coefficients(got)] == [Fraction]
+    # 1/2*x*y + 1/3*x*y - 5/6*x*y: three denominators that cancel exactly
+    thirds = [(1, one(x * Fraction(1, 2)), one(y)), (1, one(x * Fraction(1, 3)), one(y))]
+    cancelled = product_sum(ring, thirds + [(-1, one(y * Fraction(5, 6)), one(x))])
+    assert cancelled.is_zero() and cancelled.entry(0, 0).terms == {}
+    # the same sum with -1/6 instead leaves 2/3*x*y, and J drops x^2 alike
+    left = product_sum(
+        ring, thirds + [(-1, one(y), one(x * Fraction(1, 6))), (1, one(x * Fraction(1, 2)), one(x))]
+    )
+    assert left.entry(0, 0).terms == {(1, 1, 0): Fraction(2, 3)}
+    assert [type(v) for v in _coefficients(left)] == [Fraction]
+
+
+@pytest.mark.parametrize("name", ["generic", "rational"])
+def test_cached_integer_forms_match_their_terms_after_verify(name, monkeypatch, tmp_path, capsys):
+    # run the verify battery on a Q fixture with every product_sum call
+    # recorded, then read back each factor entry's cached integer form
+    # (den, {monomial: numerator}): it must still be exactly its terms.
+    # The rational fixture's entries carry denominators 2, 3 and 7
+    from koszul_lift import assembly, cli, homotopy
+
+    touched = {}
+    real = algebra.product_sum
+
+    def recording(ring, products):
+        for _, a, b in products:
+            for _, _, p in [*a.nonzeros(), *b.nonzeros()]:
+                touched[id(p)] = p
+        return real(ring, products)
+
+    for module in (algebra, homotopy, assembly):
+        monkeypatch.setattr(module, "product_sum", recording)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    resolved = json.loads((fixtures / f"resolve_{name}_length4.json").read_text())
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(json.dumps(resolved["complex"]))
+    ring_path = str(fixtures / f"{name}_ring.json")
+    assert cli.main(["verify", "--ring", ring_path, "--complex", str(complex_path)]) == 0
+    assert "result: PASS (8/8)" in capsys.readouterr().out
+
+    cached = [p for p in touched.values() if p._int is not None]
+    assert len(cached) > 100 and len(cached) > len(touched) // 2
+    assert name == "generic" or {p._int[0] for p in cached} > {1}
+    for p in cached:
+        den, numerators = p._int
+        assert list(numerators) == list(p.terms)
+        assert all(type(n) is int for n in numerators.values())
+        assert {m: Fraction(n, den) for m, n in numerators.items()} == p.terms
 
 
 def test_ring_json_roundtrip():

@@ -615,14 +615,15 @@ def test_resolve_text():
 
 @pytest.mark.parametrize(
     "name, length, bound",
-    [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5)],
-    ids=["residue-5", "mixed-4", "generic-4"],
+    [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5), ("rational", 4, 5)],
+    ids=["residue-5", "mixed-4", "generic-4", "rational-4"],
 )
 def test_resolve_json_golden(name, length, bound):
     # the whole payload, differentials included: a change in which syzygy
     # generators are chosen shows up here, not only a change of Betti numbers.
-    # "generic" is the one non-monomial sequence over Q, so it pins the
-    # Fraction elimination
+    # "generic" and "rational" are the non-monomial sequences over Q, so
+    # they pin the Fraction elimination; only "rational" has coefficients
+    # other than +-1, so only it pins the denominators end to end
     out = run_cli(
         "resolve",
         "--ring",
@@ -643,7 +644,7 @@ def test_resolve_json_golden(name, length, bound):
 
 @pytest.mark.parametrize("command", ["lift", "assemble", "verify"])
 @pytest.mark.parametrize(
-    "name, length", [("residue", 5), ("mixed", 4), ("generic", 4)]
+    "name, length", [("residue", 5), ("mixed", 4), ("generic", 4), ("rational", 4)]
 )
 def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
     # lift and assemble compose matrices with PolyMatrix.mul: every homotopy

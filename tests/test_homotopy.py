@@ -26,6 +26,8 @@ from koszul_lift.homotopy import (
 )
 from koszul_lift.samples import random_regular_ring, random_resolved_complex
 
+from oracles import entries, monomial
+
 
 def _strs(mat):
     return [[str(p) for p in row] for row in mat.rows]
@@ -173,7 +175,7 @@ def test_homotopy_degree_forcing():
             tgt = F.twists.get(n - len(alpha) - 1)
             if tgt is None:
                 continue
-            for i, j, p in mat.entries():
+            for i, j, p in entries(mat):
                 if p.is_zero():
                     continue
                 assert p.degree() == fam.entry_degree(
@@ -300,7 +302,7 @@ def _first_outside_f(ring, deltas):
     """First (position, row, col) of an entry outside (f), positions in the
     order given."""
     for n, mat in deltas:
-        for i, j, p in mat.entries():
+        for i, j, p in entries(mat):
             if not ring.in_sequence_ideal(p):
                 return (n, i, j)
     return None
@@ -332,7 +334,7 @@ def test_eisenbud_checks_catch_a_perturbed_family():
         for r, s_ in ((r, s_) for r in range(h.nrows) for s_ in range(h.ncols)):
             e = fam.entry_degree((1, 2), F.twists[n][s_], tgt_tw[r])
             for m in ring.monomial_basis(e) if e >= 0 else ():
-                p = ring.monomial(m)
+                p = monomial(ring, m)
                 if ring.in_sequence_ideal(p):
                     continue
                 rows = [[ring.zero] * h.ncols for _ in range(h.nrows)]

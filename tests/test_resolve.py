@@ -26,8 +26,6 @@ def _mat(ring, rows, ncols=None):
 
 def _residue_presentation(ring):
     # k = R / (all variables)
-    cols = [[ring.var(v)] for v in ring.variables]
-    rows = [[col[0] for col in cols]]
     return Presentation((0,), _mat(ring, [[v for v in ring.variables]]))
 
 
