@@ -317,6 +317,13 @@ def json_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+def exact_int(value, what: str) -> int:
+    """``value`` if it is an int but not a bool, else an InvalidInputError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
 def matrix_from_json(ring: "GradedRing", rows, nrows: int, ncols, what: str):
     """The PolyMatrix of JSON rows of polynomial strings.  Anything but a
     list of ``nrows`` lists of ``ncols`` cells (default: as many as the

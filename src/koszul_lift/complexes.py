@@ -22,22 +22,23 @@ degree; above the top degree of an Artinian R they are zero and cost
 nothing.  Membership in (f), for the composites of an R-complex or a lift,
 is a normal-form reduction in the same basis.
 
-``minimize`` cancels the unit entries of the differentials (Gaussian
-elimination for chain complexes) and returns a homotopy equivalent complex
-with no unit left, so its homology is computed on far fewer generators.
+``minimize`` returns a homotopy equivalent complex with no unit left, so
+its homology is computed on far fewer generators.  For each position and
+source twist it splits off one invertible block Phi of constants, chosen
+greedily (rows top to bottom, then columns left to right), by the Schur
+complement E - Gamma Phi^-1 Delta: Gaussian elimination for chain
+complexes, a block at a time.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_columns, graded_matrix_rows
-from .algebra import module_dim, span_map
+from . import _kernel, linalg
+from .algebra import GradedRing, Poly, PolyMatrix, graded_columns, graded_matrix_rows
+from .algebra import module_dim, product_sum, span_map
 from .algebra import quotient_matrix_rows, quotient_module_dim
-from .algebra import json_int, matrix_from_json, matrix_to_json
+from .algebra import exact_int, json_int, matrix_from_json, matrix_to_json
 from .errors import InvalidInputError, ParseError
 
 SUPPORTS = ("window", "bounded_below", "finite")
@@ -62,7 +63,8 @@ class FreeComplex:
             raise InvalidInputError(f"unknown support {support!r}")
         if is_lift and over != "Q":
             raise InvalidInputError("a lift is written over Q")
-        lo, hi = int(window[0]), int(window[1])
+        lo = exact_int(window[0], "window bound")
+        hi = exact_int(window[1], "window bound")
         if lo > hi:
             raise InvalidInputError(f"empty window {window}")
         self.ring = ring
@@ -75,7 +77,8 @@ class FreeComplex:
         for n in range(lo, hi + 1):
             if n not in twists:
                 raise InvalidInputError(f"missing twists for position {n}")
-            clean_twists[n] = tuple(int(a) for a in twists[n])
+            what = f"twist at position {n}"
+            clean_twists[n] = tuple(exact_int(a, what) for a in twists[n])
         if set(twists) - set(clean_twists):
             raise InvalidInputError("twists outside the window")
         self.twists = clean_twists
@@ -386,105 +389,94 @@ def is_minimal(C: FreeComplex) -> bool:
 def minimize(C: FreeComplex) -> FreeComplex:
     """A homotopy equivalent complex with no unit in any differential.
 
-    While some d_n has a unit entry phi (a nonzero constant) at row a and
-    column b, write d_n = [[phi, delta], [gamma, epsilon]] with phi first,
-    replace d_n by epsilon - gamma phi^-1 delta (each entry reduced by
-    ``ring.normal_form``), drop row b of d_{n+1} and column a of d_{n-1}.
-    When d o d = 0 the generators b of F_n and a of F_{n-1} span a
-    contractible summand, so the result has the homology of C at every
+    One block step per position n, ascending, and source twist t of F_n,
+    ascending, where d_n has a unit (a nonzero constant, which joins two
+    generators of twist t).  M is the constants of d_n in the columns of
+    twist t.  The pivot rows A are the rows of M, top to bottom, each kept
+    if independent of those kept before (the pivot columns of M's
+    transpose), and the pivot columns J are those of M[A], left to right,
+    so Phi = M[A, J] is invertible.  With d_n = [[Phi, Delta], [Gamma, E]],
+    rows A and columns J first, d_n becomes E - Gamma Phi^-1 Delta, d_{n+1}
+    loses rows J and d_{n-1} loses columns A.  When d o d = 0, J and A span
+    a contractible summand, so the result has the homology of C at every
     interior position and internal degree (Gaussian elimination for chain
-    complexes).  The pivot is the unit of least fill (row nonzeros - 1) *
-    (column nonzeros - 1), ties to the least (n, a, b), so the output is
-    deterministic.  Ring, ``over``, window and support are kept, and C is
-    not changed: the work is done on copies of its row dicts.
+    complexes in block form: Barnes-Lambe 1991, Skoldberg 2006).  One pass
+    is enough: a step leaves no constant in twist t, those of other twists
+    do not move (a product of entries across two twists has a factor of
+    negative degree), and d_{n-1} and d_{n+1} only lose rows or columns.
+
+    The rows A, written over the field with the columns of twist t first,
+    reduce to [I | Phi^-1 Delta] with pivots J (``_kernel.gauss_jordan``);
+    one ``product_sum`` gives the rows that meet J as D - Gamma [I | Phi^-1
+    Delta], D being those rows, whose entries in J cancel.  C is not
+    changed.
     """
     if C.is_lift:
         raise InvalidInputError("minimize expects a complex; a lift's d^2 lies in (f)")
-    ring = C.ring
-    normal_form = ring.normal_form
+    ring, char = C.ring, C.ring.field.char
     one = (0,) * ring.nvars
-    rows = {n: [dict(row) for row in mat._rows] for n, mat in C.diffs.items()}
-    cols = {n: [set() for _ in range(mat.ncols)] for n, mat in C.diffs.items()}
-    for n, mat in rows.items():
-        for i, row in enumerate(mat):
-            for j in row:
-                cols[n][j].add(i)
-    # (fill, n, a, b) of every unit, pushed again whenever its row or column
-    # changes: an entry is current while the cell holds a unit of that fill
-    heap = []
+    unit = Poly._of(ring, {one: ring.field.one})
 
-    def is_unit(p):
-        return len(p.terms) == 1 and one in p.terms
+    def sparse(rows, ncols):
+        return PolyMatrix._from_sparse(len(rows), ncols, rows, ring.zero)
 
-    def fill(n, a, b):
-        return (len(rows[n][a]) - 1) * (len(cols[n][b]) - 1)
-
-    def push(n, i, j):
-        if is_unit(rows[n][i][j]):
-            heapq.heappush(heap, (fill(n, i, j), n, i, j))
-
-    def drop_row(n, i):
-        if n in rows:
-            row, rows[n][i] = rows[n][i], {}
-            for j in row:
-                cols[n][j].discard(i)
-                for k in cols[n][j]:
-                    push(n, k, j)
-
-    def drop_col(n, j):
-        if n in rows:
-            col, cols[n][j] = cols[n][j], set()
-            for i in col:
-                del rows[n][i][j]
-                for k in rows[n][i]:
-                    push(n, i, k)
-
-    for n, mat in rows.items():
-        for i, row in enumerate(mat):
-            for j in row:
-                push(n, i, j)
+    rows = {n: list(mat._rows) for n, mat in C.diffs.items()}
     dead = {m: set() for m in C.positions()}
-    while heap:
-        f, n, a, b = heapq.heappop(heap)
-        mat = rows[n]
-        p = mat[a].get(b)
-        if p is None or not is_unit(p) or f != fill(n, a, b):
-            continue
-        scale = ring.field(Fraction(-1) / p.terms[one])
-        delta = [(j, q) for j, q in mat[a].items() if j != b]
-        for i in cols[n][b] - {a}:
-            row_i = mat[i]
-            g = row_i[b] * scale
-            for j, q in delta:
-                old = row_i.get(j)
-                p = normal_form(g * q if old is None else old + g * q)
-                if p.terms:
-                    row_i[j] = p
-                    cols[n][j].add(i)
-                elif old is not None:
-                    del row_i[j]
-                    cols[n][j].discard(i)
-        # the rows of gamma and the columns of delta, changed above, are
-        # re-keyed here as they lose column b and row a
-        drop_row(n, a)
-        drop_col(n, b)
-        drop_row(n + 1, b)
-        drop_col(n - 1, a)
-        dead[n].add(b)
-        dead[n - 1].add(a)
+    for n in sorted(rows):
+        mat, src, tgt = rows[n], C.twists[n], C.twists[n - 1]
+        for i in dead[n - 1]:
+            mat[i] = {}
+        eye = sparse([{j: unit} for j in range(len(src))], len(src))
+        for t in sorted(set(src)):
+            units = {}  # the columns of M, {j: {i: constant}}
+            for i, row in enumerate(mat):
+                if tgt[i] != t:
+                    continue
+                for j, p in row.items():
+                    if src[j] != t:
+                        continue
+                    if len(p.terms) != 1 or one not in p.terms:
+                        raise InvalidInputError(
+                            f"entry {p} at ({i},{j}) of d_{n} should be a constant"
+                        )
+                    units.setdefault(j, {})[i] = p.terms[one]
+            if not units:
+                continue
+            A = list(_kernel.echelon(list(units.values()), char))
+            # keyed (twist is not t, column, monomial): the columns of M first
+            coefficients = [
+                {(src[j] != t, j, m): c
+                 for j, p in mat[a].items() for m, c in p.terms.items()}
+                for a in A
+            ]
+            reduced = _kernel.gauss_jordan(coefficients, char)
+            J = [j for (_, j, _), _ in reduced]
+            solved = []
+            for _, row in reduced:
+                entries = {}
+                for (_, j, m), c in row.items():
+                    entries.setdefault(j, {})[m] = c
+                solved.append({j: Poly._of(ring, terms) for j, terms in entries.items()})
+            for a in A:
+                mat[a] = {}
+            hit = [i for i, row in enumerate(mat) if not row.keys().isdisjoint(J)]
+            gamma = [{r: mat[i][j] for r, j in enumerate(J) if j in mat[i]} for i in hit]
+            products = [
+                (1, sparse([mat[i] for i in hit], len(src)), eye),
+                (-1, sparse(gamma, len(J)), sparse(solved, len(src))),
+            ]
+            for i, row in zip(hit, product_sum(ring, products)._rows):
+                mat[i] = row
+            dead[n - 1].update(A)
+            dead[n].update(J)
 
-    keep = {
-        m: [i for i in range(len(C.twists[m])) if i not in dead[m]]
-        for m in C.positions()
-    }
+    keep = {m: [i for i in range(len(C.twists[m])) if i not in dead[m]] for m in dead}
     diffs = {}
     for n, mat in rows.items():
-        new_col = {j: k for k, j in enumerate(keep[n])}
-        diffs[n] = PolyMatrix._from_sparse(
-            len(keep[n - 1]),
+        col = {j: k for k, j in enumerate(keep[n])}
+        diffs[n] = sparse(
+            [{col[j]: p for j, p in mat[i].items() if j in col} for i in keep[n - 1]],
             len(keep[n]),
-            [{new_col[j]: p for j, p in mat[i].items()} for i in keep[n - 1]],
-            ring.zero,
         )
     twists = {m: tuple(C.twists[m][i] for i in keep[m]) for m in keep}
     return FreeComplex(ring, C.over, C.window, twists, diffs, support=C.support)

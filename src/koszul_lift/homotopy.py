@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import PolyMatrix, json_int, matrix_from_json, matrix_to_json
+from .algebra import PolyMatrix, exact_int, json_int, matrix_from_json, matrix_to_json
 from .algebra import product_sum, solve_graded_linear
 from .complexes import FreeComplex, homogeneity_failures
 from .errors import InvalidInputError, ParseError
@@ -59,7 +59,7 @@ class HomotopyFamily:
             raise InvalidInputError("homotopies live on a complex over Q")
         self.base = base
         self.ring = base.ring
-        self.level = int(level)
+        self.level = exact_int(level, "homotopy level")
         c = self.ring.c
         if not 0 <= self.level <= c:
             raise InvalidInputError(f"homotopy level must lie in 0..{c}, got {level}")

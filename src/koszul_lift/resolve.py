@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_columns
 from .algebra import coords_to_columns, json_int, matrix_from_json, matrix_to_json
-from .algebra import module_dim, span_map
+from .algebra import exact_int, module_dim, span_map
 from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -47,7 +47,7 @@ class Presentation:
     relations: PolyMatrix
 
     def __post_init__(self):
-        self.twists = tuple(int(a) for a in self.twists)
+        self.twists = tuple(exact_int(a, "generator twist") for a in self.twists)
         if self.relations.nrows != len(self.twists):
             raise InvalidInputError(
                 f"relation matrix has {self.relations.nrows} rows for "

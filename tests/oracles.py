@@ -271,53 +271,77 @@ def finite_complex_cases(rng, count):
         yield ring, FreeComplex(ring, K.over, K.window, K.twists, diffs, support=K.support)
 
 
-# -- minimal form of a complex by full rescans ---------------------------------
+# -- minimal form of a complex by dense block steps ----------------------------
 
 
-def minimize_by_rescan(C):
-    """The pivot rule and Schur complement of ``complexes.minimize``, run on
-    dense rows: each step scans every entry of every differential for the
-    unit of least (fill, n, a, b), with fill = (row nonzeros - 1) *
-    (column nonzeros - 1), replaces d_n by d_22 - d_21 d_11^-1 d_12 and
-    deletes row b of d_{n+1} and column a of d_{n-1}."""
+def minimize_by_blocks(C):
+    """The block rule of ``complexes.minimize``, run on dense rows with
+    Poly arithmetic cell by cell.  For n ascending and each source twist t
+    of F_n ascending: M holds the constant terms of d_n in the rows and
+    columns of twist t; the pivot rows A are the rows of M, top to bottom,
+    that raise the rank of those kept before; the pivot columns J are the
+    pivot columns of M[A] (``naive_rref``); Phi^-1 is read off the RREF of
+    [Phi | I]; d_n becomes E - Gamma Phi^-1 Delta, each cell reduced by
+    ``ring.normal_form``; rows J of d_{n+1} and columns A of d_{n-1} are
+    deleted."""
     from koszul_lift.algebra import PolyMatrix
     from koszul_lift.complexes import FreeComplex
 
     ring = C.ring
-    one = (0,) * ring.nvars
+    p = ring.field.char
+
+    def rref(rows):
+        return naive_rref_mod(rows, p) if p else naive_rref(rows)
+
     twists = {n: list(C.twists[n]) for n in C.positions()}
     d = {n: [list(row) for row in mat.rows] for n, mat in C.diffs.items()}
-    while True:
-        best = None
-        for n, mat in d.items():
-            for a, row in enumerate(mat):
-                for b, p in enumerate(row):
-                    if set(p.terms) == {one}:
-                        fill = (sum(not q.is_zero() for q in row) - 1) * (
-                            sum(not r[b].is_zero() for r in mat) - 1
-                        )
-                        if best is None or (fill, n, a, b) < best:
-                            best = (fill, n, a, b)
-        if best is None:
-            break
-        _, n, a, b = best
-        mat = d[n]
-        inv = ring.field(Fraction(1) / mat[a][b].terms[one])
-        d[n] = [
-            [
-                ring.normal_form(mat[i][j] - mat[i][b] * inv * mat[a][j])
-                for j in range(len(twists[n]))
-                if j != b
+    for n in sorted(d):
+        for t in sorted(set(twists[n])):
+            mat, src, tgt = d[n], twists[n], twists[n - 1]
+            t_cols = [j for j, a in enumerate(src) if a == t]
+            M = {
+                i: [mat[i][j].constant_term() for j in t_cols]
+                for i, b in enumerate(tgt)
+                if b == t
+            }
+            A = []
+            for i in M:
+                if len(rref([M[a] for a in A + [i]])[1]) > len(A):
+                    A.append(i)
+            if not A:
+                continue
+            J = [t_cols[k] for k in rref([M[a] for a in A])[1]]
+            r = len(A)
+            phi_eye = [
+                [M[a][t_cols.index(j)] for j in J] + [int(x == y) for x in range(r)]
+                for y, a in enumerate(A)
             ]
-            for i in range(len(twists[n - 1]))
-            if i != a
-        ]
-        if n + 1 in d:
-            del d[n + 1][b]
-        if n - 1 in d:
-            for row in d[n - 1]:
-                del row[a]
-        del twists[n][b], twists[n - 1][a]
+            inv = [row[r:] for row in rref(phi_eye)[0]]  # inv[x][y]: Phi^-1 at (J_x, A_y)
+            gamma_inv = {  # (Gamma Phi^-1)[i][y]
+                i: [
+                    sum((mat[i][j] * inv[x][y] for x, j in enumerate(J)), ring.zero)
+                    for y in range(r)
+                ]
+                for i in range(len(tgt))
+            }
+            d[n] = [
+                [
+                    ring.normal_form(
+                        mat[i][k]
+                        - sum((g * mat[a][k] for g, a in zip(gamma_inv[i], A)), ring.zero)
+                    )
+                    for k in range(len(src))
+                    if k not in J
+                ]
+                for i in range(len(tgt))
+                if i not in A
+            ]
+            if n + 1 in d:
+                d[n + 1] = [row for b, row in enumerate(d[n + 1]) if b not in J]
+            if n - 1 in d:
+                d[n - 1] = [[q for a, q in enumerate(row) if a not in A] for row in d[n - 1]]
+            twists[n] = [a for j, a in enumerate(src) if j not in J]
+            twists[n - 1] = [b for i, b in enumerate(tgt) if i not in A]
     diffs = {
         n: PolyMatrix(len(twists[n - 1]), len(twists[n]), rows)
         for n, rows in d.items()

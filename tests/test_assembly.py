@@ -45,7 +45,7 @@ from koszul_lift.samples import (
 
 import math
 
-from oracles import finite_complex_cases, minimize_by_rescan
+from oracles import finite_complex_cases, minimize_by_blocks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -380,6 +380,7 @@ def _assert_minimize_keeps_homology(P, degree_bound):
         ("residue", 5, [1, 2, 1, 0, 0]),
         ("mixed", 4, [2, 7, 10, 10]),
         ("generic", 4, [1, 3, 3, 1]),
+        ("rational", 4, [1, 3, 3, 1]),
     ],
 )
 def test_minimize_product_of_a_resolution_is_the_minimal_Q_resolution(
@@ -416,8 +417,8 @@ def test_minimize_random_products_over_Fp():
 
 
 def test_minimize_follows_its_pivot_rule():
-    # the same cancellations, in the same order, as full rescans of dense
-    # rows: the bookkeeping that finds the next pivot changes nothing
+    # the same pivots and Schur complements as the block rule run on dense
+    # rows with cell-by-cell Poly arithmetic
     products = [
         _fixture_product(name, path)[1]
         for name, path in (
@@ -435,7 +436,7 @@ def test_minimize_follows_its_pivot_rule():
             F = lift_to_Q(random_resolved_complex(rng, ring, rng.randint(2, 3)))
             products.append(assemble(F, solve_homotopies(F, c)))
     for P in products:
-        assert minimize(P.complex) == minimize_by_rescan(P.complex)
+        assert minimize(P.complex) == minimize_by_blocks(P.complex)
 
 
 def test_minimized_product_has_the_homology_of_a_finite_complex():
@@ -458,6 +459,44 @@ def test_minimized_product_has_the_homology_of_a_finite_complex():
             not t.is_zero() for alpha in family.maps if alpha for t in family.maps[alpha].values()
         )
     assert above_bottom >= 40 and with_homotopies >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+@pytest.mark.parametrize(
+    "sequence, ranks, minimal_ranks",
+    [
+        (["x^2"], [1, 2, 2, 2, 1], [1, 1, 0, 1, 1]),
+        (["x^2", "y^2"], [1, 3, 4, 4, 3, 1], [1, 2, 1, 1, 2, 1]),
+    ],
+    ids=["c1", "c2"],
+)
+def test_minimize_cancels_units_of_a_product_with_homology(
+    field, sequence, ranks, minimal_ranks
+):
+    # K = R(-3) -x-> R(-2) -x-> R(-1) -x-> R with f in (x^2): d^2 = x^2 is
+    # zero over R, not over Q, so the homotopies are nonzero and the product
+    # has units.  H_0(K) = R/(x) and H_3(K) = (0 : x)(-3) = xR(-3) are nonzero
+    ring = GradedRing(field, ["x", "y"], sequence=sequence)
+    x = PolyMatrix.from_rows([[ring.parse("x")]])
+    K = FreeComplex(
+        ring,
+        "R",
+        (0, 3),
+        {n: (n,) for n in range(4)},
+        {n: x for n in range(1, 4)},
+        support="finite",
+    )
+    assert check_complex(K).ok
+    F = lift_to_Q(K)
+    P = assemble(F, solve_homotopies(F, ring.c)).complex
+    M = minimize(P)
+    assert [P.rank(n) for n in P.positions()] == ranks
+    assert [M.rank(n) for n in M.positions()] == minimal_ranks
+    assert check_complex(M).ok and is_minimal(M)
+    shared = list(K.interior_positions())
+    assert homology_dims(M, shared, 8) == homology_dims(K, shared, 8)
+    hk = homology_dims(K, shared, 8)
+    assert [n for n in shared if any(hk[(n, d)] for d in range(9))] == [0, 3]
 
 
 def test_minimize_leaves_a_minimal_complex_alone():
@@ -502,6 +541,22 @@ def test_minimize_cancels_a_unit_by_the_schur_complement():
     M = minimize(C)
     assert M.twists == {0: (0,), 1: (2,)}
     assert _strs(M.diffs[1]) == [["x*y"]]
+
+
+def test_minimize_rejects_a_nonconstant_entry_between_equal_twists():
+    # an entry joining two generators of twist 0 must be a constant; x there
+    # is not homogeneous of its forced degree, and no block can be read
+    ring = GradedRing(QQ, ["x"])
+    C = FreeComplex(
+        ring,
+        "Q",
+        (0, 1),
+        {0: (0,), 1: (0,)},
+        {1: PolyMatrix.from_rows([[ring.parse("x")]])},
+        support="finite",
+    )
+    with pytest.raises(InvalidInputError, match="should be a constant"):
+        minimize(C)
 
 
 def test_minimize_rejects_a_lift():

@@ -23,6 +23,8 @@ from koszul_lift.complexes import (
 )
 from koszul_lift.errors import InvalidInputError
 from koszul_lift.fields import GF, QQ
+from koszul_lift.homotopy import HomotopyFamily
+from koszul_lift.resolve import Presentation
 from koszul_lift.samples import (
     random_finite_complex,
     random_regular_ring,
@@ -77,6 +79,40 @@ def test_constructor_validation():
         )
     with pytest.raises(InvalidInputError):
         FreeComplex(ring, "R", (0, 1), {0: (0,), 1: (1,)}, {}, is_lift=True)
+
+
+def _build_with(kind, value):
+    ring, C = _simple_pair()
+    if kind == "twist":
+        FreeComplex(ring, "Q", (0, 1), {0: (0,), 1: (value,)}, {}, support="finite")
+    elif kind == "window":
+        FreeComplex(ring, "Q", (value, 1), {0: (0,), 1: (1,)}, {})
+    elif kind == "presentation":
+        Presentation((0, value), PolyMatrix.zeros(ring, 2, 0))
+    else:
+        HomotopyFamily(C, value, {})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.7, 0.9, 1.0, "1", "a", True, None],
+    ids=["float", "float-below-1", "integral-float", "digit-string", "string", "bool", "none"],
+)
+@pytest.mark.parametrize(
+    "kind, what",
+    [
+        ("twist", "twist at position 1"),
+        ("window", "window bound"),
+        ("presentation", "generator twist"),
+        ("level", "homotopy level"),
+    ],
+    ids=["twist", "window", "presentation", "level"],
+)
+def test_constructors_take_only_ints(kind, what, value):
+    # a float, a numeric string or a bool is refused, not truncated to an int
+    with pytest.raises(InvalidInputError, match=rf"^{what} must be an integer, got "):
+        _build_with(kind, value)
+    _build_with(kind, 0)
 
 
 def test_missing_differentials_become_zero():
