@@ -29,11 +29,13 @@ degree) pair it is asked for, so that cache grows with the monomials and
 degrees a ring sees.  Matrix arithmetic is one function, ``product_sum``,
 a signed sum of products (``PolyMatrix.mul`` is its one-term case): it
 adds all the term products of an output cell into integer dicts
-{monomial: coefficient} and reduces them (mod p, and mod J) once, when the
-cell's Poly is built, so no partial product or sum is ever built.  Over Q
-it multiplies integer numerators: each entry's terms are read once, as
-the integer form cached on the immutable Poly, and only the surviving
-monomials of a cell become Fractions, one per monomial.
+{key: coefficient} and reduces them (mod p, and mod J) once, when the
+cell's Poly is built, so no partial product or sum is ever built.  Each
+entry's terms are read once, as the product form cached on the immutable
+Poly, with each monomial packed into one int key (``pack_monomial``), so
+a product's key is one int addition.  Over Q it multiplies integer
+numerators, and only the surviving monomials of a cell become Fractions,
+one per monomial.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -71,6 +73,47 @@ def mono_key(m: Monomial):
     return (sum(m), m)
 
 
+# Exponents of a product factor lie below 2^31, so the sum of two packed
+# 32-bit fields never carries into the next one.
+EXPONENT_LIMIT = 1 << 31
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+
+def pack_monomial(m: Monomial, nvars: int) -> int:
+    """The exponents of ``m`` as one int, 32 bits each, the last variable
+    lowest.  A monomial without ``nvars`` exponents, or an exponent outside
+    0..2^31 - 1, is an InvalidInputError."""
+    if len(m) != nvars:
+        raise InvalidInputError(f"monomial {m} does not have {nvars} exponents")
+    key = 0
+    for e in m:
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise InvalidInputError(
+                f"exponent {e} of monomial {m} lies outside 0..2^31 - 1"
+            )
+        key = key << _FIELD_BITS | e
+    return key
+
+
+class _ProductMonomials(dict):
+    """``GradedRing``'s map from the key of a product monomial (a sum of
+    two ``pack_monomial`` keys) to its exponent tuple, or to None when the
+    monomial lies in J.  An entry is made on the key's first lookup."""
+
+    def __init__(self, nvars: int, relations):
+        super().__init__()
+        self.shifts = tuple(range(_FIELD_BITS * (nvars - 1), -1, -_FIELD_BITS))
+        self.relations = relations
+
+    def __missing__(self, key: int):
+        m = tuple(key >> s & _FIELD_MASK for s in self.shifts)
+        if any(mono_divides(g, m) for g in self.relations):
+            m = None
+        self[key] = m
+        return m
+
+
 def _monomials_of_degree(nvars: int, d: int):
     """All exponent tuples of total degree d, in descending lex order."""
     if nvars == 1:
@@ -88,12 +131,14 @@ class Poly:
     immutable: neither ``terms`` nor the dict it names changes after the
     Poly is built, and every operation returns a new Poly.  ``_of`` keeps
     the dict it is handed, so its caller must not change that dict later.
-    Over Q the integer form that ``_integer_form`` caches relies on this.
+    The product form that ``_product_form`` caches relies on this.  A Poly
+    that enters ``product_sum`` must have every exponent in 0..2^31 - 1,
+    as its product form packs each exponent into 32 bits.
     The constructor coerces outside input; library code that already holds
     nonzero field elements uses ``Poly._of``.
     """
 
-    __slots__ = ("ring", "terms", "_int")
+    __slots__ = ("ring", "terms", "_form")
 
     def __init__(self, ring: "GradedRing", terms: Mapping[Monomial, object]):
         field = ring.field
@@ -104,25 +149,34 @@ class Poly:
                 clean[m] = c
         self.ring = ring
         self.terms = clean
-        self._int = None
+        self._form = None
 
     @staticmethod
     def _of(ring: "GradedRing", terms: dict) -> "Poly":
         """The Poly on ``terms`` as given, neither copied nor coerced: every
         value must already be a nonzero element of ``ring.field``."""
         out = Poly.__new__(Poly)
-        out.ring, out.terms, out._int = ring, terms, None
+        out.ring, out.terms, out._form = ring, terms, None
         return out
 
-    def _integer_form(self) -> tuple:
-        """Over Q, ``(den, numerators)``: ``den`` is the lcm of the
-        coefficients' denominators and ``numerators`` maps each monomial of
-        ``terms``, in the same order, to the int ``c * den``.  Built on the
-        first call and kept."""
-        form = self._int
+    def _product_form(self) -> tuple:
+        """``(den, ((key, coeff), ...))``, the terms as ``product_sum``
+        multiplies them, in the order of ``terms``.  ``key`` packs the
+        exponent tuple 32 bits per variable (``pack_monomial``), so the key
+        of a product of two monomials is the sum of their keys.  Over F_p
+        ``den`` is 1 and ``coeff`` the field's int; over Q ``den`` is the
+        lcm of the denominators and ``coeff`` the int ``c * den``.  Built on
+        the first call and kept; a monomial that ``pack_monomial`` cannot
+        pack is an InvalidInputError."""
+        form = self._form
         if form is None:
-            numerators = dict(self.terms)
-            form = self._int = (_kernel.clear_denominators(numerators), numerators)
+            ring = self.ring
+            coeffs = dict(self.terms)
+            den = 1 if ring.field.char else _kernel.clear_denominators(coeffs)
+            form = self._form = (
+                den,
+                tuple((pack_monomial(m, ring.nvars), c) for m, c in coeffs.items()),
+            )
         return form
 
     # -- basic queries ----------------------------------------------------
@@ -397,6 +451,7 @@ class GradedRing:
 
         self.relations = self._canonical_relations(relations)
         self._nf_zero_cache: dict[Monomial, bool] = {}
+        self._product_monomials = _ProductMonomials(self.nvars, self.relations)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._quotient_cache: dict[int, tuple] = {}
@@ -797,16 +852,21 @@ def product_sum(ring: GradedRing, products) -> PolyMatrix:
     nonempty list ``products``, sign 1 or -1, J-reduced, in the shape of
     the first product; any other sign or shape is a ValueError.
 
-    Entry ``(i, j)`` adds every product of a term of ``a[i][k]`` (its terms
-    negated once when sign is -1) and a term of ``b[k][j]``, over all the
-    triples, into integer dicts {monomial: coefficient}, reduced mod p or
-    made into Fractions, and reduced mod J, only when the entry's Poly is
-    built; an empty entry is dropped.  Over F_p the coefficients are the
-    field's ints.  Over Q each factor entry is read in its cached integer
-    form ``(den, {monomial: numerator})`` (``Poly._integer_form``), the
-    numerator products go to the entry's dict for the denominator
-    ``den_a * den_b``, and each surviving monomial gets one normalized
-    Fraction; an entry with several denominators sums them exactly first.
+    Each factor entry is read in its cached product form ``(den, ((key,
+    coeff), ...))`` (``Poly._product_form``): over F_p the coefficients are
+    the field's ints and ``den`` is 1, over Q they are integer numerators
+    over the lcm ``den`` of the denominators.  Entry ``(i, j)`` adds every
+    product of a term of ``a[i][k]`` (its terms negated once when sign is
+    -1) and a term of ``b[k][j]``, over all the triples, into integer dicts
+    {key: coefficient}, one per denominator ``den_a * den_b``: a product
+    monomial's key is the sum of its factors' keys.  Only when the entry's
+    Poly is built are the coefficients reduced mod p, or made into one
+    normalized Fraction per monomial (several denominators are summed
+    exactly first), and the keys read back through the ring's map of
+    product keys, which also drops the monomials in J; an empty entry is
+    dropped.  The monomials of an entry keep the order of their first
+    products.  A factor monomial without ``ring.nvars`` exponents, or with
+    one outside 0..2^31 - 1, is an InvalidInputError.
     """
     nrows, ncols = products[0][1].nrows, products[0][2].ncols
     factors = []
@@ -826,32 +886,33 @@ def product_sum(ring: GradedRing, products) -> PolyMatrix:
 def _sum_rows_mod_p(ring: GradedRing, factors, nrows: int) -> list:
     """``product_sum``'s row dicts over F_p."""
     char = ring.field.char
-    in_j = ring._mono_is_zero_in_q
-    add = operator.add
+    monomials = ring._product_monomials
     out = []
     for i in range(nrows):
         acc = {}
         for negate, left, right in factors:
             for k, a in left[i].items():
-                a_terms = a.terms.items()
+                a_terms = a._product_form()[1]
                 if negate:
                     a_terms = [(m, -c) for m, c in a_terms]
                 for j, b in right[k].items():
                     cell = acc.get(j)
                     if cell is None:
                         cell = acc[j] = {}
-                    b_terms = b.terms.items()
+                    b_terms = (b._form or b._product_form())[1]
                     for m1, c1 in a_terms:
                         for m2, c2 in b_terms:
-                            m = tuple(map(add, m1, m2))
+                            m = m1 + m2
                             cell[m] = cell.get(m, 0) + c1 * c2
         out_row = {}
         for j, cell in acc.items():
             terms = {}
-            for m, c in cell.items():
+            for key, c in cell.items():
                 c %= char
-                if c and not in_j(m):
-                    terms[m] = c
+                if c:
+                    m = monomials[key]
+                    if m is not None:
+                        terms[m] = c
             if terms:
                 out_row[j] = Poly._of(ring, terms)
         out.append(out_row)
@@ -860,20 +921,17 @@ def _sum_rows_mod_p(ring: GradedRing, factors, nrows: int) -> list:
 
 def _sum_rows_qq(ring: GradedRing, factors, nrows: int) -> list:
     """``product_sum``'s row dicts over Q, on integer numerators."""
-    in_j = ring._mono_is_zero_in_q
-    add = operator.add
+    monomials = ring._product_monomials
     out = []
     for i in range(nrows):
-        acc = {}  # column -> {denominator: {monomial: numerator}}
+        acc = {}  # column -> {denominator: {key: numerator}}
         for negate, left, right in factors:
             for k, a in left[i].items():
-                den_a, a_numerators = a._integer_form()
-                a_terms = a_numerators.items()
+                den_a, a_terms = a._product_form()
                 if negate:
                     a_terms = [(m, -n) for m, n in a_terms]
                 for j, b in right[k].items():
-                    den_b, b_numerators = b._integer_form()
-                    b_terms = b_numerators.items()
+                    den_b, b_terms = b._form or b._product_form()
                     cell = acc.get(j)
                     if cell is None:
                         cell = acc[j] = {}
@@ -883,7 +941,7 @@ def _sum_rows_qq(ring: GradedRing, factors, nrows: int) -> list:
                         bucket = cell[den] = {}
                     for m1, n1 in a_terms:
                         for m2, n2 in b_terms:
-                            m = tuple(map(add, m1, m2))
+                            m = m1 + m2
                             bucket[m] = bucket.get(m, 0) + n1 * n2
         out_row = {}
         for j, cell in acc.items():
@@ -896,12 +954,12 @@ def _sum_rows_qq(ring: GradedRing, factors, nrows: int) -> list:
                     scale = den // d
                     for m, n in part.items():
                         bucket[m] = bucket.get(m, 0) + n * scale
-            if den == 1:
-                terms = {m: Fraction(n) for m, n in bucket.items() if n and not in_j(m)}
-            else:
-                terms = {
-                    m: Fraction(n, den) for m, n in bucket.items() if n and not in_j(m)
-                }
+            terms = {}
+            for key, n in bucket.items():
+                if n:
+                    m = monomials[key]
+                    if m is not None:
+                        terms[m] = Fraction(n, den) if den != 1 else Fraction(n)
             if terms:
                 out_row[j] = Poly._of(ring, terms)
         out.append(out_row)
@@ -1027,7 +1085,8 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
                     if form:  # None when m0 * mu lies in J
                         for r, v in form.items():
                             row = rows[r0 + r]
-                            row[col] = add(row[col], mul(c0, v))
+                            old = row[col]
+                            row[col] = add(old, mul(c0, v)) if old else mul(c0, v)
         col0 += widths[j]
     return rows
 

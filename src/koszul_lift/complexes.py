@@ -328,13 +328,14 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
     monomial bases of Q (``graded_matrix_rows``).  Over R = Q/(f) they carry
     the bases of ``GradedRing.quotient_basis`` and every image is reduced
     to its normal form there (``quotient_matrix_rows``), so the ranks are
-    those of the maps of R-modules.
+    those of the maps of R-modules.  A position that is not an int (a
+    bool, a float or a string) is an InvalidInputError.
     """
     if C.is_lift:
         raise InvalidInputError("homology of a lift is not defined; reduce first")
     ring = C.ring
     field = ring.field
-    positions = sorted(set(int(n) for n in positions))
+    positions = sorted({exact_int(n, "homology position") for n in positions})
     interior = C.interior_positions()
     for n in positions:
         if n not in interior:

@@ -20,7 +20,10 @@ K_L -> K_{L-1} on f, so the system is the degree-e strand of that
 differential with (-1)**L times the pair sums on the right.  One
 position's entries of one entry degree share that strand and are
 eliminated together.  Echelon form with free variables pinned to zero
-makes the result deterministic.  Each pair sum and each full left-hand
+makes the result deterministic.  Only the entries where some pair sum is
+nonzero enter the strand solve: with a zero right-hand side that
+solution is zero, so every other entry of the new maps is zero without
+an elimination.  Each pair sum and each full left-hand
 side of the relation is one ``algebra.product_sum`` call, which builds
 no intermediate matrix.
 """
@@ -226,26 +229,37 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
             residuals = [pair_sum(H, gamma, n) for gamma in gammas]
             if None in residuals:
                 continue
+            nonzero = [{(r, s_): p for r, s_, p in res.nonzeros()} for res in residuals]
+            cells = sorted(set().union(*nonzero))
             src_tw = F.twists[n]
             tgt_tw = F.known_twist(n - size - 1)
-            groups = {}
-            for r in range(tgt_rank):
-                for s_ in range(src_rank):
-                    groups.setdefault(src_tw[s_] - tgt_tw[r], []).append((r, s_))
+            # one degree group per entry degree, ordered as the degrees first
+            # occur in the row-major grid, so each row of a map is written in
+            # the same order whichever of its cells are zero
+            rank, src_kinds = {}, dict.fromkeys(src_tw)
+            for b in tgt_tw:
+                for a in src_kinds:
+                    rank.setdefault(a - b, len(rank))
+            degrees = {src_tw[s_] - tgt_tw[r] for r, s_ in cells}
+            groups = {e: [] for e in sorted(degrees, key=rank.get)}
+            for r, s_ in cells:
+                groups[src_tw[s_] - tgt_tw[r]].append((r, s_))
             entries = {mu: [{} for _ in range(tgt_rank)] for mu in mus}
             failed = []
-            for e, cells in groups.items():
-                rhs_rows = [{} for _ in residuals]
-                for res, row in zip(residuals, rhs_rows):
-                    for k, (r, s_) in enumerate(cells):
-                        p = res.entry(r, s_)
-                        if p.terms:  # K x = (-1)**size * (pair sum)
+            for e, group in groups.items():
+                rhs_rows = []  # K x = (-1)**size * (pair sum)
+                for res in nonzero:
+                    row = {}
+                    for k, cell in enumerate(group):
+                        p = res.get(cell)
+                        if p is not None:
                             row[k] = -p if size % 2 else p
-                rhs = PolyMatrix._from_sparse(len(gammas), len(cells), rhs_rows, ring.zero)
+                    rhs_rows.append(row)
+                rhs = PolyMatrix._from_sparse(len(gammas), len(group), rhs_rows, ring.zero)
                 sols = solve_graded_linear(
                     ring, kos.diffs[size], kos.twists[size], kos.twists[size - 1], e, rhs
                 )
-                for (r, s_), sol in zip(cells, sols):
+                for (r, s_), sol in zip(group, sols):
                     if sol is None:
                         failed.append((r, s_))
                         continue

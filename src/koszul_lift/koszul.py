@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError
-from .algebra import MAX_C, GradedRing, PolyMatrix
+from .algebra import MAX_C, GradedRing, PolyMatrix, exact_int
 
 KoszulIndex = Optional[tuple[int, ...]]
 
@@ -28,10 +28,12 @@ class SignedIndex(NamedTuple):
 
 
 def validate_index(alpha, c: int) -> tuple[int, ...]:
-    """Normalize a subset index: strictly increasing ints within 1..c."""
+    """Normalize a subset index: strictly increasing ints within 1..c.  An
+    entry that is not an int (a bool, a float or a string) is an
+    InvalidInputError."""
     if c < 0 or c > MAX_C:
         raise InvalidInputError(f"sequence length {c} outside 0..{MAX_C}")
-    alpha = tuple(int(i) for i in alpha)
+    alpha = tuple(exact_int(i, "index entry") for i in alpha)
     if any(i < 1 or i > c for i in alpha):
         raise InvalidInputError(f"index {alpha} outside 1..{c}")
     if any(alpha[k] >= alpha[k + 1] for k in range(len(alpha) - 1)):

@@ -271,6 +271,68 @@ def finite_complex_cases(rng, count):
         yield ring, FreeComplex(ring, K.over, K.window, K.twists, diffs, support=K.support)
 
 
+# -- homotopies by the dense grid of matrix cells --------------------------------
+
+
+def dense_grid_homotopies(F, level):
+    """The homotopy family of ``homotopy.solve_homotopies`` with every cell
+    (r, s) of every map in a degree group of its own entry degree, zero
+    residuals included: at each level and position, each degree group's
+    cells are solved together by one ``solve_graded_linear`` call whose
+    right-hand sides are (-1)**level times the pair sums at the cells.
+    Degree groups are taken in the order their degrees first occur in the
+    row-major grid, and cells row-major within a group."""
+    from koszul_lift.algebra import PolyMatrix, solve_graded_linear
+    from koszul_lift.homotopy import HomotopyFamily, pair_sum
+    from koszul_lift.koszul import koszul_complex, subsets_of_size
+
+    ring = F.ring
+    kos = koszul_complex(ring)
+    H = HomotopyFamily(F, 0, {})
+    for size in range(1, level + 1):
+        gammas = list(subsets_of_size(ring.c, size - 1))
+        mus = list(subsets_of_size(ring.c, size))
+        new_maps = {mu: {} for mu in mus}
+        for n in F.positions():
+            src_rank = F.known_rank(n)
+            tgt_rank = F.known_rank(n - size - 1)
+            if not src_rank or not tgt_rank:
+                continue
+            residuals = [pair_sum(H, gamma, n) for gamma in gammas]
+            if None in residuals:
+                continue
+            src_tw = F.twists[n]
+            tgt_tw = F.known_twist(n - size - 1)
+            groups = {}
+            for r in range(tgt_rank):
+                for s in range(src_rank):
+                    groups.setdefault(src_tw[s] - tgt_tw[r], []).append((r, s))
+            entries = {mu: [{} for _ in range(tgt_rank)] for mu in mus}
+            for e, cells in groups.items():
+                rhs_rows = [{} for _ in residuals]
+                for res, row in zip(residuals, rhs_rows):
+                    for k, (r, s) in enumerate(cells):
+                        p = res.entry(r, s)
+                        if p.terms:
+                            row[k] = -p if size % 2 else p
+                rhs = PolyMatrix._from_sparse(len(gammas), len(cells), rhs_rows, ring.zero)
+                sols = solve_graded_linear(
+                    ring, kos.diffs[size], kos.twists[size], kos.twists[size - 1], e, rhs
+                )
+                for (r, s), sol in zip(cells, sols):
+                    assert sol is not None, (size, n, r, s)
+                    for k, p in sol:
+                        entries[mus[k]][r][s] = p
+            for mu in mus:
+                new_maps[mu][n] = PolyMatrix._from_sparse(
+                    tgt_rank, src_rank, entries[mu], ring.zero
+                )
+        merged = dict(H.maps)
+        merged.update(new_maps)
+        H = HomotopyFamily(F, size, merged)
+    return H
+
+
 # -- minimal form of a complex by dense block steps ----------------------------
 
 

@@ -919,9 +919,10 @@ def test_product_sum_over_q_gives_normalized_fractions():
 @pytest.mark.parametrize("name", ["generic", "rational"])
 def test_cached_integer_forms_match_their_terms_after_verify(name, monkeypatch, tmp_path, capsys):
     # run the verify battery on a Q fixture with every product_sum call
-    # recorded, then read back each factor entry's cached integer form
-    # (den, {monomial: numerator}): it must still be exactly its terms.
-    # The rational fixture's entries carry denominators 2, 3 and 7
+    # recorded, then read back each factor entry's cached product form
+    # (den, ((key, numerator), ...)): unpacked, key by key, it must still
+    # be exactly its terms, in their order.  The rational fixture's entries
+    # carry denominators 2, 3 and 7
     from koszul_lift import assembly, cli, homotopy
 
     touched = {}
@@ -943,14 +944,94 @@ def test_cached_integer_forms_match_their_terms_after_verify(name, monkeypatch, 
     assert cli.main(["verify", "--ring", ring_path, "--complex", str(complex_path)]) == 0
     assert "result: PASS (8/8)" in capsys.readouterr().out
 
-    cached = [p for p in touched.values() if p._int is not None]
+    cached = [p for p in touched.values() if p._form is not None]
     assert len(cached) > 100 and len(cached) > len(touched) // 2
-    assert name == "generic" or {p._int[0] for p in cached} > {1}
+    assert name == "generic" or {p._form[0] for p in cached} > {1}
     for p in cached:
-        den, numerators = p._int
-        assert list(numerators) == list(p.terms)
-        assert all(type(n) is int for n in numerators.values())
-        assert {m: Fraction(n, den) for m, n in numerators.items()} == p.terms
+        den, numerators = p._form
+        assert all(type(key) is type(n) is int for key, n in numerators)
+        assert [(_unpack(key, p.ring.nvars), Fraction(n, den)) for key, n in numerators] == list(
+            p.terms.items()
+        )
+
+
+def _unpack(key, nvars):
+    """The exponent tuple packed into ``key``, 32 bits per variable, the
+    last variable lowest."""
+    return tuple(key >> 32 * (nvars - 1 - i) & 0xFFFFFFFF for i in range(nvars))
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_packed_product_sum_matches_naive_polynomials(field):
+    # random sparse triples whose entries mix small exponents with ones up
+    # to 2^31 - 1, so product exponents reach 2^32 - 2 in one 32-bit field
+    # without a carry; J kills small products and z^(2^32 - 2) alone.  The
+    # reference sums pmul products with padd, drops J with preduce and
+    # reduces mod p
+    big = (1 << 31) - 1
+    ring = GradedRing(field, ["x", "y", "z"], relations=["x^2*y^2", f"z^{2 * big}"])
+    rng = Random(2807)
+    exponents = [0, 1, 2, big - 1, big]
+
+    def random_matrix(n, m):
+        rows = []
+        for _ in range(n):
+            row = {}
+            for j in range(m):
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    mono = tuple(rng.choice(exponents) for _ in range(3))
+                    terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                p = Poly(ring, terms)
+                if p.terms and rng.random() < 0.6:
+                    row[j] = p
+            rows.append(row)
+        return PolyMatrix._from_sparse(n, m, rows, ring.zero)
+
+    def mod_p(f):
+        if field.char:
+            f = {m: c % field.char for m, c in f.items() if c % field.char}
+        return f
+
+    seen_big = killed = False
+    for trial in range(60):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        products = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(0, 3)
+            products.append((rng.choice([1, -1]), random_matrix(r, k), random_matrix(k, c)))
+        got = product_sum(ring, products)
+        for i in range(r):
+            for j in range(c):
+                want = {}
+                for sign, a, b in products:
+                    for k in range(a.ncols):
+                        prod = pmul(_to_dict(a.entry(i, k)), _to_dict(b.entry(k, j)))
+                        want = padd(want, pscale(prod, sign))
+                reduced = mod_p(preduce(want, ring.relations))
+                assert _to_dict(got.entry(i, j)) == reduced
+                seen_big |= any(max(m) > big for m in reduced)
+                killed |= reduced != mod_p(want)
+    assert seen_big and killed
+
+
+@pytest.mark.parametrize(
+    "monomial, message",
+    [
+        ((1 << 31, 0), r"exponent 2147483648 of monomial \(2147483648, 0\)"),
+        ((0, -1), r"exponent -1 of monomial \(0, -1\)"),
+        ((1,), r"monomial \(1,\) does not have 2 exponents"),
+    ],
+)
+def test_product_sum_rejects_monomials_that_do_not_pack(monomial, message):
+    # a packed field holds 32 bits: the sum of two exponents below 2^31
+    # cannot carry into its neighbour, nor a short tuple shift the fields
+    ring = GradedRing(GF(32003), ["x", "y"])
+    bad = PolyMatrix.from_rows([[Poly(ring, {monomial: 1})]])
+    one = PolyMatrix.from_rows([[ring.one]])
+    for products in ([(1, bad, one)], [(1, one, bad)]):
+        with pytest.raises(InvalidInputError, match=message):
+            product_sum(ring, products)
 
 
 def test_ring_json_roundtrip():

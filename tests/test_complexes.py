@@ -296,6 +296,14 @@ def test_homology_single_map_over_Q():
     assert all(v == 0 for k, v in dims.items() if k != (0, 0))
 
 
+@pytest.mark.parametrize("positions", [[0.6, True], [0, 1.0], ["1"], [0, None]])
+def test_homology_rejects_positions_that_are_not_ints(positions):
+    # int() would read 0.6 as 0 and True as 1, and answer for those
+    _, C = _simple_pair()
+    with pytest.raises(InvalidInputError, match="homology position must be an integer"):
+        homology_dims(C, positions, 3)
+
+
 def test_homology_of_golden_input_over_R():
     # the window is a slice of a complete resolution, exact at every
     # interior position

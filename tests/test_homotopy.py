@@ -2,6 +2,8 @@
 operator facts, and invariance of downstream homology under the choice of
 lift."""
 
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,6 +19,7 @@ from koszul_lift.complexes import (
 )
 from koszul_lift.errors import InvalidInputError, LevelTooLowError, ParseError
 from koszul_lift.fields import GF, QQ
+from koszul_lift import algebra, homotopy
 from koszul_lift.homotopy import (
     HomotopyFamily,
     checkable_gammas,
@@ -26,7 +29,9 @@ from koszul_lift.homotopy import (
 )
 from koszul_lift.samples import random_regular_ring, random_resolved_complex
 
-from oracles import entries, monomial
+from oracles import dense_grid_homotopies, entries, finite_complex_cases, monomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _strs(mat):
@@ -402,3 +407,98 @@ def test_periodic_homotopy_is_unit():
     fam = solve_homotopies(lift_to_Q(cbar), 1)
     for n, mat in fam.maps[(1,)].items():
         assert _strs(mat) == [["-1"]]
+
+
+# -- the solve against the dense grid of cells -------------------------------------
+
+
+def _assert_family_is_the_dense_grid(F, level):
+    # equal maps, and every row of every map holds its columns in the same
+    # order, so products of the maps sum their terms in the same order
+    fam, dense = solve_homotopies(F, level), dense_grid_homotopies(F, level)
+    assert fam.maps == dense.maps
+    for alpha, per in fam.maps.items():
+        for n, mat in per.items():
+            assert [list(row) for row in mat._rows] == [
+                list(row) for row in dense.maps[alpha][n]._rows
+            ]
+
+
+def _fixture_lift(name, path):
+    ring = GradedRing.from_json_dict(json.loads((FIXTURES / f"{name}_ring.json").read_text()))
+    data = json.loads((FIXTURES / path).read_text())
+    return lift_to_Q(FreeComplex.from_json_dict(ring, data.get("complex", data)))
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("golden", "golden_complex.json"),
+        ("generic", "resolve_generic_length4.json"),
+        ("mixed", "resolve_mixed_length4.json"),
+        ("residue", "resolve_residue_length5.json"),
+        ("rational", "resolve_rational_length4.json"),
+    ],
+)
+def test_solve_equals_the_dense_grid_on_fixtures(name, path):
+    F = _fixture_lift(name, path)
+    _assert_family_is_the_dense_grid(F, F.ring.c)
+
+
+def test_solve_equals_the_dense_grid_on_random_resolutions():
+    rng = Random(28)
+    for case in range(30):
+        field = GF(32003) if case % 2 else QQ
+        nvars = rng.randint(1, 3)
+        c = rng.randint(1, min(3, nvars))
+        ring = random_regular_ring(rng, field, nvars, c)
+        F = lift_to_Q(random_resolved_complex(rng, ring, rng.randint(2, 4)))
+        _assert_family_is_the_dense_grid(F, c)
+
+
+def test_solve_equals_the_dense_grid_on_finite_complexes():
+    # the first ten cases are over F_32003, the last ten over Q
+    for ring, K in finite_complex_cases(Random(29), 20):
+        _assert_family_is_the_dense_grid(lift_to_Q(K), ring.c)
+
+
+def test_solve_gives_no_column_to_a_cell_with_zero_residuals(monkeypatch):
+    # every right-hand side handed to solve_graded_linear is nonzero, and
+    # there is one for each cell where some residual is nonzero: exactly
+    # the nonzero columns of the dense grid's right-hand sides
+    def counting(into, real):
+        def solve(ring, mat, src, tgt, d, rhs):
+            into.extend(bool(col) for col in rhs.column_nonzeros())
+            return real(ring, mat, src, tgt, d, rhs)
+
+        return solve
+
+    F = _fixture_lift("mixed", "resolve_mixed_length4.json")
+    sparse, dense = [], []
+    monkeypatch.setattr(homotopy, "solve_graded_linear", counting(sparse, algebra.solve_graded_linear))
+    monkeypatch.setattr(algebra, "solve_graded_linear", counting(dense, algebra.solve_graded_linear))
+    solve_homotopies(F, F.ring.c)
+    dense_grid_homotopies(F, F.ring.c)
+    assert sparse and all(sparse)
+    assert len(sparse) == sum(dense) < len(dense)
+
+
+def test_solve_writes_each_row_in_the_dense_grid_order():
+    # F_2 has twists (4, 3) and F_0 twists (0, 1), so the grid's degrees
+    # first occur in the order 4, 3, 2, and row 1 of t^{(1)} at 2 holds
+    # cells of degree 3 (column 0) and 2 (column 1): it is written column 0
+    # first, which ascending degree order would not give
+    ring = GradedRing(QQ, ["x", "y"], sequence=["x^2"])
+    F = FreeComplex(
+        ring,
+        "Q",
+        (0, 2),
+        {0: (0, 1), 1: (1,), 2: (4, 3)},
+        {1: PolyMatrix.from_rows([[ring.parse("y")], [ring.one]]),
+         2: PolyMatrix.from_rows([[ring.parse("x^2*y"), ring.parse("x^2")]])},
+        is_lift=True,
+    )
+    t = solve_homotopies(F, 1).maps[(1,)][2]
+    assert _strs(t) == [["-y^2", "-y"], ["-y", "-1"]]
+    assert list(t._rows[1]) == [0, 1]
+    _assert_family_is_the_dense_grid(F, 1)

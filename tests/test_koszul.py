@@ -205,6 +205,13 @@ def test_validate_index():
         validate_index((1, 1), 3)
 
 
+@pytest.mark.parametrize("alpha", [(1.9,), ("1",), (True,), (1, 2.0), (None,)])
+def test_validate_index_rejects_entries_that_are_not_ints(alpha):
+    # int() would read (1.9,) and ('1',) as (1,)
+    with pytest.raises(InvalidInputError, match="index entry must be an integer"):
+        validate_index(alpha, 3)
+
+
 def test_index_json_roundtrip():
     for c in range(C_MAX + 1):
         for a in all_subsets(c):
