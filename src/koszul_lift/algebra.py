@@ -19,23 +19,28 @@ module map's k-matrix on degree-d pieces as sparse columns {row: nonzero};
 ``coords_to_columns`` turns coordinate vectors back into such columns.
 ``graded_matrix_rows`` is the dense view of ``graded_columns`` for the two
 eliminations that still take list rows, ``linalg.rank`` in
-``homology_dims`` and ``linalg.rref`` in ``solve_graded_linear``.
+``homology_dims`` and ``linalg.rref`` in ``solve_graded_linear``.  Read
+as a map of free R-modules, the same columns give ``quotient_matrix_rows``
+(dense, for ``homology_dims`` over R) and ``quotient_columns`` (sparse and,
+over Q, integer up to a scalar per column, for ``resolve``'s Nakayama
+step); ``quotient_coordinates`` maps coordinate vectors to R likewise.
 
-``graded_columns`` and ``quotient_matrix_rows`` read multiplication by a
-monomial m0 from the ring's shift tables (``GradedRing.shift_table`` and
-``GradedRing.quotient_shift_table``), so each term of an entry costs one
-tuple lookup per cell.  The ring caches one table per distinct (m0,
-degree) pair it is asked for, so that cache grows with the monomials and
-degrees a ring sees.  Matrix arithmetic is one function, ``product_sum``,
-a signed sum of products (``PolyMatrix.mul`` is its one-term case): it
-adds all the term products of an output cell into integer dicts
-{key: coefficient} and reduces them (mod p, and mod J) once, when the
-cell's Poly is built, so no partial product or sum is ever built.  Each
-entry's terms are read once, as the product form cached on the immutable
-Poly, with each monomial packed into one int key (``pack_monomial``), so
-a product's key is one int addition.  Over Q it multiplies integer
-numerators, and only the surviving monomials of a cell become Fractions,
-one per monomial.
+``graded_columns``, ``quotient_matrix_rows`` and ``quotient_columns`` read
+multiplication by a monomial m0 from the ring's shift tables
+(``GradedRing.shift_table`` and ``GradedRing.quotient_shift_table``), so
+each term of an entry costs one tuple lookup per cell.  The ring caches
+one table per distinct (m0, degree) pair it is asked for, so that cache
+grows with the monomials and degrees a ring sees.
+
+Matrix arithmetic is one function, ``product_sum``, a signed sum of
+products (``PolyMatrix.mul`` is its one-term case): it adds all the term
+products of an output cell into integer dicts {key: coefficient} and
+reduces them (mod p, and mod J) once, when the cell's Poly is built, so no
+partial product or sum is ever built.  Each entry's terms are read once,
+as the product form cached on the immutable Poly, with each monomial
+packed into one int key (``pack_monomial``), so a product's key is one int
+addition.  Over Q it multiplies integer numerators, and only the surviving
+monomials of a cell become Fractions, one per monomial.
 
 Monomials are exponent tuples.  The canonical monomial order is total
 degree first, then plain tuple comparison; bases and printed terms are
@@ -134,16 +139,26 @@ class Poly:
     The product form that ``_product_form`` caches relies on this.  A Poly
     that enters ``product_sum`` must have every exponent in 0..2^31 - 1,
     as its product form packs each exponent into 32 bits.
-    The constructor coerces outside input; library code that already holds
-    nonzero field elements uses ``Poly._of``.
+    The constructor checks and coerces outside input: a monomial that is
+    not a tuple of ``ring.nvars`` non-negative int exponents is an
+    InvalidInputError naming it.  Library code that already holds nonzero
+    field elements on valid monomials uses ``Poly._of``, which checks
+    nothing.
     """
 
     __slots__ = ("ring", "terms", "_form")
 
     def __init__(self, ring: "GradedRing", terms: Mapping[Monomial, object]):
         field = ring.field
+        nvars = ring.nvars
         clean = {}
         for m, c in terms.items():
+            if type(m) is not tuple or len(m) != nvars or any(
+                type(e) is not int or e < 0 for e in m
+            ):
+                raise InvalidInputError(
+                    f"monomial {m!r} is not a tuple of {nvars} non-negative int exponents"
+                )
             c = field(c)
             if c:
                 clean[m] = c
@@ -455,6 +470,7 @@ class GradedRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._quotient_cache: dict[int, tuple] = {}
+        self._integer_forms_cache: dict[int, tuple] = {}
         self._shift_cache: dict[tuple, tuple] = {}
         self._quotient_shift_cache: dict[tuple, tuple] = {}
 
@@ -643,6 +659,26 @@ class GradedRing:
             cached = self._quotient_cache[d] = (basis, forms)
         return cached
 
+    def quotient_integer_forms(self, d: int) -> tuple:
+        """``(den, forms)``: the ``forms`` of ``quotient_basis(d)`` times
+        ``den``.  Over Q, ``den`` is the lcm of their denominators and every
+        coefficient an int; over F_p, ``den`` is 1 and ``forms`` the very
+        dict of ``quotient_basis(d)``.  Cached per degree; callers must not
+        mutate the result."""
+        cached = self._integer_forms_cache.get(d)
+        if cached is None:
+            forms = self.quotient_basis(d)[1]
+            if self.field.char:
+                cached = (1, forms)
+            else:
+                den = lcm(*[v.denominator for form in forms.values() for v in form.values()])
+                cached = (den, {
+                    m: {k: v.numerator * (den // v.denominator) for k, v in form.items()}
+                    for m, form in forms.items()
+                })
+            self._integer_forms_cache[d] = cached
+        return cached
+
     # -- shift tables ----------------------------------------------------------
     # Multiplication by a monomial m0 on the degree-e piece, read by the
     # coordinate builders once per term of an entry.  Each cache keeps one
@@ -659,14 +695,17 @@ class GradedRing:
             self._shift_cache[key] = table
         return table
 
-    def quotient_shift_table(self, m0: Monomial, e: int) -> tuple:
+    def quotient_shift_table(self, m0: Monomial, e: int, integer: bool = False) -> tuple:
         """For each monomial mu of ``quotient_basis(e)[0]``, the normal form
-        of m0 * mu in R_{e + |m0|} (a dict of ``quotient_basis(e + |m0|)[1]``),
-        or None when m0 * mu lies in J."""
-        key = (m0, e)
+        of m0 * mu in R_{e + |m0|} (a dict of ``quotient_basis(e + |m0|)[1]``,
+        or of ``quotient_integer_forms(e + |m0|)[1]`` when ``integer``), or
+        None when m0 * mu lies in J."""
+        integer = integer and not self.field.char  # one table over F_p
+        key = (m0, e, integer)
         table = self._quotient_shift_cache.get(key)
         if table is None:
-            get = self.quotient_basis(e + sum(m0))[1].get
+            d = e + sum(m0)
+            get = (self.quotient_integer_forms(d) if integer else self.quotient_basis(d))[1].get
             table = tuple(get(mono_mul(m0, mu)) for mu in self.quotient_basis(e)[0])
             self._quotient_shift_cache[key] = table
         return table
@@ -990,7 +1029,8 @@ def span_map(ring: GradedRing, twists):
 def _column_terms(column, j: int, a: int, targets):
     """``(row offset, monomial, coefficient)`` of every term of ``column``,
     the source column j of twist a, entry by entry and term by term.
-    ``targets[i]`` is the row offset and twist of target block i.  A term
+    ``targets[i]`` is the row offset (or any key of the block that the
+    caller reads back) and twist of target block i.  A term
     whose degree is not ``a`` minus that twist is an InvalidInputError
     naming its entry, as the map would not be of degree 0."""
     for i, p in column:
@@ -1089,6 +1129,89 @@ def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: i
                             row[col] = add(old, mul(c0, v)) if old else mul(c0, v)
         col0 += widths[j]
     return rows
+
+
+def quotient_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
+    """``quotient_matrix_rows`` as sparse columns {row: nonzero}, each
+    column up to a nonzero scalar.
+
+    A column per basis monomial mu of R_{d-a} for each source twist a: each
+    term m0 of an entry adds the normal form of m0 * mu to the entry's
+    target block, read from ``GradedRing.quotient_shift_table`` on the
+    integer forms.  Over F_p the columns are those of
+    ``quotient_matrix_rows``.  Over Q they are integer columns: a column of
+    source twist a is the column of ``quotient_matrix_rows`` times the lcm
+    of the denominators of its entries' coefficients and of the ``den`` of
+    ``GradedRing.quotient_integer_forms`` over every target block, so it
+    spans the same line.
+    """
+    char = ring.field.char
+    dens = [ring.quotient_integer_forms(d - b)[0] for b in tgt_twists]
+    top = lcm(*dens)
+    targets = []
+    nrows = 0
+    for b, den in zip(tgt_twists, dens):
+        # the block's scale travels with its row offset
+        targets.append(((nrows, top // den), b))
+        nrows += len(ring.quotient_basis(d - b)[0])
+    out = []
+    for j, a in enumerate(src_twists):
+        cols = [{} for _ in ring.quotient_basis(d - a)[0]]
+        if cols and not char:
+            den = lcm(*[c.denominator for _, p in columns[j] for c in p.terms.values()])
+        for (r0, scale), m0, c0 in _column_terms(columns[j], j, a, targets):
+            if cols:
+                c = c0 if char else c0.numerator * (den // c0.denominator) * scale
+                for col, form in zip(cols, ring.quotient_shift_table(m0, d - a, True)):
+                    if form:  # None when m0 * mu lies in J
+                        for r, v in form.items():
+                            r += r0
+                            col[r] = col.get(r, 0) + c * v
+        out += cols
+    return _nonzero_columns(out, char)
+
+
+def _nonzero_columns(cols, char: int) -> list:
+    """The integer columns ``cols`` reduced mod ``char`` (kept as they are
+    when it is 0), without the cells that vanish."""
+    if char:
+        return [{r: v for r, w in col.items() if (v := w % char)} for col in cols]
+    return [{r: v for r, v in col.items() if v} for col in cols]
+
+
+def quotient_coordinates(ring: GradedRing, twists, d: int, vecs) -> list:
+    """The images in R-coordinates of the sparse coordinate vectors
+    ``vecs`` {index: nonzero} on the degree-d piece of the free module with
+    the given twists: sparse columns on the rows of ``quotient_columns``,
+    each a vector's class modulo W_d, through the forms of
+    ``GradedRing.quotient_integer_forms``.  Over Q each is an integer
+    vector, the class times a nonzero integer, as in ``quotient_columns``.
+    """
+    char = ring.field.char
+    tables = [ring.quotient_integer_forms(d - a) for a in twists]
+    top = lcm(*[den for den, _ in tables])
+    proj = []  # (row offset, scale, form) of each coordinate, or None
+    r0 = 0
+    for a, (den, forms) in zip(twists, tables):
+        for m in ring.monomial_basis(d - a):
+            form = forms[m]
+            proj.append((r0, top // den, form) if form else None)
+        r0 += len(ring.quotient_basis(d - a)[0])
+    out = []
+    for vec in vecs:
+        # a coordinate whose monomial is zero in R adds nothing
+        coeffs = {i: c for i, c in vec.items() if proj[i]}
+        if not char:
+            _kernel.clear_denominators(coeffs)
+        col = {}
+        for i, c in coeffs.items():
+            r0, scale, form = proj[i]
+            c *= scale
+            for r, v in form.items():
+                r += r0
+                col[r] = col.get(r, 0) + c * v
+        out.append(col)
+    return _nonzero_columns(out, char)
 
 
 def coords_to_columns(ring: GradedRing, twists, d: int, vecs) -> list:

@@ -152,7 +152,12 @@ def extend_pivots(field, base, extra, dim: int):
     ``base`` and ``extra`` are sparse columns {row index: nonzero field
     element} of length ``dim``.  Echelon pivoting scans the base columns
     first, so the selected extras are exactly the greedy left-to-right
-    choices."""
+    choices: extra k is picked when it is not in span(base + extra[:k]).
+    That depends only on spans, so scaling a column by a nonzero constant
+    changes nothing, and neither does a linear map of the columns whose
+    kernel lies in span(base): ``resolve`` hands in the images modulo W_d
+    of its Q-coordinate columns and gets the picks of the columns
+    themselves."""
     nbase = len(base)
     pivots = _kernel.echelon(_transpose(base + extra, dim), field.char)
     return [c - nbase for c in pivots if c >= nbase]

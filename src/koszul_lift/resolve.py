@@ -1,23 +1,37 @@
 """Minimal graded free resolutions over R = Q/(f), degree by degree.
 
-Everything happens in Q-coordinates: the degree-d piece of a free
-R-module with given twists is V_d/W_d where W_d is the span of the
-f-multiples.  Every step picks its generators by one graded Nakayama rule,
-degree by degree: a candidate becomes a generator exactly when it adds a
-pivot beyond W_d plus the multiples of every generator already chosen at
-that step.  The candidates are the presentation columns at step one and,
-later, the source parts of a nullspace basis of the [matrix | span] block.
-The f-span is the image of ``span_map``, the map F tensor K_1 -> F of the
-Koszul complex on f, whose columns join the step's other polynomial
-columns.  Every polynomial column is a list of nonzero ``(row, Poly)``
-pairs.  ``graded_columns`` turns them into sparse coordinate columns
-{index: nonzero}: the base [span | multiples], the step-one candidates
-and the [matrix | span] block, which goes to ``linalg.nullspace_columns``
-as it is, so no dense list row is built.  ``coords_to_columns`` turns the
-picked vectors back into polynomial columns, and only the finished
-differentials are ``PolyMatrix``.  Free variables never enter: pivot
-selection is the greedy left-to-right echelon choice, which depends only on
-the span of the base, so the output is deterministic.
+The degree-d piece of a free R-module F tensor R with given twists is
+V_d/W_d, where V_d is the degree-d piece of the free Q-module F and W_d
+the span of its f-multiples.  Every step picks its generators by one graded
+Nakayama rule, degree by degree: a candidate becomes a generator exactly
+when it is not in W_d plus the multiples of every generator already chosen
+at that step plus the candidates before it.  The candidates are Q-coordinate
+vectors in V_d: the presentation columns at step one and, later, the source
+parts of a nullspace basis of the [matrix | span] block.  The f-span is the
+image of ``span_map``, the map F tensor K_1 -> F of the Koszul complex on
+f, whose columns join the step's matrix columns in that block.  Every
+polynomial column is a list of nonzero ``(row, Poly)`` pairs, and
+``graded_columns`` turns them into sparse coordinate columns
+{index: nonzero}: the step-one candidates and the [matrix | span] block,
+which goes to ``linalg.nullspace_columns`` as it is.
+
+The rule is applied modulo W_d, in R-coordinates.  ``extend_pivots(base,
+extra)`` picks extra k exactly when it is not in the span of the base and
+the extras before it, a property of subspaces that a linear map keeps when
+its kernel lies in the span of the base.  The quotient map V_d -> V_d/W_d
+has kernel W_d, so with W_d dropped from the base the picks are those of
+the same rule in Q-coordinates.  There the multiples of a chosen generator
+g of degree e are g times every monomial of Q_{d-e}; modulo W_d, g * mu is
+congruent to g * NF(mu), so one column per basis monomial of R_{d-e}
+spans them (``algebra.quotient_columns``).  Each candidate is projected
+through the normal forms of ``GradedRing.quotient_basis``
+(``algebra.quotient_coordinates``), and ``extend_pivots`` runs on the rows
+of the R-piece.  Over Q both are integer vectors, each a nonzero multiple
+of the true one, which spans the same line.  The picked candidates' own
+Q-coordinate vectors become the generators (``coords_to_columns``), and
+only the finished differentials are ``PolyMatrix``.  Free variables never
+enter: pivot selection is the greedy left-to-right echelon choice, which
+depends only on the spans, so the output is deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -31,7 +45,8 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import GradedRing, PolyMatrix, graded_columns
 from .algebra import coords_to_columns, json_int, matrix_from_json, matrix_to_json
-from .algebra import exact_int, module_dim, span_map
+from .algebra import exact_int, module_dim, quotient_columns, quotient_coordinates
+from .algebra import quotient_module_dim, span_map
 from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -123,13 +138,20 @@ def _minimal_generators(ring, twists, candidates):
     ``candidates`` yields (d, sparse coordinate vectors in the degree-d piece
     of the free module with the given twists) in increasing d.  A vector
     becomes a generator exactly when it is not in W_d plus the multiples of
-    the generators already chosen plus the vectors before it.  Returns the
-    generators' degrees and columns, as (row, nonzero entry) pairs."""
-    span_cols, span_twists = span_map(ring, twists)
+    the generators already chosen plus the vectors before it.  That is
+    decided modulo W_d: the chosen generators' multiples and the vectors
+    are mapped to the degree-d piece of the free R-module, and a vector is
+    picked when its image is not in the span of those multiples and the
+    images before it, the same rule because the map's kernel is W_d.
+    Returns the generators' degrees and columns, as (row, nonzero entry)
+    pairs, built from the picked vectors themselves."""
     degs, cols = [], []
     for d, vecs in candidates:
-        base = graded_columns(ring, span_cols + cols, span_twists + tuple(degs), twists, d)
-        picked = linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d))
+        base = quotient_columns(ring, cols, degs, twists, d)
+        extra = quotient_coordinates(ring, twists, d, vecs)
+        picked = linalg.extend_pivots(
+            ring.field, base, extra, quotient_module_dim(ring, twists, d)
+        )
         cols += coords_to_columns(ring, twists, d, [vecs[k] for k in picked])
         degs += [d] * len(picked)
     return degs, cols

@@ -228,6 +228,80 @@ def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
     return [[col[r] for col in cols] for r in range(nrows)]
 
 
+# -- resolve's graded Nakayama step in Q-coordinates ---------------------------
+
+
+def minimal_generators_in_Q_coordinates(ring, twists, candidates):
+    """``resolve._minimal_generators`` as it was written before it worked
+    modulo W_d, for comparison pick for pick.  In each degree d the base
+    holds the columns of W_d (the image of ``span_map``) and the multiples
+    of every generator chosen so far, all in Q-coordinates
+    (``graded_columns``), and each candidate vector is offered to
+    ``linalg.extend_pivots`` as it is.  Returns the generators' degrees and
+    columns, as the package does."""
+    from koszul_lift import linalg
+    from koszul_lift.algebra import coords_to_columns, graded_columns, module_dim, span_map
+
+    span_cols, span_twists = span_map(ring, twists)
+    degs, cols = [], []
+    for d, vecs in candidates:
+        base = graded_columns(ring, span_cols + cols, span_twists + tuple(degs), twists, d)
+        picked = linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d))
+        cols += coords_to_columns(ring, twists, d, [vecs[k] for k in picked])
+        degs += [d] * len(picked)
+    return degs, cols
+
+
+# -- linear changes of the sequence's variables --------------------------------
+
+# x, y, z -> x + y + z, x + 2y + z, x + y + 2z: determinant 1, so the change
+# is invertible over Q and over every F_p
+SEQUENCE_CHANGE = ((1, 1, 1), (1, 2, 1), (1, 1, 2))
+
+
+def residue_ring(field):
+    """k[x,y,z,w]/(w^2) with f = (x^2, y^2, z^3), whose residue field is
+    the benchmark's residue workload."""
+    from koszul_lift.algebra import GradedRing
+
+    return GradedRing(
+        field, ["x", "y", "z", "w"], relations=["w^2"], sequence=["x^2", "y^2", "z^3"]
+    )
+
+
+def coordinate_changed_ring(ring, change=SEQUENCE_CHANGE):
+    """``ring`` with each f_i moved by the linear change of variables
+    ``change``: the first ``len(change)`` variables v become the linear
+    forms l_v = sum_u change[v][u] * x_u, so x_i^a becomes l_i^a.  J must
+    not involve those variables; then an invertible change is an
+    automorphism of P that fixes J, so f stays regular and the graded Betti
+    numbers of any module whose presentation it fixes do not change.  The
+    powers of l_v are built with ``GradedRing.mul`` and the sequence is
+    handed over as ``format_poly`` text, as the parser takes no
+    parentheses."""
+    from koszul_lift.algebra import GradedRing, Poly, format_poly
+
+    n, nvars = len(change), ring.nvars
+    assert not any(g[:n] != (0,) * n for g in ring.relations), "J involves a changed variable"
+
+    def unit(v):
+        return tuple(int(u == v) for u in range(nvars))
+
+    forms = [Poly(ring, {unit(u): c for u, c in enumerate(row) if c}) for row in change]
+    sequence = []
+    for f in ring.sequence:
+        total = ring.zero
+        for m, c in f.terms.items():
+            term = Poly(ring, {(0,) * n + m[n:]: c})
+            for v in range(n):
+                for _ in range(m[v]):
+                    term = ring.mul(term, forms[v])
+            total = total + term
+        sequence.append(format_poly(total))
+    relations = [ring.format_monomial(g) for g in ring.relations]
+    return GradedRing(ring.field, ring.variables, relations=relations, sequence=sequence)
+
+
 # -- seeded complexes with homology --------------------------------------------
 
 

@@ -22,6 +22,8 @@ from koszul_lift.algebra import (
     module_dim,
     parse_poly,
     product_sum,
+    quotient_columns,
+    quotient_coordinates,
     quotient_matrix_rows,
     quotient_module_dim,
     solve_graded_linear,
@@ -397,7 +399,95 @@ def test_quotient_matrix_rows_match_per_cell_normal_forms(field):
     assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), -1) == []  # both zero
 
 
-@pytest.mark.parametrize("build", [graded_columns, quotient_matrix_rows])
+def _columns_of_rows(rows, ncols):
+    return [{r: row[k] for r, row in enumerate(rows) if row[k]} for k in range(ncols)]
+
+
+def _same_line(got, want):
+    """Whether the sparse column ``got`` is a nonzero multiple of ``want``."""
+    if got.keys() != want.keys():
+        return False
+    if not got:
+        return True
+    r = next(iter(want))
+    return all(v * want[r] == want[k] * got[r] for k, v in got.items())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_quotient_columns_match_per_cell_normal_forms(field):
+    # the maps of test_quotient_matrix_rows_match_per_cell_normal_forms, plus
+    # a ring whose normal forms carry denominators over Q.  Over F_7 every
+    # column equals the per-cell reference.  Over Q the builder returns
+    # integer columns, each the reference times a nonzero integer (the lcm
+    # of the column's and the forms' denominators), so they are compared
+    # as lines; the spans, and so resolve's picks, are the same
+    rng = Random(331)
+    rings = [
+        GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"], sequence=["x*y", "z^2"]),
+        GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3 - x*z^2"]),
+        GradedRing(field, ["x", "y", "z"], sequence=["2*x^2 + 3*y*z", "3*y^2 - 5*x*z"]),
+    ]
+    scaled = False
+    for ring in rings:
+        for _ in range(20):
+            src = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 4)))
+            tgt = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
+            columns = []
+            for a in src:
+                col = [(i, _homogeneous(rng, ring, a - b, 0.5)) for i, b in enumerate(tgt)]
+                columns.append([(i, p) for i, p in col if p.terms])
+            for d in range(-3, 6):
+                got = quotient_columns(ring, columns, src, tgt, d)
+                want = _columns_of_rows(
+                    reference_quotient_rows(ring, columns, src, tgt, d),
+                    quotient_module_dim(ring, src, d),
+                )
+                assert len(got) == len(want)
+                assert all(r < quotient_module_dim(ring, tgt, d) for col in got for r in col)
+                if field.char:
+                    assert got == want
+                else:
+                    assert all(type(v) is int for col in got for v in col.values())
+                    assert all(_same_line(g, w) for g, w in zip(got, want))
+                    scaled |= got != want
+    assert scaled == (not field.char)
+    ring = rings[0]
+    x = ring.parse("x")
+    assert quotient_columns(ring, [[(0, x)]], (1,), (0,), 2) == [{}, {}, {0: 1}]
+    assert quotient_columns(ring, [[(0, x)]], (1,), (0,), 0) == []  # zero source piece
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_quotient_coordinates_are_classes_modulo_the_f_span(field):
+    # each coordinate vector goes to its class in R-coordinates: the
+    # quotient_columns image of its polynomial column, on one basis monomial
+    # of R_0; over Q up to a nonzero integer, as there
+    rng = Random(337)
+    ring = GradedRing(field, ["x", "y", "z"], sequence=["2*x^2 + 3*y*z", "3*y^2 - 5*x*z"])
+    hit = scaled = False
+    for _ in range(20):
+        twists = tuple(rng.randint(-1, 2) for _ in range(rng.randint(0, 3)))
+        for d in range(-1, 5):
+            n = module_dim(ring, twists, d)
+            vecs = [
+                {i: field(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for i in range(n) if rng.random() < 0.5}
+                for _ in range(3)
+            ]
+            vecs = [{i: c for i, c in vec.items() if c} for vec in vecs]
+            got = quotient_coordinates(ring, twists, d, vecs)
+            polys = coords_to_columns(ring, twists, d, vecs)
+            want = _columns_of_rows(
+                reference_quotient_rows(ring, polys, (d,) * len(polys), twists, d), len(polys)
+            )
+            assert all(_same_line(g, w) for g, w in zip(got, want)) and len(got) == len(want)
+            if field.char:
+                assert got == want
+            hit |= any(got)
+            scaled |= got != want
+    assert hit and scaled == (not field.char)
+
+
+@pytest.mark.parametrize("build", [graded_columns, quotient_matrix_rows, quotient_columns])
 def test_coordinate_builders_reject_a_term_of_the_wrong_degree(build):
     # a map from twist 2 to twist (0, 1) needs entries of degrees 2 and 1;
     # the term x of row 0 (column 1) is named at every degree, also where
@@ -1025,13 +1115,30 @@ def test_packed_product_sum_matches_naive_polynomials(field):
 )
 def test_product_sum_rejects_monomials_that_do_not_pack(monomial, message):
     # a packed field holds 32 bits: the sum of two exponents below 2^31
-    # cannot carry into its neighbour, nor a short tuple shift the fields
+    # cannot carry into its neighbour, nor a short tuple shift the fields.
+    # The constructor rejects the last two monomials itself, so the factor
+    # is built unchecked, as library code builds its Polys
     ring = GradedRing(GF(32003), ["x", "y"])
-    bad = PolyMatrix.from_rows([[Poly(ring, {monomial: 1})]])
+    bad = PolyMatrix.from_rows([[Poly._of(ring, {monomial: 1})]])
     one = PolyMatrix.from_rows([[ring.one]])
     for products in ([(1, bad, one)], [(1, one, bad)]):
         with pytest.raises(InvalidInputError, match=message):
             product_sum(ring, products)
+
+
+@pytest.mark.parametrize(
+    "monomial",
+    [(1,), (1, 0, 0), (-1, 2), (0, -3), (1.0, 2), (True, 0), (1, "2"), "xy", 3],
+    ids=repr,
+)
+def test_poly_rejects_malformed_monomials(monomial):
+    # (1,) once printed as x and (-1, 2) as y^2; a zero coefficient does
+    # not excuse its monomial
+    ring = GradedRing(GF(7), ["x", "y"])
+    for c in (1, 0):
+        with pytest.raises(InvalidInputError, match=re.escape(f"monomial {monomial!r} is not a tuple of 2")):
+            Poly(ring, {(0, 1): 1, monomial: c})
+    assert str(Poly(ring, {(1, 2): 1, (0, 0): 0})) == "x*y^2"
 
 
 def test_ring_json_roundtrip():

@@ -15,6 +15,8 @@ from koszul_lift.fields import GF, QQ
 from koszul_lift.resolve import Presentation, resolve_over_R
 from koszul_lift.samples import random_presentation, random_regular_ring
 
+from oracles import coordinate_changed_ring, minimal_generators_in_Q_coordinates, residue_ring
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -219,3 +221,78 @@ def test_residue_resolution_agrees_over_q_and_f_p():
         checks, _ = cli._verify_input(ring, C, 8)
         assert len(checks) == 8 and all(c["ok"] for c in checks), (field, checks)
     assert twists[QQ] == twists[GF(32003)]
+
+
+def _fixture_inputs(name):
+    ring = GradedRing.from_json_dict(json.loads((FIXTURES / f"{name}_ring.json").read_text()))
+    pres = Presentation.from_json_dict(
+        ring, json.loads((FIXTURES / f"{name}_presentation.json").read_text())
+    )
+    return ring, pres
+
+
+def _nakayama_cases():
+    """(name, ring, presentation, length, bound) for the pick oracle: seeded
+    ``samples`` inputs over F_32003 and Q, the four resolve fixtures at
+    their golden lengths and bounds, and the coordinate-changed residue
+    ring over both fields."""
+    rng = Random(907)
+    for field in (GF(32003), QQ):
+        for k in range(12):
+            c = 1 + k % 2
+            ring = random_regular_ring(rng, field, rng.randint(c, 3), c)
+            yield f"F{field.char}/sample{k}", ring, random_presentation(rng, ring, 3, 3), 4, 9
+    fixtures = [("generic", 4, 5), ("rational", 4, 5), ("mixed", 4, 9), ("residue", 5, 6)]
+    for name, length, bound in fixtures:
+        yield name, *_fixture_inputs(name), length, bound
+    for field in (GF(32003), QQ):
+        ring = coordinate_changed_ring(residue_ring(field))
+        yield f"F{field.char}/changed", ring, _residue_presentation(ring), 3, 6
+
+
+def test_nakayama_modulo_the_f_span_picks_as_in_q_coordinates(monkeypatch):
+    # every step of every case runs the Q-coordinate Nakayama step of
+    # tests/oracles.py beside resolve's own, which works modulo W_d, on the
+    # same candidates: the degrees and columns agree pick for pick
+    from koszul_lift import resolve
+
+    minimal_generators = resolve._minimal_generators
+    steps = []
+
+    def both(ring, twists, candidates):
+        candidates = list(candidates)
+        got = minimal_generators(ring, twists, candidates)
+        assert got == minimal_generators_in_Q_coordinates(ring, twists, candidates)
+        steps.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(resolve, "_minimal_generators", both)
+    picked = {}
+    for name, ring, pres, length, bound in _nakayama_cases():
+        steps.clear()
+        try:
+            resolve_over_R(ring, pres, length, bound)
+        except DegreeBoundTooLowError:
+            pass
+        picked[name] = sum(steps)
+    # some random modules are free over R or stop at the bound; most are not
+    assert sum(map(bool, picked.values())) >= 0.6 * len(picked), picked
+    assert all(picked[name] for name in picked if "sample" not in name), picked
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_coordinate_change_of_the_sequence_keeps_graded_betti_numbers(field):
+    # x, y, z -> three independent linear forms fixes J = (w^2) and keeps
+    # f regular; the residue field's presentation is fixed too, so its
+    # resolution has the same graded twists.  Each f_i is now a power of a
+    # linear form, so normal forms in R spread over several basis monomials
+    # (over F_p too), and the changed resolution passes verify
+    from koszul_lift import cli
+
+    plain = residue_ring(field)
+    changed = coordinate_changed_ring(plain)
+    assert any(len(form) > 1 for form in changed.quotient_basis(3)[1].values())
+    C = resolve_over_R(changed, _residue_presentation(changed), 4, 7)
+    assert C.twists == resolve_over_R(plain, _residue_presentation(plain), 4, 7).twists
+    checks, _ = cli._verify_input(changed, C, 7)
+    assert len(checks) == 8 and all(c["ok"] for c in checks), checks
