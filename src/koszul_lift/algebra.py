@@ -13,22 +13,23 @@ and the normal form of every monomial in it.
 nonzero entries only, and no stored entry is zero.  Products walk those
 nonzeros; ``matrix_from_json`` reads JSON text straight into the row
 dicts and ``matrix_to_json`` writes them back.  Polynomial columns have one
-format, the nonzero ``(row, Poly)`` pairs of ``column_nonzeros``.  The one
-coordinate builder, ``graded_columns``, takes such columns and gives a
-module map's k-matrix on degree-d pieces as sparse columns {row: nonzero};
-``coords_to_columns`` turns coordinate vectors back into such columns.
-``graded_matrix_rows`` is the dense view of ``graded_columns`` for the two
-eliminations that still take list rows, ``linalg.rank`` in
-``homology_dims`` and ``linalg.rref`` in ``solve_graded_linear``.  Read
-as a map of free R-modules, the same columns give ``quotient_matrix_rows``
-(dense, for ``homology_dims`` over R) and ``quotient_columns`` (sparse and,
-over Q, integer up to a scalar per column, for ``resolve``'s Nakayama
-step); ``quotient_coordinates`` maps coordinate vectors to R likewise.
+format, the nonzero ``(row, Poly)`` pairs of ``column_nonzeros``.  Two
+coordinate builders take such columns and give a module map's k-matrix on
+degree-d pieces as sparse columns {row: value}: ``graded_columns`` in the
+monomial bases of Q, and ``quotient_columns`` for the map read over R, in
+the bases of ``GradedRing.quotient_basis`` (over Q its integer columns are
+the rational ones up to a nonzero scalar each; ``quotient_sums`` is its
+loop, before the zero cells go).  ``coords_to_columns`` turns coordinate
+vectors back into such columns, and ``quotient_coordinates`` maps them to
+R.  One dense view, ``dense_rows``, turns sparse columns into list rows for
+the eliminations that still take them: ``graded_matrix_rows`` for
+``linalg.rank`` in ``homology_dims`` over Q and ``linalg.rref`` in
+``solve_graded_linear``, and the sums of ``quotient_sums`` for
+``linalg.rank`` in ``homology_dims`` over R.
 
-``graded_columns``, ``quotient_matrix_rows`` and ``quotient_columns`` read
-multiplication by a monomial m0 from the ring's shift tables
-(``GradedRing.shift_table`` and ``GradedRing.quotient_shift_table``), so
-each term of an entry costs one tuple lookup per cell.  The ring caches
+Both builders read multiplication by a monomial m0 from the ring's shift
+tables (``GradedRing.shift_table`` and ``GradedRing.quotient_shift_table``),
+so each term of an entry costs one tuple lookup per cell.  The ring caches
 one table per distinct (m0, degree) pair it is asked for, so that cache
 grows with the monomials and degrees a ring sees.
 
@@ -500,7 +501,7 @@ class GradedRing:
             if isinstance(r, str):
                 m = self._parse_monomial(r)
             else:
-                m = tuple(int(e) for e in r)
+                m = tuple(exact_int(e, "relation exponent") for e in r)
             if len(m) != self.nvars or any(e < 0 for e in m):
                 raise InvalidInputError(f"bad relation exponents {m}")
             if sum(m) < 1:
@@ -695,17 +696,15 @@ class GradedRing:
             self._shift_cache[key] = table
         return table
 
-    def quotient_shift_table(self, m0: Monomial, e: int, integer: bool = False) -> tuple:
+    def quotient_shift_table(self, m0: Monomial, e: int) -> tuple:
         """For each monomial mu of ``quotient_basis(e)[0]``, the normal form
-        of m0 * mu in R_{e + |m0|} (a dict of ``quotient_basis(e + |m0|)[1]``,
-        or of ``quotient_integer_forms(e + |m0|)[1]`` when ``integer``), or
+        of m0 * mu in R_{e + |m0|} as a dict of
+        ``quotient_integer_forms(e + |m0|)[1]`` (integer forms over Q), or
         None when m0 * mu lies in J."""
-        integer = integer and not self.field.char  # one table over F_p
-        key = (m0, e, integer)
+        key = (m0, e)
         table = self._quotient_shift_cache.get(key)
         if table is None:
-            d = e + sum(m0)
-            get = (self.quotient_integer_forms(d) if integer else self.quotient_basis(d))[1].get
+            get = self.quotient_integer_forms(e + sum(m0))[1].get
             table = tuple(get(mono_mul(m0, mu)) for mu in self.quotient_basis(e)[0])
             self._quotient_shift_cache[key] = table
         return table
@@ -1075,20 +1074,26 @@ def graded_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     return out
 
 
+def dense_rows(cols, nrows: int) -> list:
+    """The sparse columns ``cols`` {row: value} of a matrix with ``nrows``
+    rows as dense list rows, for the eliminations that take list rows.
+    Empty cells hold the int 0 over either field, which the scan into dict
+    rows skips without a call into ``Fraction``."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for k, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][k] = v
+    return rows
+
+
 def graded_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """``graded_columns`` as dense list rows, for the eliminations that
     take list rows: ``linalg.rank`` in ``complexes.homology_dims`` and
     ``linalg.rref`` in ``solve_graded_linear``.  They stay dense because
     ``perfbench/tracing.py`` counts the cells of ``rank``'s rows and reads
-    the array that ``rref`` builds over F_p; see ``linalg``.  Empty cells
-    hold the int 0 over either field, which the scan into dict rows skips
-    without a call into ``Fraction``."""
+    the array that ``rref`` builds over F_p; see ``linalg``."""
     cols = graded_columns(ring, columns, src_twists, tgt_twists, d)
-    rows = [[0] * len(cols) for _ in range(module_dim(ring, tgt_twists, d))]
-    for k, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][k] = v
-    return rows
+    return dense_rows(cols, module_dim(ring, tgt_twists, d))
 
 
 def quotient_module_dim(ring: GradedRing, twists, d: int) -> int:
@@ -1097,53 +1102,22 @@ def quotient_module_dim(ring: GradedRing, twists, d: int) -> int:
     return sum(len(ring.quotient_basis(d - a)[0]) for a in twists)
 
 
-def quotient_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
+def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """The k-linear matrix on degree-d pieces of a degree-0 map, read as a
-    map of free R-modules, R = Q/(f).
+    map of free R-modules, R = Q/(f), as integer sums: ``(cols, nrows)``.
 
-    Laid out as ``graded_matrix_rows`` from the same ``columns``, but over
-    the bases of ``GradedRing.quotient_basis``: a column per basis monomial
-    of R_{d-a} for each source twist a, and each image reduced to its
-    normal form on the rows of R_{d-b} for each target twist b, through
-    ``GradedRing.quotient_shift_table``.  Empty cells hold the int 0, as
-    in ``graded_matrix_rows``.
-    """
-    field = ring.field
-    add, mul = field.add, field.mul
-    targets = []
-    nrows = 0
-    for b in tgt_twists:
-        targets.append((nrows, b))
-        nrows += len(ring.quotient_basis(d - b)[0])
-    widths = [len(ring.quotient_basis(d - a)[0]) for a in src_twists]
-    rows = [[0] * sum(widths) for _ in range(nrows)]
-    col0 = 0
-    for j, a in enumerate(src_twists):
-        for r0, m0, c0 in _column_terms(columns[j], j, a, targets):
-            if widths[j]:
-                for col, form in enumerate(ring.quotient_shift_table(m0, d - a), col0):
-                    if form:  # None when m0 * mu lies in J
-                        for r, v in form.items():
-                            row = rows[r0 + r]
-                            old = row[col]
-                            row[col] = add(old, mul(c0, v)) if old else mul(c0, v)
-        col0 += widths[j]
-    return rows
-
-
-def quotient_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
-    """``quotient_matrix_rows`` as sparse columns {row: nonzero}, each
-    column up to a nonzero scalar.
-
-    A column per basis monomial mu of R_{d-a} for each source twist a: each
-    term m0 of an entry adds the normal form of m0 * mu to the entry's
-    target block, read from ``GradedRing.quotient_shift_table`` on the
-    integer forms.  Over F_p the columns are those of
-    ``quotient_matrix_rows``.  Over Q they are integer columns: a column of
-    source twist a is the column of ``quotient_matrix_rows`` times the lcm
-    of the denominators of its entries' coefficients and of the ``den`` of
-    ``GradedRing.quotient_integer_forms`` over every target block, so it
-    spans the same line.
+    The one R-coordinate builder.  Laid out as ``graded_columns`` from the
+    same ``columns``, but over the bases of ``GradedRing.quotient_basis``:
+    a column {row: integer} per basis monomial mu of R_{d-a} for each
+    source twist a, on the ``nrows`` rows of R_{d-b} for the target twists
+    b.  Each term m0 of an entry adds the normal form of m0 * mu to the
+    entry's target block, read from ``GradedRing.quotient_shift_table``.
+    The sums are left as they fall: a cell may hold 0, and over F_p it is
+    not reduced mod p.  Over Q a column of source twist a is the rational
+    column times the lcm of the denominators of its entries' coefficients
+    and of the ``den`` of ``GradedRing.quotient_integer_forms`` over every
+    target block, so it spans the same line.  ``quotient_columns`` reduces
+    the sums; ``complexes.homology_dims`` ranks their ``dense_rows``.
     """
     char = ring.field.char
     dens = [ring.quotient_integer_forms(d - b)[0] for b in tgt_twists]
@@ -1162,13 +1136,21 @@ def quotient_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
         for (r0, scale), m0, c0 in _column_terms(columns[j], j, a, targets):
             if cols:
                 c = c0 if char else c0.numerator * (den // c0.denominator) * scale
-                for col, form in zip(cols, ring.quotient_shift_table(m0, d - a, True)):
+                for col, form in zip(cols, ring.quotient_shift_table(m0, d - a)):
                     if form:  # None when m0 * mu lies in J
                         for r, v in form.items():
                             r += r0
                             col[r] = col.get(r, 0) + c * v
         out += cols
-    return _nonzero_columns(out, char)
+    return out, nrows
+
+
+def quotient_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
+    """``quotient_sums`` as sparse columns {row: nonzero}: mod p over F_p,
+    and over Q integer columns, each the rational column times a nonzero
+    integer."""
+    cols, _ = quotient_sums(ring, columns, src_twists, tgt_twists, d)
+    return _nonzero_columns(cols, ring.field.char)
 
 
 def _nonzero_columns(cols, char: int) -> list:

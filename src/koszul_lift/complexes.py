@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from . import _kernel, linalg
 from .algebra import GradedRing, Poly, PolyMatrix, graded_columns, graded_matrix_rows
-from .algebra import module_dim, product_sum, span_map
-from .algebra import quotient_matrix_rows, quotient_module_dim
+from .algebra import dense_rows, module_dim, product_sum, span_map
+from .algebra import quotient_module_dim, quotient_sums
 from .algebra import exact_int, json_int, matrix_from_json, matrix_to_json
 from .errors import InvalidInputError, ParseError
 
@@ -327,15 +327,19 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
     dim (F_n)_d - rank d_n - rank d_{n+1}.  Over Q the pieces carry the
     monomial bases of Q (``graded_matrix_rows``).  Over R = Q/(f) they carry
     the bases of ``GradedRing.quotient_basis`` and every image is reduced
-    to its normal form there (``quotient_matrix_rows``), so the ranks are
-    those of the maps of R-modules.  A position that is not an int (a
-    bool, a float or a string) is an InvalidInputError.
+    to its normal form there, so the ranks are those of the maps of
+    R-modules.  There ``linalg.rank`` reads the ``dense_rows`` of the
+    integer sums of ``quotient_sums``, reducing them mod p and dropping
+    their zero cells itself; over Q each column is the rational one times a
+    nonzero integer, which leaves the rank alone.  A position or a ``degree_bound`` that is
+    not an int (a bool, a float or a string) is an InvalidInputError.
     """
     if C.is_lift:
         raise InvalidInputError("homology of a lift is not defined; reduce first")
     ring = C.ring
     field = ring.field
     positions = sorted({exact_int(n, "homology position") for n in positions})
+    degree_bound = exact_int(degree_bound, "degree bound")
     interior = C.interior_positions()
     for n in positions:
         if n not in interior:
@@ -348,10 +352,7 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
         return {(n, d): 0 for n in positions for d in range(0, degree_bound + 1)}
     dmin = min(all_twists)
     degrees = range(dmin, degree_bound + 1)
-    if C.over == "R":
-        piece_dim, matrix_rows = quotient_module_dim, quotient_matrix_rows
-    else:
-        piece_dim, matrix_rows = module_dim, graded_matrix_rows
+    piece_dim = quotient_module_dim if C.over == "R" else module_dim
 
     rank_cache: dict = {}
 
@@ -363,7 +364,11 @@ def homology_dims(C: FreeComplex, positions, degree_bound: int) -> dict:
             tgt = C.known_twist(n - 1)
             if src is None or tgt is None:
                 raise InvalidInputError(f"differential at {n} undetermined")
-            rows = matrix_rows(ring, C.differential(n).column_nonzeros(), src, tgt, d)
+            columns = C.differential(n).column_nonzeros()
+            if C.over == "R":
+                rows = dense_rows(*quotient_sums(ring, columns, src, tgt, d))
+            else:
+                rows = graded_matrix_rows(ring, columns, src, tgt, d)
             rank_cache[key] = linalg.rank(field, rows)
         return rank_cache[key]
 

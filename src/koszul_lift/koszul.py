@@ -168,9 +168,11 @@ class RegularityReport:
 def check_regular_up_to(ring: GradedRing, degree_bound: int) -> RegularityReport:
     """Test regularity of the ring's sequence through internal degree
     ``degree_bound``: the Koszul homology H_i must vanish there for every
-    i >= 1.  This is a bounded certificate, not a proof beyond the bound."""
+    i >= 1.  This is a bounded certificate, not a proof beyond the bound.
+    A ``degree_bound`` that is not an int is an InvalidInputError."""
     from .complexes import homology_dims
 
+    degree_bound = exact_int(degree_bound, "degree bound")
     if degree_bound < 0:
         raise InvalidInputError("degree bound must be >= 0")
     c = ring.c

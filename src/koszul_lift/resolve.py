@@ -198,7 +198,10 @@ def resolve_over_R(
 ) -> FreeComplex:
     """Minimal free resolution of coker(relations) over R out to homological
     position ``length``, with syzygy generators searched through internal
-    degree ``degree_bound``."""
+    degree ``degree_bound``.  A ``length`` or ``degree_bound`` that is not
+    an int is an InvalidInputError."""
+    length = exact_int(length, "length")
+    degree_bound = exact_int(degree_bound, "degree bound")
     if length < 1:
         raise InvalidInputError("length must be >= 1")
     f0_twists = presentation.twists

@@ -204,8 +204,8 @@ def reference_columns(ring, columns, src_twists, tgt_twists, d):
 
 
 def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
-    """``quotient_matrix_rows`` cell by cell: for each basis monomial mu of
-    R_{d-a} (``quotient_basis``) and each entry p of the source column, the
+    """The map of ``algebra.quotient_columns`` read over the field, cell by
+    cell: for each basis monomial mu of R_{d-a} (``quotient_basis``) and each entry p of the source column, the
     product p * mu reduced mod J, its every term replaced by that
     monomial's normal form in R_{d-b}, on the target block of the entry's
     row.  Dense list rows."""

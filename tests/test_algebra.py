@@ -24,7 +24,6 @@ from koszul_lift.algebra import (
     product_sum,
     quotient_columns,
     quotient_coordinates,
-    quotient_matrix_rows,
     quotient_module_dim,
     solve_graded_linear,
     span_map,
@@ -231,6 +230,14 @@ def test_relation_canonicalization_prunes_multiples():
     assert ring.relations == ((2, 0),)
 
 
+@pytest.mark.parametrize("relation", [(1.9, 0), (True, 0), (2, 1.0), ("1", 0)], ids=repr)
+def test_ring_rejects_relation_exponents_that_are_not_ints(relation):
+    # int() read (1.9, 0) and (True, 0) as x
+    with pytest.raises(InvalidInputError, match="relation exponent must be an integer"):
+        GradedRing(QQ, ["x", "y"], relations=[relation])
+    assert GradedRing(QQ, ["x", "y"], relations=[(1, 2)]).relations == ((1, 2),)
+
+
 def test_sequence_validation():
     with pytest.raises(InvalidInputError):
         GradedRing(QQ, ["x", "y"], sequence=["x + x^2"])  # not homogeneous
@@ -365,40 +372,6 @@ def test_graded_columns_match_per_column_coords(field):
     assert span_map(c0, (0, 1)) == ([], ())
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
-def test_quotient_matrix_rows_match_per_cell_normal_forms(field):
-    # random degree-0 maps read over R = Q/(f), with negative and repeated
-    # twists and pieces that are zero; one ring's f are monomials (so some
-    # normal forms are empty), the other's are not (so they spread), and
-    # J kills some products in both
-    rng = Random(331)
-    rings = [
-        GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"], sequence=["x*y", "z^2"]),
-        GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3 - x*z^2"]),
-    ]
-    for ring in rings:
-        for _ in range(20):
-            src = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 4)))
-            tgt = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
-            columns = []
-            for a in src:
-                col = [(i, _homogeneous(rng, ring, a - b, 0.5)) for i, b in enumerate(tgt)]
-                columns.append([(i, p) for i, p in col if p.terms])
-            for d in range(-3, 6):
-                got = quotient_matrix_rows(ring, columns, src, tgt, d)
-                assert len(got) == quotient_module_dim(ring, tgt, d)
-                assert all(len(row) == quotient_module_dim(ring, src, d) for row in got)
-                assert got == reference_quotient_rows(ring, columns, src, tgt, d)
-    # x * x lies in J and x * y in (f): over R, x kills x and y in degree
-    # 1 and sends z to x*z, the first of x*z, y^2, y*z
-    ring = rings[0]
-    x = ring.parse("x")
-    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 2) == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
-    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 1) == [[1], [0], [0]]
-    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), 0) == [[]]  # zero source piece
-    assert quotient_matrix_rows(ring, [[(0, x)]], (1,), (0,), -1) == []  # both zero
-
-
 def _columns_of_rows(rows, ncols):
     return [{r: row[k] for r, row in enumerate(rows) if row[k]} for k in range(ncols)]
 
@@ -415,8 +388,11 @@ def _same_line(got, want):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
 def test_quotient_columns_match_per_cell_normal_forms(field):
-    # the maps of test_quotient_matrix_rows_match_per_cell_normal_forms, plus
-    # a ring whose normal forms carry denominators over Q.  Over F_7 every
+    # random degree-0 maps read over R = Q/(f), with negative and repeated
+    # twists and pieces that are zero; one ring's f are monomials (so some
+    # normal forms are empty), the next one's are not (so they spread), J
+    # kills some products in both, and the last one's normal forms carry
+    # denominators over Q.  Over F_7 every
     # column equals the per-cell reference.  Over Q the builder returns
     # integer columns, each the reference times a nonzero integer (the lcm
     # of the column's and the forms' denominators), so they are compared
@@ -451,10 +427,14 @@ def test_quotient_columns_match_per_cell_normal_forms(field):
                     assert all(_same_line(g, w) for g, w in zip(got, want))
                     scaled |= got != want
     assert scaled == (not field.char)
+    # x * x lies in J and x * y in (f): over R, x kills x and y in degree
+    # 1 and sends z to x*z, the first of x*z, y^2, y*z
     ring = rings[0]
     x = ring.parse("x")
     assert quotient_columns(ring, [[(0, x)]], (1,), (0,), 2) == [{}, {}, {0: 1}]
+    assert quotient_columns(ring, [[(0, x)]], (1,), (0,), 1) == [{0: 1}]
     assert quotient_columns(ring, [[(0, x)]], (1,), (0,), 0) == []  # zero source piece
+    assert quotient_columns(ring, [[(0, x)]], (1,), (0,), -1) == []  # both zero
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
@@ -487,7 +467,7 @@ def test_quotient_coordinates_are_classes_modulo_the_f_span(field):
     assert hit and scaled == (not field.char)
 
 
-@pytest.mark.parametrize("build", [graded_columns, quotient_matrix_rows, quotient_columns])
+@pytest.mark.parametrize("build", [graded_columns, quotient_columns])
 def test_coordinate_builders_reject_a_term_of_the_wrong_degree(build):
     # a map from twist 2 to twist (0, 1) needs entries of degrees 2 and 1;
     # the term x of row 0 (column 1) is named at every degree, also where

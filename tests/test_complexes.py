@@ -304,6 +304,14 @@ def test_homology_rejects_positions_that_are_not_ints(positions):
         homology_dims(C, positions, 3)
 
 
+@pytest.mark.parametrize("bound", [3.5, "3", True, None], ids=repr)
+def test_homology_rejects_a_degree_bound_that_is_not_an_int(bound):
+    # True once answered for bound 1, and 3.5 or "3" failed in range()
+    _, C = _simple_pair()
+    with pytest.raises(InvalidInputError, match="degree bound must be an integer"):
+        homology_dims(C, [0], bound)
+
+
 def test_homology_of_golden_input_over_R():
     # the window is a slice of a complete resolution, exact at every
     # interior position
@@ -326,8 +334,12 @@ def test_homology_over_R_matches_Q_coordinate_oracle(field):
     rings += [
         GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3"]),
         GradedRing(field, ["x", "y", "z"], sequence=["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]),
+        # normal forms with denominators over Q: homology ranks scaled
+        # integer columns there
+        GradedRing(field, ["x", "y", "z"], sequence=["2*x^2 + 3*y*z", "3*y^2 - 5*x*z"]),
     ]
     assert any(ring.relations for ring in rings)
+    assert any(rings[-1].quotient_integer_forms(d)[0] > 1 for d in range(7)) == (not field.char)
     seen_homology = False
     for ring in rings:
         for C in _complexes_with_homology(rng, ring):

@@ -248,3 +248,11 @@ def test_regularity_detects_failure():
     # x is a zerodivisor modulo (x*y)
     ring2 = GradedRing(QQ, ["x", "y"], sequence=["x*y", "x"])
     assert not check_regular_up_to(ring2, 6).ok
+
+
+@pytest.mark.parametrize("bound", [3.5, "3", True], ids=repr)
+def test_regularity_rejects_a_degree_bound_that_is_not_an_int(bound):
+    # True once returned ok for bound 1
+    ring = GradedRing(QQ, ["x", "y"], sequence=["x", "x"])
+    with pytest.raises(InvalidInputError, match="degree bound must be an integer"):
+        check_regular_up_to(ring, bound)

@@ -103,6 +103,19 @@ def test_degree_bound_too_low():
         resolve_over_R(ring, _residue_presentation(ring), 5, 4)
 
 
+@pytest.mark.parametrize(
+    "length, bound, what",
+    [(True, 6, "length"), (2.0, 6, "length"), ("2", 6, "length"),
+     (2, 6.5, "degree bound"), (2, "6", "degree bound"), (2, True, "degree bound")],
+    ids=repr,
+)
+def test_resolve_rejects_a_length_or_degree_bound_that_is_not_an_int(length, bound, what):
+    # length=True once fell through to an accidental "window bound" error
+    ring = GradedRing(QQ, ["x", "y"], sequence=["x^2", "y^2"])
+    with pytest.raises(InvalidInputError, match=f"^{what} must be an integer"):
+        resolve_over_R(ring, _residue_presentation(ring), length, bound)
+
+
 def test_redundant_presentation_columns_are_pruned():
     ring = GradedRing(QQ, ["x", "y"], sequence=["x^2", "y^2"])
     # y and 2y generate the same column space; x*y is a multiple of both

@@ -7,8 +7,9 @@ package, makes one traced ``PolyMatrix.mul``, and checks that the span is
 recorded with its counts and that uninstalling restores every function.  It
 then traces the CLI pipeline that the benchmark times, ``resolve`` and
 ``verify --format json`` on the mixed fixture, and checks the spans that the
-benchmark's own tests require of a traced instance, and that the homotopy
-solve still reaches the F_p elimination kernel.
+benchmark's own tests require of a traced instance, that the homotopy
+solve still reaches the F_p elimination kernel, and that each of verify's
+homology computations ranks through ``linalg.rank``.
 """
 
 import contextlib
@@ -84,6 +85,12 @@ def _wrapped():
     return found
 
 
+def _ancestors(spans, span):
+    while span.parent is not None:
+        yield span.parent
+        span = spans[span.parent]
+
+
 def test_tracer_spans_the_resolve_and_verify_pipeline(tmp_path):
     ring = str(FIXTURES / "mixed_ring.json")
     tracer = _load_tracing().Tracer()
@@ -97,6 +104,7 @@ def test_tracer_spans_the_resolve_and_verify_pipeline(tmp_path):
         ])
         complex_path = tmp_path / "complex.json"
         complex_path.write_text(json.dumps(resolved["complex"]))
+        first_verify_span = len(tracer.spans)
         verified = _cli_json(["verify", "--ring", ring, "--complex", str(complex_path),
                               "--format", "json"])
         assert "koszul_lift.cli.main" in _wrapped() - untraced
@@ -106,16 +114,17 @@ def test_tracer_spans_the_resolve_and_verify_pipeline(tmp_path):
     spans = tracer.spans
 
     def under(span, name):
-        while span.parent is not None:
-            span = spans[span.parent]
-            if span.name == name:
-                return True
-        return False
+        return any(spans[p].name == name for p in _ancestors(spans, span))
 
     # the homotopy solve eliminates only the degree groups with a nonzero
     # residual; the mixed fixture has some, and their rref runs in the kernel
     assert any(
         s.name == "modp.rref_mod" and under(s, "homotopy.solve_homotopies") for s in spans
     )
-    assert any(s.name == "linalg.rank" and under(s, "complexes.homology_dims") for s in spans)
+    # verify takes homology three times (the Koszul check, the product over
+    # Q and the input over R), and each must rank on linalg.rank, whose
+    # cells are the benchmark's complexes.homology_dims.cells
+    homology = [s.id for s in spans[first_verify_span:] if s.name == "complexes.homology_dims"]
+    ranked = {p for s in spans if s.name == "linalg.rank" for p in _ancestors(spans, s)}
+    assert len(homology) == 3 and set(homology) <= ranked
     assert _wrapped() == untraced
