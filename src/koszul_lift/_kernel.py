@@ -26,7 +26,8 @@ its lead, one ``Fraction`` per nonzero; ``kernel_basis`` builds one negated
 the keys.
 
 ``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
-eliminations) transpose sparse columns into dict rows; ``linalg.rank`` (for
+Nakayama pick and syzygy kernel, both on R-coordinate columns) transpose
+sparse columns into dict rows; ``linalg.rank`` (for
 ``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
 benchmark's tracer) scan dense list rows into them.  All hand those rows
 straight to ``echelon`` or ``kernel_basis``.  ``rref_mod`` wraps

@@ -20,9 +20,9 @@ monomial bases of Q, and ``quotient_columns`` for the map read over R, in
 the bases of ``GradedRing.quotient_basis`` (over Q its integer columns are
 the rational ones up to a nonzero scalar each; ``quotient_sums`` is its
 loop, before the zero cells go).  ``coords_to_columns`` turns coordinate
-vectors back into such columns, and ``quotient_coordinates`` maps them to
-R.  One dense view, ``dense_rows``, turns sparse columns into list rows for
-the eliminations that still take them: ``graded_matrix_rows`` for
+vectors on either kind of basis back into such columns.  One dense view,
+``dense_rows``, turns sparse columns into list rows for the eliminations
+that still take them: ``graded_matrix_rows`` for
 ``linalg.rank`` in ``homology_dims`` over Q and ``linalg.rref`` in
 ``solve_graded_linear``, and the sums of ``quotient_sums`` for
 ``linalg.rank`` in ``homology_dims`` over R.
@@ -53,6 +53,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -500,8 +501,13 @@ class GradedRing:
         for r in relations:
             if isinstance(r, str):
                 m = self._parse_monomial(r)
-            else:
+            elif isinstance(r, Sequence):
                 m = tuple(exact_int(e, "relation exponent") for e in r)
+            else:
+                raise InvalidInputError(
+                    "relation must be a monomial string or a sequence of "
+                    f"exponents, got {r!r}"
+                )
             if len(m) != self.nvars or any(e < 0 for e in m):
                 raise InvalidInputError(f"bad relation exponents {m}")
             if sum(m) < 1:
@@ -1102,6 +1108,13 @@ def quotient_module_dim(ring: GradedRing, twists, d: int) -> int:
     return sum(len(ring.quotient_basis(d - a)[0]) for a in twists)
 
 
+def column_denominator(column) -> int:
+    """The lcm of the coefficient denominators of the entries of a
+    polynomial column over Q, given as ``(row, Poly)`` pairs; 1 when it is
+    empty."""
+    return lcm(*[c.denominator for _, p in column for c in p.terms.values()])
+
+
 def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     """The k-linear matrix on degree-d pieces of a degree-0 map, read as a
     map of free R-modules, R = Q/(f), as integer sums: ``(cols, nrows)``.
@@ -1113,11 +1126,15 @@ def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     b.  Each term m0 of an entry adds the normal form of m0 * mu to the
     entry's target block, read from ``GradedRing.quotient_shift_table``.
     The sums are left as they fall: a cell may hold 0, and over F_p it is
-    not reduced mod p.  Over Q a column of source twist a is the rational
-    column times the lcm of the denominators of its entries' coefficients
-    and of the ``den`` of ``GradedRing.quotient_integer_forms`` over every
-    target block, so it spans the same line.  ``quotient_columns`` reduces
-    the sums; ``complexes.homology_dims`` ranks their ``dense_rows``.
+    not reduced mod p.  Over Q a column of source generator j is the
+    rational column times ``column_denominator(columns[j])`` times the lcm
+    of the ``den`` of ``GradedRing.quotient_integer_forms`` over every
+    target block, so it spans the same line.  The last factor is common to
+    all columns, so a kernel vector of the sums becomes one of the rational
+    matrix when each coordinate of generator j is multiplied by
+    ``column_denominator(columns[j])``, which is how ``resolve`` reads its
+    syzygies.  ``quotient_columns`` reduces the sums;
+    ``complexes.homology_dims`` ranks their ``dense_rows``.
     """
     char = ring.field.char
     dens = [ring.quotient_integer_forms(d - b)[0] for b in tgt_twists]
@@ -1132,7 +1149,7 @@ def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     for j, a in enumerate(src_twists):
         cols = [{} for _ in ring.quotient_basis(d - a)[0]]
         if cols and not char:
-            den = lcm(*[c.denominator for _, p in columns[j] for c in p.terms.values()])
+            den = column_denominator(columns[j])
         for (r0, scale), m0, c0 in _column_terms(columns[j], j, a, targets):
             if cols:
                 c = c0 if char else c0.numerator * (den // c0.denominator) * scale
@@ -1150,59 +1167,20 @@ def quotient_columns(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     and over Q integer columns, each the rational column times a nonzero
     integer."""
     cols, _ = quotient_sums(ring, columns, src_twists, tgt_twists, d)
-    return _nonzero_columns(cols, ring.field.char)
-
-
-def _nonzero_columns(cols, char: int) -> list:
-    """The integer columns ``cols`` reduced mod ``char`` (kept as they are
-    when it is 0), without the cells that vanish."""
+    char = ring.field.char
     if char:
         return [{r: v for r, w in col.items() if (v := w % char)} for col in cols]
     return [{r: v for r, v in col.items() if v} for col in cols]
 
 
-def quotient_coordinates(ring: GradedRing, twists, d: int, vecs) -> list:
-    """The images in R-coordinates of the sparse coordinate vectors
-    ``vecs`` {index: nonzero} on the degree-d piece of the free module with
-    the given twists: sparse columns on the rows of ``quotient_columns``,
-    each a vector's class modulo W_d, through the forms of
-    ``GradedRing.quotient_integer_forms``.  Over Q each is an integer
-    vector, the class times a nonzero integer, as in ``quotient_columns``.
-    """
-    char = ring.field.char
-    tables = [ring.quotient_integer_forms(d - a) for a in twists]
-    top = lcm(*[den for den, _ in tables])
-    proj = []  # (row offset, scale, form) of each coordinate, or None
-    r0 = 0
-    for a, (den, forms) in zip(twists, tables):
-        for m in ring.monomial_basis(d - a):
-            form = forms[m]
-            proj.append((r0, top // den, form) if form else None)
-        r0 += len(ring.quotient_basis(d - a)[0])
-    out = []
-    for vec in vecs:
-        # a coordinate whose monomial is zero in R adds nothing
-        coeffs = {i: c for i, c in vec.items() if proj[i]}
-        if not char:
-            _kernel.clear_denominators(coeffs)
-        col = {}
-        for i, c in coeffs.items():
-            r0, scale, form = proj[i]
-            c *= scale
-            for r, v in form.items():
-                r += r0
-                col[r] = col.get(r, 0) + c * v
-        out.append(col)
-    return _nonzero_columns(out, char)
-
-
-def coords_to_columns(ring: GradedRing, twists, d: int, vecs) -> list:
+def coords_to_columns(ring: GradedRing, bases, vecs) -> list:
     """The polynomial columns of sparse coordinate vectors {index: nonzero}
-    on the degree-d piece of the free module with the given twists, whose
-    basis is generator-major (generator index, then monomial in descending
-    order).  Each column is its nonzero ``(generator, Poly)`` pairs in
-    ascending generator order, the format ``graded_columns`` takes."""
-    basis = [(j, m) for j, a in enumerate(twists) for m in ring.monomial_basis(d - a)]
+    on a generator-major basis: generator j, then the monomials ``bases[j]``
+    in order (``monomial_basis(d - a)`` for a degree-d piece over Q,
+    ``quotient_basis(d - a)[0]`` for one over R).  Each column is its
+    nonzero ``(generator, Poly)`` pairs in ascending generator order, the
+    format ``graded_columns`` takes."""
+    basis = [(j, m) for j, monos in enumerate(bases) for m in monos]
     out = []
     for vec in vecs:
         parts: dict = {}
@@ -1239,5 +1217,6 @@ def solve_graded_linear(
             vecs.append(None)
         else:
             vecs.append({col: red[r][k] for r, col in enumerate(pivots[:rank]) if red[r][k]})
-    cols = iter(coords_to_columns(ring, src_twists, d, [v for v in vecs if v is not None]))
+    bases = [ring.monomial_basis(d - a) for a in src_twists]
+    cols = iter(coords_to_columns(ring, bases, [v for v in vecs if v is not None]))
     return [None if v is None else next(cols) for v in vecs]

@@ -309,9 +309,10 @@ def check_complex(C: FreeComplex) -> ComplexReport:
 # -- graded piece machinery ----------------------------------------------------
 
 
-# No library code calls this: the f-span of a free module is ``span_map``,
-# whose columns ``resolve`` passes to ``graded_columns`` with its other
-# columns.  It stays only because perfbench/tracing.py probes it by name.
+# No library code calls this: ``resolve`` works in R-coordinates and needs
+# no f-span, and ``GradedRing.quotient_basis`` reads the f-span of Q itself
+# off ``span_map``.  It stays only because perfbench/tracing.py probes it
+# by name.
 def module_span_columns(ring: GradedRing, twists, d: int):
     """Sparse coordinate columns {row: nonzero} spanning the degree-d piece
     of (f) * F inside the free module F with the given twists: the columns

@@ -8,7 +8,8 @@ kernel vectors of ``_kernel.kernel_basis``, so every function here still
 returns Fraction entries over Q.  Sparse columns {row: nonzero} become
 dict rows in one transpose, ``_transpose``.  ``extend_pivots`` and
 ``nullspace_columns`` take sparse columns; they are all that ``resolve``
-calls, so its path builds no list row.
+calls, on the R-coordinate columns of ``algebra.quotient_columns``, so its
+path builds no list row.
 
 ``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them
 into dict rows (``_dict_rows``), which keeps each nonzero cell as it is
@@ -154,10 +155,10 @@ def extend_pivots(field, base, extra, dim: int):
     first, so the selected extras are exactly the greedy left-to-right
     choices: extra k is picked when it is not in span(base + extra[:k]).
     That depends only on spans, so scaling a column by a nonzero constant
-    changes nothing, and neither does a linear map of the columns whose
-    kernel lies in span(base): ``resolve`` hands in the images modulo W_d
-    of its Q-coordinate columns and gets the picks of the columns
-    themselves."""
+    changes nothing: over Q ``resolve`` hands in, as ``base``, the integer
+    R-coordinate columns of the multiples of the generators it has chosen,
+    each a nonzero multiple of the rational one, and its candidates as
+    ``extra``."""
     nbase = len(base)
     pivots = _kernel.echelon(_transpose(base + extra, dim), field.char)
     return [c - nbase for c in pivots if c >= nbase]

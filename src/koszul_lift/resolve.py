@@ -1,37 +1,33 @@
 """Minimal graded free resolutions over R = Q/(f), degree by degree.
 
-The degree-d piece of a free R-module F tensor R with given twists is
-V_d/W_d, where V_d is the degree-d piece of the free Q-module F and W_d
-the span of its f-multiples.  Every step picks its generators by one graded
-Nakayama rule, degree by degree: a candidate becomes a generator exactly
-when it is not in W_d plus the multiples of every generator already chosen
-at that step plus the candidates before it.  The candidates are Q-coordinate
-vectors in V_d: the presentation columns at step one and, later, the source
-parts of a nullspace basis of the [matrix | span] block.  The f-span is the
-image of ``span_map``, the map F tensor K_1 -> F of the Koszul complex on
-f, whose columns join the step's matrix columns in that block.  Every
-polynomial column is a list of nonzero ``(row, Poly)`` pairs, and
-``graded_columns`` turns them into sparse coordinate columns
-{index: nonzero}: the step-one candidates and the [matrix | span] block,
-which goes to ``linalg.nullspace_columns`` as it is.
+Every step works in R-coordinates.  The degree-d piece of a free R-module
+with given twists has, on each generator of twist a, the basis
+``GradedRing.quotient_basis(d - a)`` of R_{d-a}, and ``algebra.quotient_sums``
+writes a module map on such pieces.  At step n the syzygies of degree d
+are the kernel of d_{n-1} read over R on degree-d pieces
+(``linalg.nullspace_columns`` of ``algebra.quotient_columns``): exactly the
+degree-d elements of F_{n-1} tensor R that d_{n-1} sends to zero in
+F_{n-2} tensor R.  Over Q the integer columns of source generator j are
+the rational ones times ``algebra.column_denominator`` of d_{n-1}'s column
+j, times one integer common to all columns.  The kernel of M*D is
+D^-1 * ker M, so each kernel coordinate is multiplied by its generator's
+``column_denominator``.
 
-The rule is applied modulo W_d, in R-coordinates.  ``extend_pivots(base,
-extra)`` picks extra k exactly when it is not in the span of the base and
-the extras before it, a property of subspaces that a linear map keeps when
-its kernel lies in the span of the base.  The quotient map V_d -> V_d/W_d
-has kernel W_d, so with W_d dropped from the base the picks are those of
-the same rule in Q-coordinates.  There the multiples of a chosen generator
-g of degree e are g times every monomial of Q_{d-e}; modulo W_d, g * mu is
-congruent to g * NF(mu), so one column per basis monomial of R_{d-e}
-spans them (``algebra.quotient_columns``).  Each candidate is projected
-through the normal forms of ``GradedRing.quotient_basis``
-(``algebra.quotient_coordinates``), and ``extend_pivots`` runs on the rows
-of the R-piece.  Over Q both are integer vectors, each a nonzero multiple
-of the true one, which spans the same line.  The picked candidates' own
-Q-coordinate vectors become the generators (``coords_to_columns``), and
-only the finished differentials are ``PolyMatrix``.  Free variables never
-enter: pivot selection is the greedy left-to-right echelon choice, which
-depends only on the spans, so the output is deterministic.
+Every step picks its generators by one graded Nakayama rule, degree by
+degree: a candidate becomes a generator exactly when it is not in the span
+of the multiples of the generators already chosen at that step and of the
+candidates before it.  The multiples of a chosen generator g of degree e
+are g times the basis of R_{d-e}, the columns of ``quotient_columns``, and
+``linalg.extend_pivots`` makes the greedy left-to-right choice against
+them.  At step one the candidates are the presentation's columns read over
+R, and the picked columns themselves become d_1.  Later the candidates are
+the syzygy vectors, and each pick becomes the column of its coefficients on
+the ``quotient_basis`` monomials (``algebra.coords_to_columns``), so every
+entry of d_n for n >= 2 is a normal form.  Only the finished differentials
+are ``PolyMatrix``.  Free variables never enter: the kernel basis is the
+one of the reduced row echelon form and pivot selection is the greedy
+echelon choice, both fixed by the column order, so the output is
+deterministic.
 
 The search is bounded by ``degree_bound``; if new generators still appear
 at the bound itself the truncation is unsafe and DegreeBoundTooLowError is
@@ -43,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import GradedRing, PolyMatrix, graded_columns
-from .algebra import coords_to_columns, json_int, matrix_from_json, matrix_to_json
-from .algebra import exact_int, module_dim, quotient_columns, quotient_coordinates
-from .algebra import quotient_module_dim, span_map
+from .algebra import GradedRing, PolyMatrix, column_denominator, coords_to_columns
+from .algebra import exact_int, json_int, matrix_from_json, matrix_to_json
+from .algebra import quotient_columns, quotient_module_dim
 from .complexes import FreeComplex
 from .errors import DegreeBoundTooLowError, InvalidInputError, ParseError
 
@@ -132,62 +127,57 @@ def _columns_matrix(ring, nrows, cols):
     return PolyMatrix._from_sparse(nrows, len(cols), rows, ring.zero)
 
 
-def _minimal_generators(ring, twists, candidates):
-    """Graded Nakayama, one degree at a time.
+def _picks(ring, twists, degs, cols, d, vecs):
+    """Graded Nakayama in degree d: the indices of the vectors ``vecs``, in
+    R-coordinates on the degree-d piece of the free R-module with the given
+    twists, that are not in the span of the multiples of the generators
+    ``cols`` (of degrees ``degs``) chosen so far and of the vectors before
+    them."""
+    if not vecs:
+        return []
+    base = quotient_columns(ring, cols, degs, twists, d)
+    return linalg.extend_pivots(ring.field, base, vecs, quotient_module_dim(ring, twists, d))
 
-    ``candidates`` yields (d, sparse coordinate vectors in the degree-d piece
-    of the free module with the given twists) in increasing d.  A vector
-    becomes a generator exactly when it is not in W_d plus the multiples of
-    the generators already chosen plus the vectors before it.  That is
-    decided modulo W_d: the chosen generators' multiples and the vectors
-    are mapped to the degree-d piece of the free R-module, and a vector is
-    picked when its image is not in the span of those multiples and the
-    images before it, the same rule because the map's kernel is W_d.
-    Returns the generators' degrees and columns, as (row, nonzero entry)
-    pairs, built from the picked vectors themselves."""
+
+def _relation_generators(ring, presentation, col_degs):
+    """Degrees and columns, as (row, nonzero entry) pairs, of a minimal
+    choice among the presentation's columns: in each degree the columns
+    read over R are the candidates, and a picked column is kept as it is
+    given, in normal form."""
+    twists = presentation.twists
+    columns = [
+        [(i, q) for i, p in col if (q := ring.normal_form(p)).terms]
+        for col in presentation.relations.column_nonzeros()
+    ]
     degs, cols = [], []
-    for d, vecs in candidates:
-        base = quotient_columns(ring, cols, degs, twists, d)
-        extra = quotient_coordinates(ring, twists, d, vecs)
-        picked = linalg.extend_pivots(
-            ring.field, base, extra, quotient_module_dim(ring, twists, d)
-        )
-        cols += coords_to_columns(ring, twists, d, [vecs[k] for k in picked])
+    for d in sorted(set(col_degs) - {None}):
+        here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
+        vecs = quotient_columns(ring, here, [d] * len(here), twists, d)
+        picked = _picks(ring, twists, degs, cols, d, vecs)
+        cols += [here[k] for k in picked]
         degs += [d] * len(picked)
     return degs, cols
 
 
-def _relation_candidates(ring, presentation, col_degs):
-    """The presentation columns of each degree, as sparse coordinate
-    vectors."""
-    twists = presentation.twists
-    columns = presentation.relations.column_nonzeros()
-    for d in sorted(set(col_degs) - {None}):
-        here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
-        yield d, graded_columns(ring, here, [d] * len(here), twists, d)
-
-
-def _syzygy_candidates(ring, mat, src_twists, tgt_twists, degree_bound):
-    """Source parts of a nullspace basis of [mat | span] in each degree:
-    they span W_d together with lifts of the kernel of mat over R.  The
-    block's sparse coordinate columns go to ``linalg.nullspace_columns``
-    as they are; a zero target piece makes every source basis vector a
-    candidate on its own."""
-    span_cols, span_twists = span_map(ring, tgt_twists)
-    block = mat.column_nonzeros() + span_cols
-    block_twists = tuple(src_twists) + span_twists
-    start = min(src_twists) if src_twists else degree_bound + 1
-    for d in range(start, degree_bound + 1):
-        ns = module_dim(ring, src_twists, d)
-        if ns == 0:
-            continue
-        nt = module_dim(ring, tgt_twists, d)
-        if nt == 0:
-            yield d, [{i: ring.field.one} for i in range(ns)]
-            continue
-        cols = graded_columns(ring, block, block_twists, tgt_twists, d)
-        null = linalg.nullspace_columns(ring.field, cols, nt)
-        yield d, [{i: v for i, v in vec.items() if i < ns} for vec in null]
+def _syzygy_generators(ring, mat, src_twists, tgt_twists, degree_bound):
+    """Degrees and columns of minimal generators of the syzygies of ``mat``
+    over R through ``degree_bound``: in each degree the kernel of ``mat``
+    read over R, in R-coordinates, is the candidate list."""
+    field = ring.field
+    columns = mat.column_nonzeros()
+    dens = None if field.char else [column_denominator(col) for col in columns]
+    degs, cols = [], []
+    for d in range(min(src_twists, default=degree_bound + 1), degree_bound + 1):
+        bases = [ring.quotient_basis(d - a)[0] for a in src_twists]
+        sums = quotient_columns(ring, columns, src_twists, tgt_twists, d)
+        null = linalg.nullspace_columns(field, sums, quotient_module_dim(ring, tgt_twists, d))
+        if dens:
+            scale = [den for den, basis in zip(dens, bases) for _ in basis]
+            null = [{i: v * scale[i] for i, v in vec.items()} for vec in null]
+        picked = _picks(ring, src_twists, degs, cols, d, null)
+        cols += coords_to_columns(ring, bases, [null[k] for k in picked])
+        degs += [d] * len(picked)
+    return degs, cols
 
 
 def resolve_over_R(
@@ -217,12 +207,11 @@ def resolve_over_R(
     for step in range(1, length + 1):
         src_twists = twists[step - 1]
         if step == 1:
-            candidates = _relation_candidates(ring, presentation, col_degs)
+            degs, cols = _relation_generators(ring, presentation, col_degs)
         else:
-            candidates = _syzygy_candidates(
+            degs, cols = _syzygy_generators(
                 ring, diffs[step - 1], src_twists, twists[step - 2], degree_bound
             )
-        degs, cols = _minimal_generators(ring, src_twists, candidates)
         if degs and degs[-1] == degree_bound:
             raise DegreeBoundTooLowError(
                 f"new syzygy generators still appear at degree "

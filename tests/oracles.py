@@ -228,17 +228,16 @@ def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
     return [[col[r] for col in cols] for r in range(nrows)]
 
 
-# -- resolve's graded Nakayama step in Q-coordinates ---------------------------
+# -- resolve in Q-coordinates ---------------------------------------------------
 
 
 def minimal_generators_in_Q_coordinates(ring, twists, candidates):
-    """``resolve._minimal_generators`` as it was written before it worked
-    modulo W_d, for comparison pick for pick.  In each degree d the base
-    holds the columns of W_d (the image of ``span_map``) and the multiples
-    of every generator chosen so far, all in Q-coordinates
+    """Graded Nakayama in Q-coordinates.  In each degree d the base holds
+    the columns of W_d (the image of ``span_map``) and the multiples of
+    every generator chosen so far, all in Q-coordinates
     (``graded_columns``), and each candidate vector is offered to
     ``linalg.extend_pivots`` as it is.  Returns the generators' degrees and
-    columns, as the package does."""
+    columns, as ``(row, Poly)`` pairs built from the picked vectors."""
     from koszul_lift import linalg
     from koszul_lift.algebra import coords_to_columns, graded_columns, module_dim, span_map
 
@@ -247,9 +246,60 @@ def minimal_generators_in_Q_coordinates(ring, twists, candidates):
     for d, vecs in candidates:
         base = graded_columns(ring, span_cols + cols, span_twists + tuple(degs), twists, d)
         picked = linalg.extend_pivots(ring.field, base, vecs, module_dim(ring, twists, d))
-        cols += coords_to_columns(ring, twists, d, [vecs[k] for k in picked])
+        bases = [ring.monomial_basis(d - a) for a in twists]
+        cols += coords_to_columns(ring, bases, [vecs[k] for k in picked])
         degs += [d] * len(picked)
     return degs, cols
+
+
+def resolve_in_Q_coordinates(ring, presentation, length, degree_bound):
+    """``resolve.resolve_over_R`` as it was before it worked in
+    R-coordinates, the reference for the old path.  Every candidate is a
+    Q-coordinate vector on the degree-d piece of the free Q-module: the
+    presentation columns at step one, and later the source parts of a
+    nullspace basis of the block [d_{n-1} | span], where span holds the
+    columns of W_d of the target (``span_map``).  Those source parts span
+    W_d of the source together with lifts of the syzygies over R, and
+    ``minimal_generators_in_Q_coordinates`` picks among them.  A generator
+    at ``degree_bound`` is a DegreeBoundTooLowError, as in the package."""
+    from koszul_lift import linalg
+    from koszul_lift.algebra import PolyMatrix, graded_columns, module_dim, span_map
+    from koszul_lift.complexes import FreeComplex
+    from koszul_lift.errors import DegreeBoundTooLowError
+
+    def relation_candidates(twists):
+        columns = presentation.relations.column_nonzeros()
+        col_degs = presentation.column_degrees(ring)
+        for d in sorted(set(col_degs) - {None}):
+            here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
+            yield d, graded_columns(ring, here, [d] * len(here), twists, d)
+
+    def syzygy_candidates(mat, src, tgt):
+        span_cols, span_twists = span_map(ring, tgt)
+        block = mat.column_nonzeros() + span_cols
+        for d in range(min(src, default=degree_bound + 1), degree_bound + 1):
+            ns = module_dim(ring, src, d)
+            if ns:
+                cols = graded_columns(ring, block, tuple(src) + span_twists, tgt, d)
+                null = linalg.nullspace_columns(ring.field, cols, module_dim(ring, tgt, d))
+                yield d, [{i: v for i, v in vec.items() if i < ns} for vec in null]
+
+    twists, diffs = {0: presentation.twists}, {}
+    for n in range(1, length + 1):
+        if n == 1:
+            candidates = relation_candidates(twists[0])
+        else:
+            candidates = syzygy_candidates(diffs[n - 1], twists[n - 1], twists[n - 2])
+        degs, cols = minimal_generators_in_Q_coordinates(ring, twists[n - 1], candidates)
+        if degs and degs[-1] == degree_bound:
+            raise DegreeBoundTooLowError(f"generators at the bound (position {n})")
+        rows = [{} for _ in twists[n - 1]]
+        for k, col in enumerate(cols):
+            for i, p in col:
+                rows[i][k] = p
+        twists[n] = tuple(degs)
+        diffs[n] = PolyMatrix._from_sparse(len(rows), len(cols), rows, ring.zero)
+    return FreeComplex(ring, "R", (0, length), twists, diffs, support="bounded_below")
 
 
 # -- linear changes of the sequence's variables --------------------------------

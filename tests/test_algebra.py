@@ -23,7 +23,6 @@ from koszul_lift.algebra import (
     parse_poly,
     product_sum,
     quotient_columns,
-    quotient_coordinates,
     quotient_module_dim,
     solve_graded_linear,
     span_map,
@@ -238,6 +237,17 @@ def test_ring_rejects_relation_exponents_that_are_not_ints(relation):
     assert GradedRing(QQ, ["x", "y"], relations=[(1, 2)]).relations == ((1, 2),)
 
 
+@pytest.mark.parametrize("relation", [5, None, {0: 1}], ids=repr)
+def test_ring_rejects_a_relation_that_is_neither_text_nor_exponents(relation):
+    # 5 and None were a bare TypeError, and a dict was read by its keys
+    with pytest.raises(
+        InvalidInputError,
+        match=f"^relation must be a monomial string or a sequence of exponents, got {re.escape(repr(relation))}$",
+    ):
+        GradedRing(QQ, ["x", "y"], relations=[relation])
+    assert GradedRing(QQ, ["x", "y"], relations=[[0, 1]]).relations == ((0, 1),)
+
+
 def test_sequence_validation():
     with pytest.raises(InvalidInputError):
         GradedRing(QQ, ["x", "y"], sequence=["x + x^2"])  # not homogeneous
@@ -437,34 +447,44 @@ def test_quotient_columns_match_per_cell_normal_forms(field):
     assert quotient_columns(ring, [[(0, x)]], (1,), (0,), -1) == []  # both zero
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
-def test_quotient_coordinates_are_classes_modulo_the_f_span(field):
-    # each coordinate vector goes to its class in R-coordinates: the
-    # quotient_columns image of its polynomial column, on one basis monomial
-    # of R_0; over Q up to a nonzero integer, as there
+def test_quotient_kernel_times_column_denominators_is_the_rational_kernel():
+    # over Q, quotient_sums scales the columns of source generator j by
+    # column_denominator(columns[j]) and one factor common to all columns.
+    # So a kernel vector of quotient_columns, with each coordinate of
+    # generator j multiplied by that, is a kernel vector of the rational
+    # map (the per-cell reference), and the kernels have one dimension;
+    # without the scaling some vector is not in the rational kernel
     rng = Random(337)
-    ring = GradedRing(field, ["x", "y", "z"], sequence=["2*x^2 + 3*y*z", "3*y^2 - 5*x*z"])
-    hit = scaled = False
-    for _ in range(20):
-        twists = tuple(rng.randint(-1, 2) for _ in range(rng.randint(0, 3)))
-        for d in range(-1, 5):
-            n = module_dim(ring, twists, d)
-            vecs = [
-                {i: field(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for i in range(n) if rng.random() < 0.5}
-                for _ in range(3)
-            ]
-            vecs = [{i: c for i, c in vec.items() if c} for vec in vecs]
-            got = quotient_coordinates(ring, twists, d, vecs)
-            polys = coords_to_columns(ring, twists, d, vecs)
-            want = _columns_of_rows(
-                reference_quotient_rows(ring, polys, (d,) * len(polys), twists, d), len(polys)
+    ring = GradedRing(QQ, ["x", "y", "z"], sequence=["2*x^2 + 3*y*z", "3*y^2 - 5*x*z"])
+    src, tgt = (1, 1, 2, 2), (0, 0)
+    unscaled_fails = False
+    for _ in range(10):
+        columns = []
+        for a in src:
+            col = []
+            for i, b in enumerate(tgt):
+                terms = {
+                    m: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for m in ring.monomial_basis(a - b)
+                    if rng.random() < 0.5
+                }
+                col.append((i, Poly(ring, terms)))
+            columns.append([(i, p) for i, p in col if p.terms])
+        dens = [algebra.column_denominator(col) for col in columns]
+        for d in range(1, 5):
+            nrows = quotient_module_dim(ring, tgt, d)
+            null = linalg.nullspace_columns(
+                QQ, quotient_columns(ring, columns, src, tgt, d), nrows
             )
-            assert all(_same_line(g, w) for g, w in zip(got, want)) and len(got) == len(want)
-            if field.char:
-                assert got == want
-            hit |= any(got)
-            scaled |= got != want
-    assert hit and scaled == (not field.char)
+            rows = reference_quotient_rows(ring, columns, src, tgt, d)
+            ncols = quotient_module_dim(ring, src, d)
+            assert len(null) == ncols - naive_rank_over(0, rows)
+            scale = [den for den, a in zip(dens, src) for _ in ring.quotient_basis(d - a)[0]]
+            for vec in null:
+                scaled = {i: v * scale[i] for i, v in vec.items()}
+                assert all(sum(row[i] * v for i, v in scaled.items()) == 0 for row in rows)
+                unscaled_fails |= any(sum(row[i] * v for i, v in vec.items()) for row in rows)
+    assert unscaled_fails
 
 
 @pytest.mark.parametrize("build", [graded_columns, quotient_columns])
@@ -582,34 +602,43 @@ def test_solve_graded_linear_matches_per_column_solve_min(field):
                 assert sol is None
             else:
                 vec = {i: v for i, v in enumerate(expected) if v}
-                assert sol == coords_to_columns(ring, src, top, [vec])[0]
+                bases = [ring.monomial_basis(top - a) for a in src]
+                assert sol == coords_to_columns(ring, bases, [vec])[0]
     assert seen == {True, False}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
 def test_coords_to_columns_inverts_graded_columns(field):
     # random sparse vectors on degree-d pieces of free modules whose twists
-    # leave some pieces empty; graded_columns of the returned columns must
-    # give the vectors back
+    # leave some pieces empty, on the monomial bases of Q and on the
+    # quotient bases of R: graded_columns, or quotient_columns, of the
+    # returned columns gives the vectors back
     rng = Random(313)
-    ring = GradedRing(field, ["x", "y", "z"], relations=["x^2", "y*z^2"])
-    for twists in [(0,), (0, 5, -1), (3, 1, 1), (7,), ()]:
-        for d in range(-1, 5):
-            dim = module_dim(ring, twists, d)
-            vecs = []
-            for _ in range(4):
-                # keys in random order: the output order must not follow them
-                items = [(i, field(rng.randint(1, 6))) for i in range(dim) if rng.random() < 0.3]
-                rng.shuffle(items)
-                vecs.append(dict(items))
-            cols = coords_to_columns(ring, twists, d, vecs)
-            assert len(cols) == len(vecs)
-            for col in cols:
-                gens = [j for j, _ in col]
-                assert gens == sorted(set(gens))
-                assert all(p.terms for _, p in col)
-                assert all(p.degree() == d - twists[j] for j, p in col)
-            assert graded_columns(ring, cols, (d,) * len(cols), twists, d) == vecs
+    ring = GradedRing(
+        field, ["x", "y", "z"], relations=["x^2", "y*z^2"], sequence=["x*y + z^2"]
+    )
+    pieces = [
+        (graded_columns, module_dim, lambda e: ring.monomial_basis(e)),
+        (quotient_columns, quotient_module_dim, lambda e: ring.quotient_basis(e)[0]),
+    ]
+    for build, dim_of, basis in pieces:
+        for twists in [(0,), (0, 5, -1), (3, 1, 1), (7,), ()]:
+            for d in range(-1, 5):
+                dim = dim_of(ring, twists, d)
+                vecs = []
+                for _ in range(4):
+                    # keys in random order: the output order must not follow them
+                    items = [(i, field(rng.randint(1, 6))) for i in range(dim) if rng.random() < 0.3]
+                    rng.shuffle(items)
+                    vecs.append(dict(items))
+                cols = coords_to_columns(ring, [basis(d - a) for a in twists], vecs)
+                assert len(cols) == len(vecs)
+                for col in cols:
+                    gens = [j for j, _ in col]
+                    assert gens == sorted(set(gens))
+                    assert all(p.terms for _, p in col)
+                    assert all(p.degree() == d - twists[j] for j, p in col)
+                assert build(ring, cols, (d,) * len(cols), twists, d) == vecs
 
 
 def _homogeneous(rng, ring, d, density=0.6):

@@ -1,10 +1,19 @@
 """The command line interface, run as real subprocesses: exit codes,
-golden text, and byte determinism of the JSON reports."""
+golden text, and byte determinism of the JSON reports.
+
+The JSON goldens in ``fixtures/`` are the outputs of the commands in
+``RESOLVE_GOLDENS`` and, computed from those resolutions, of
+``DERIVED_COMMANDS`` on ``DERIVED_GOLDENS``.  Regenerate them, resolve
+outputs first, only when a change of output is intended:
+
+    PYTHONPATH=src python3 tests/test_cli.py --write
+"""
 
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -441,7 +450,7 @@ def test_unsolvable_homotopy_system_is_a_failed_row(tmp_path, capsys):
         "\n\n[PASS] input complex structure\n"
         "[FAIL] sequence regular up to degree 8: Koszul homology at (1, 3)\n"
         "[FAIL] homotopy system solvable to level 2: homotopy system "
-        "inconsistent at level 2, position 3, entry (0,0); the input is not "
+        "inconsistent at level 2, position 3, entry (0,1); the input is not "
         "a lift of an R-complex\n"
         "\n"
         "result: FAIL (1/3)\n"
@@ -613,17 +622,16 @@ def test_resolve_text():
     assert "b_0 = 1, b_1 = 2, b_2 = 3, b_3 = 4, b_4 = 5, b_5 = 6" in out.stdout
 
 
-@pytest.mark.parametrize(
-    "name, length, bound",
-    [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5), ("rational", 4, 5)],
-    ids=["residue-5", "mixed-4", "generic-4", "rational-4"],
-)
-def test_resolve_json_golden(name, length, bound):
-    # the whole payload, differentials included: a change in which syzygy
-    # generators are chosen shows up here, not only a change of Betti numbers.
-    # "generic" and "rational" are the non-monomial sequences over Q, so
-    # they pin the Fraction elimination; only "rational" has coefficients
-    # other than +-1, so only it pins the denominators end to end
+# (name, length, degree bound) of each ``resolve`` golden
+RESOLVE_GOLDENS = [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5), ("rational", 4, 5)]
+# (name, length) of the resolutions that the derived goldens take as input
+DERIVED_GOLDENS = [(name, length) for name, length, _ in RESOLVE_GOLDENS]
+DERIVED_COMMANDS = ["lift", "assemble", "verify"]
+
+
+def _resolve_golden(name, length, bound):
+    """The golden file of ``resolve`` on the fixture ``name`` and the
+    command's run."""
     out = run_cli(
         "resolve",
         "--ring",
@@ -637,21 +645,14 @@ def test_resolve_json_golden(name, length, bound):
         "--format",
         "json",
     )
-    assert out.returncode == 0, out.stderr
-    golden = FIXTURES / f"resolve_{name}_length{length}.json"
-    assert out.stdout == golden.read_text(encoding="utf-8")
+    return FIXTURES / f"resolve_{name}_length{length}.json", out
 
 
-@pytest.mark.parametrize("command", ["lift", "assemble", "verify"])
-@pytest.mark.parametrize(
-    "name, length", [("residue", 5), ("mixed", 4), ("generic", 4), ("rational", 4)]
-)
-def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
-    # lift and assemble compose matrices with PolyMatrix.mul: every homotopy
-    # and every product block is pinned, not only that the checks pass.
-    # verify pins every check's name and detail line
+def _derived_golden(command, name, length, tmp_path):
+    """The golden file of ``command`` on the resolution in the ``resolve``
+    golden of ``name`` and the command's run."""
     resolution = FIXTURES / f"resolve_{name}_length{length}.json"
-    complex_path = tmp_path / "complex.json"
+    complex_path = tmp_path / f"{name}_complex.json"
     complex_path.write_text(json.dumps(json.loads(resolution.read_text())["complex"]))
     out = run_cli(
         command,
@@ -662,8 +663,33 @@ def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
         "--format",
         "json",
     )
+    return FIXTURES / f"{command}_{name}_length{length}.json", out
+
+
+@pytest.mark.parametrize(
+    "name, length, bound",
+    RESOLVE_GOLDENS,
+    ids=[f"{name}-{length}" for name, length, _ in RESOLVE_GOLDENS],
+)
+def test_resolve_json_golden(name, length, bound):
+    # the whole payload, differentials included: a change in which syzygy
+    # generators are chosen shows up here, not only a change of Betti numbers.
+    # "generic" and "rational" are the non-monomial sequences over Q, so
+    # they pin the Fraction elimination; only "rational" has coefficients
+    # other than +-1, so only it pins the denominators end to end
+    golden, out = _resolve_golden(name, length, bound)
     assert out.returncode == 0, out.stderr
-    golden = FIXTURES / f"{command}_{name}_length{length}.json"
+    assert out.stdout == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", DERIVED_COMMANDS)
+@pytest.mark.parametrize("name, length", DERIVED_GOLDENS)
+def test_lift_and_assemble_json_golden(tmp_path, command, name, length):
+    # lift and assemble compose matrices with PolyMatrix.mul: every homotopy
+    # and every product block is pinned, not only that the checks pass.
+    # verify pins every check's name and detail line
+    golden, out = _derived_golden(command, name, length, tmp_path)
+    assert out.returncode == 0, out.stderr
     assert out.stdout == golden.read_text(encoding="utf-8")
 
 
@@ -712,3 +738,20 @@ def test_console_script():
     )
     assert out.returncode == 0
     assert "golden values: PASS" in out.stdout
+
+
+def _write_golden(golden, out):
+    if out.returncode != 0:
+        sys.exit(f"{golden.name}: exit {out.returncode}\n{out.stderr}")
+    golden.write_text(out.stdout, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_cli.py --write")
+    for params in RESOLVE_GOLDENS:
+        _write_golden(*_resolve_golden(*params))
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in DERIVED_COMMANDS:
+            for name, length in DERIVED_GOLDENS:
+                _write_golden(*_derived_golden(command, name, length, Path(tmp)))

@@ -15,7 +15,7 @@ from koszul_lift.fields import GF, QQ
 from koszul_lift.resolve import Presentation, resolve_over_R
 from koszul_lift.samples import random_presentation, random_regular_ring
 
-from oracles import coordinate_changed_ring, minimal_generators_in_Q_coordinates, residue_ring
+from oracles import coordinate_changed_ring, residue_ring, resolve_in_Q_coordinates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -69,9 +69,10 @@ def test_hypersurface_module_is_two_periodic():
     C = resolve_over_R(ring, pres, 4, 10)
     betti = [len(C.twists[n]) for n in C.positions()]
     assert betti == [1, 1, 1, 1, 1]
-    # the deterministic normalization picks -v for the syzygy of u
+    # the syzygy of u is the kernel vector of the R-coordinate matrix,
+    # 1 at its free column: v
     entries = [str(C.diffs[n].rows[0][0]) for n in range(1, 5)]
-    assert entries == ["u", "-v", "u", "-v"]
+    assert entries == ["u", "v", "u", "v"]
 
 
 def test_presentation_validation():
@@ -139,35 +140,29 @@ def test_nakayama_base_holds_multiples_of_every_lower_generator():
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
 def test_zero_target_piece_makes_unit_candidates(monkeypatch, field):
     # with f = () the ring Q[x]/(x^2) is Artinian: at step n the target
-    # piece vanishes in degree n, where the source piece is spanned by x,
-    # so that basis vector is a syzygy candidate with no elimination
-    from koszul_lift import cli, resolve
+    # piece vanishes in degree n, where the source piece is spanned by x.
+    # The kernel of that zero-row matrix is the unit vector, with no special
+    # case, and it is the syzygy picked
+    from koszul_lift import cli
 
     ring = GradedRing(field, ["x"], relations=["x^2"])
     pres = Presentation((0,), _mat(ring, [["x"]]))
-    syzygy_candidates = resolve._syzygy_candidates
     nullspace_columns = linalg.nullspace_columns
-    yielded, eliminated = [], []
-
-    def recording_candidates(*args):
-        for d, vecs in syzygy_candidates(*args):
-            yielded.append((d, vecs))
-            yield d, vecs
+    kernels = []
 
     def recording_nullspace(fld, cols, nrows):
-        eliminated.append(nrows)
-        return nullspace_columns(fld, cols, nrows)
+        null = nullspace_columns(fld, cols, nrows)
+        kernels.append((nrows, len(cols), null))
+        return null
 
-    monkeypatch.setattr(resolve, "_syzygy_candidates", recording_candidates)
     monkeypatch.setattr(linalg, "nullspace_columns", recording_nullspace)
     C = resolve_over_R(ring, pres, 4, 6)
     assert C.twists == {n: (n,) for n in range(5)}
     assert all(str(C.diffs[n].entry(0, 0)) == "x" for n in range(1, 5))
-    # step n eliminates only in degree n - 1, where x kills nothing
-    assert [(d, vecs) for d, vecs in yielded if vecs] == [
-        (n, [{0: field.one}]) for n in (2, 3, 4)
-    ]
-    assert eliminated == [1, 1, 1]
+    # steps 2, 3 and 4 meet the zero target piece once each, in degree n
+    assert [null for nrows, ncols, null in kernels if ncols and not nrows] == [
+        [{0: field.one}]
+    ] * 3
 
     checks, _ = cli._verify_input(ring, C, 8)
     assert len(checks) == 8 and all(c["ok"] for c in checks), checks
@@ -244,53 +239,54 @@ def _fixture_inputs(name):
     return ring, pres
 
 
-def _nakayama_cases():
-    """(name, ring, presentation, length, bound) for the pick oracle: seeded
-    ``samples`` inputs over F_32003 and Q, the four resolve fixtures at
-    their golden lengths and bounds, and the coordinate-changed residue
-    ring over both fields."""
-    rng = Random(907)
-    for field in (GF(32003), QQ):
-        for k in range(12):
-            c = 1 + k % 2
-            ring = random_regular_ring(rng, field, rng.randint(c, 3), c)
-            yield f"F{field.char}/sample{k}", ring, random_presentation(rng, ring, 3, 3), 4, 9
-    fixtures = [("generic", 4, 5), ("rational", 4, 5), ("mixed", 4, 9), ("residue", 5, 6)]
+def _oracle_cases():
+    """(name, ring, presentation, length, bound) for the Q-coordinate
+    oracle: the four resolve fixtures at their golden lengths and bounds,
+    seeded ``samples`` inputs over F_32003, F_7 and Q, and at scale the
+    residue ring at 6 / 12 and its coordinate change at 5 / 9 over
+    F_32003 and Q."""
+    fixtures = [("residue", 5, 12), ("mixed", 4, 12), ("generic", 4, 5), ("rational", 4, 5)]
     for name, length, bound in fixtures:
         yield name, *_fixture_inputs(name), length, bound
+    rng = Random(907)
+    for field in (GF(32003), GF(7), QQ):
+        for k in range(8):
+            c = k % 3
+            ring = random_regular_ring(rng, field, rng.randint(max(c, 1), 3), c)
+            yield f"F{field.char}/sample{k}", ring, random_presentation(rng, ring, 3, 3), 4, 9
     for field in (GF(32003), QQ):
-        ring = coordinate_changed_ring(residue_ring(field))
-        yield f"F{field.char}/changed", ring, _residue_presentation(ring), 3, 6
+        ring = residue_ring(field)
+        yield f"F{field.char}/residue", ring, _residue_presentation(ring), 6, 12
+        ring = coordinate_changed_ring(ring)
+        yield f"F{field.char}/changed", ring, _residue_presentation(ring), 5, 9
 
 
-def test_nakayama_modulo_the_f_span_picks_as_in_q_coordinates(monkeypatch):
-    # every step of every case runs the Q-coordinate Nakayama step of
-    # tests/oracles.py beside resolve's own, which works modulo W_d, on the
-    # same candidates: the degrees and columns agree pick for pick
-    from koszul_lift import resolve
-
-    minimal_generators = resolve._minimal_generators
-    steps = []
-
-    def both(ring, twists, candidates):
-        candidates = list(candidates)
-        got = minimal_generators(ring, twists, candidates)
-        assert got == minimal_generators_in_Q_coordinates(ring, twists, candidates)
-        steps.append(len(got[0]))
-        return got
-
-    monkeypatch.setattr(resolve, "_minimal_generators", both)
-    picked = {}
-    for name, ring, pres, length, bound in _nakayama_cases():
-        steps.clear()
+def test_r_coordinate_resolve_agrees_with_the_q_coordinate_oracle():
+    # resolve takes its syzygies in R-coordinates; tests/oracles.py keeps
+    # the Q-coordinate path it replaced.  The differentials from step 2 on
+    # differ, but both are minimal resolutions of the same module: the
+    # twists, minimality, the complex check and the homology agree, and
+    # d_1 is the same matrix
+    resolved = 0
+    for name, ring, pres, length, bound in _oracle_cases():
         try:
-            resolve_over_R(ring, pres, length, bound)
+            old = resolve_in_Q_coordinates(ring, pres, length, bound)
         except DegreeBoundTooLowError:
-            pass
-        picked[name] = sum(steps)
-    # some random modules are free over R or stop at the bound; most are not
-    assert sum(map(bool, picked.values())) >= 0.6 * len(picked), picked
-    assert all(picked[name] for name in picked if "sample" not in name), picked
+            with pytest.raises(DegreeBoundTooLowError):
+                resolve_over_R(ring, pres, length, bound)
+            continue
+        new = resolve_over_R(ring, pres, length, bound)
+        assert new.twists == old.twists, name
+        assert new.diffs[1] == old.diffs[1], name
+        assert is_minimal(new) and is_minimal(old), name
+        assert check_complex(new).ok and check_complex(old).ok, name
+        # homology through degree 8 keeps the at-scale cases to seconds
+        positions = [n for n in (1, 2, 3) if n < length]
+        hom = min(bound, 8)
+        assert homology_dims(new, positions, hom) == homology_dims(old, positions, hom), name
+        resolved += 1
+    # some random modules stop at the bound; most do not
+    assert resolved >= 24, resolved
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
