@@ -25,9 +25,10 @@ its lead, one ``Fraction`` per nonzero; ``kernel_basis`` builds one negated
 ``echelon`` hands back its integer pivot rows, of which callers read only
 the keys.
 
-``linalg.extend_pivots`` and ``linalg.nullspace_columns`` (resolve's
-Nakayama pick and syzygy kernel, both on R-coordinate columns) transpose
-sparse columns into dict rows; ``linalg.rank`` (for
+``linalg.pivot_columns`` and ``linalg.nullspace_columns`` (resolve's
+counting and Nakayama pick, and its syzygy kernel, both on R-coordinate
+columns) and ``linalg.extend_pivots`` transpose sparse columns into dict
+rows; ``linalg.rank`` (for
 ``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
 benchmark's tracer) scan dense list rows into them.  All hand those rows
 straight to ``echelon`` or ``kernel_basis``.  ``rref_mod`` wraps

@@ -6,10 +6,13 @@ into primitive integer rows and works on those; Fractions appear only at
 its boundary, in the reduced rows of ``_kernel.gauss_jordan`` and the
 kernel vectors of ``_kernel.kernel_basis``, so every function here still
 returns Fraction entries over Q.  Sparse columns {row: nonzero} become
-dict rows in one transpose, ``_transpose``.  ``extend_pivots`` and
-``nullspace_columns`` take sparse columns; they are all that ``resolve``
-calls, on the R-coordinate columns of ``algebra.quotient_columns``, so its
-path builds no list row.
+dict rows in one transpose, ``_transpose``.  ``pivot_columns``,
+``extend_pivots`` and ``nullspace_columns`` take sparse columns.
+``resolve`` calls ``pivot_columns`` and ``nullspace_columns`` alone, on the
+R-coordinate columns of ``algebra.quotient_columns``, so its path builds no
+list row.  ``extend_pivots`` is the greedy choice that ``resolve``'s
+pivots make; no library code calls it now, and ``perfbench/tracing.py``
+probes it by name.
 
 ``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them
 into dict rows (``_dict_rows``), which keeps each nonzero cell as it is
@@ -22,9 +25,10 @@ cells under ``homology_dims`` and ``rref_mod`` calls.  So
 those probes count dict rows.  ``nullspace`` has no library caller left; it
 is the list-row adapter of ``nullspace_columns``, kept for the tracer.
 
-``rank`` and ``extend_pivots`` need only the pivot columns, so they run the
-forward pass ``_kernel.echelon`` and nothing else: the pivot columns of the
-reduced row echelon form depend only on the column order.
+``rank``, ``pivot_columns`` and ``extend_pivots`` need only the pivot
+columns, so they run the forward pass ``_kernel.echelon`` and nothing else:
+the pivot columns of the reduced row echelon form depend only on the column
+order.
 ``nullspace_columns`` and ``nullspace`` run ``_kernel.kernel_basis``.
 Kernel vectors are sparse dicts {index: nonzero}.
 
@@ -146,19 +150,24 @@ def nullspace(field, rows, ncols: int):
     return _kernel.kernel_basis(_dict_rows(rows, field.char), ncols, field.char)
 
 
+def pivot_columns(field, columns, nrows: int) -> list:
+    """The pivot columns, ascending, of the reduced row echelon form of the
+    matrix with the sparse columns ``columns`` {row: nonzero} and ``nrows``
+    rows: the greedy left-to-right choice of the columns that are not in
+    the span of the columns before them.  The other columns are the free
+    columns of ``nullspace_columns``, one kernel vector each."""
+    return list(_kernel.echelon(_transpose(columns, nrows), field.char))
+
+
 def extend_pivots(field, base, extra, dim: int):
     """Indices into ``extra`` of a deterministic subset extending the span
     of the columns ``base`` to span(base + extra).
 
     ``base`` and ``extra`` are sparse columns {row index: nonzero field
-    element} of length ``dim``.  Echelon pivoting scans the base columns
-    first, so the selected extras are exactly the greedy left-to-right
-    choices: extra k is picked when it is not in span(base + extra[:k]).
-    That depends only on spans, so scaling a column by a nonzero constant
-    changes nothing: over Q ``resolve`` hands in, as ``base``, the integer
-    R-coordinate columns of the multiples of the generators it has chosen,
-    each a nonzero multiple of the rational one, and its candidates as
-    ``extra``."""
+    element} of length ``dim``.  These are the pivot columns of
+    base + extra that lie in ``extra``, so the selected extras are exactly
+    the greedy left-to-right choices: extra k is picked when it is not in
+    span(base + extra[:k]).  That depends only on spans, so scaling a
+    column by a nonzero constant changes nothing."""
     nbase = len(base)
-    pivots = _kernel.echelon(_transpose(base + extra, dim), field.char)
-    return [c - nbase for c in pivots if c >= nbase]
+    return [c - nbase for c in pivot_columns(field, base + extra, dim) if c >= nbase]

@@ -302,6 +302,76 @@ def resolve_in_Q_coordinates(ring, presentation, length, degree_bound):
     return FreeComplex(ring, "R", (0, length), twists, diffs, support="bounded_below")
 
 
+# -- resolve with a kernel in every degree ---------------------------------------
+
+
+def resolve_by_full_kernels(ring, presentation, length, degree_bound):
+    """``resolve.resolve_over_R`` as it was before it counted ranks, the
+    reference for the counting path.  In R-coordinates, at every step and
+    every degree: the candidates are the presentation's columns read over R
+    (step one, only in the degrees that have columns) or the whole kernel
+    of d_{n-1}'s R-matrix, built afresh from the finished differential,
+    with each coordinate times its generator's ``column_denominator`` over
+    Q; and ``linalg.extend_pivots`` picks among them against the multiples
+    of the generators chosen so far.  A generator at ``degree_bound`` is a
+    DegreeBoundTooLowError, as in the package."""
+    from koszul_lift import linalg
+    from koszul_lift.algebra import (
+        PolyMatrix, column_denominator, coords_to_columns, quotient_columns,
+        quotient_module_dim,
+    )
+    from koszul_lift.complexes import FreeComplex
+    from koszul_lift.errors import DegreeBoundTooLowError
+
+    field = ring.field
+
+    def pick(twists, degs, cols, d, vecs):
+        if not vecs:
+            return []
+        base = quotient_columns(ring, cols, degs, twists, d)
+        return linalg.extend_pivots(field, base, vecs, quotient_module_dim(ring, twists, d))
+
+    twists, diffs = {0: presentation.twists}, {}
+    for n in range(1, length + 1):
+        src = twists[n - 1]
+        degs, cols = [], []
+        if n == 1:
+            columns = [
+                [(i, q) for i, p in col if (q := ring.normal_form(p)).terms]
+                for col in presentation.relations.column_nonzeros()
+            ]
+            col_degs = presentation.column_degrees(ring)
+            for d in sorted(set(col_degs) - {None}):
+                here = [columns[j] for j, dj in enumerate(col_degs) if dj == d]
+                vecs = quotient_columns(ring, here, [d] * len(here), src, d)
+                picked = pick(src, degs, cols, d, vecs)
+                cols += [here[k] for k in picked]
+                degs += [d] * len(picked)
+        else:
+            columns = diffs[n - 1].column_nonzeros()
+            dens = None if field.char else [column_denominator(col) for col in columns]
+            for d in range(min(src, default=degree_bound + 1), degree_bound + 1):
+                bases = [ring.quotient_basis(d - a)[0] for a in src]
+                sums = quotient_columns(ring, columns, src, twists[n - 2], d)
+                nrows = quotient_module_dim(ring, twists[n - 2], d)
+                null = linalg.nullspace_columns(field, sums, nrows)
+                if dens:
+                    scale = [den for den, basis in zip(dens, bases) for _ in basis]
+                    null = [{i: v * scale[i] for i, v in vec.items()} for vec in null]
+                picked = pick(src, degs, cols, d, null)
+                cols += coords_to_columns(ring, bases, [null[k] for k in picked])
+                degs += [d] * len(picked)
+        if degs and degs[-1] == degree_bound:
+            raise DegreeBoundTooLowError(f"generators at the bound (position {n})")
+        rows = [{} for _ in src]
+        for k, col in enumerate(cols):
+            for i, p in col:
+                rows[i][k] = p
+        twists[n] = tuple(degs)
+        diffs[n] = PolyMatrix._from_sparse(len(rows), len(cols), rows, ring.zero)
+    return FreeComplex(ring, "R", (0, length), twists, diffs, support="bounded_below")
+
+
 # -- linear changes of the sequence's variables --------------------------------
 
 # x, y, z -> x + y + z, x + 2y + z, x + y + 2z: determinant 1, so the change

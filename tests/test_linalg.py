@@ -15,6 +15,7 @@ from koszul_lift.linalg import (
     extend_pivots,
     nullspace,
     nullspace_columns,
+    pivot_columns,
     rank,
     rref,
     solve_min,
@@ -459,6 +460,40 @@ def test_extend_pivots_spans(field):
         base_cols = [{i: x for i, x in enumerate(v) if x} for v in base]
         sparse = [{i: x for i, x in enumerate(v) if x} for v in extras]
         assert extend_pivots(field, base_cols, sparse, dim) == greedy
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
+def test_units_on_the_free_columns_pick_as_the_kernel_vectors(field):
+    # what resolve's counting rests on: the columns that are not pivots are
+    # the free columns of the kernel basis, one vector each, and a vector
+    # of the kernel is fixed by its coordinates there.  So for multiples
+    # inside the kernel, eliminating them read on the free columns and then
+    # the unit vectors of those columns picks the kernel vectors that
+    # extend_pivots picks, also after each coordinate is scaled
+    rng = Random(211)
+    for _ in range(80):
+        nrows, ncols = rng.randint(0, 4), rng.randint(1, 7)
+        columns = _sparse_columns(field, _random_rows(rng, nrows, ncols, sparse=0.5), range(ncols))
+        null = nullspace_columns(field, columns, nrows)
+        pivots = pivot_columns(field, columns, nrows)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert [max(vec) for vec in null] == free
+        scale = [field(rng.choice([1, 2, -3, 5])) for _ in range(ncols)]
+        null = [{i: v * scale[i] for i, v in vec.items()} for vec in null]
+        mults = []
+        for _ in range(rng.randint(0, 4)):
+            mult = {}
+            for vec in rng.sample(null, min(len(null), 2)):
+                c = field(rng.randint(-2, 2))
+                for i, v in vec.items():
+                    mult[i] = mult.get(i, field.zero) + c * v
+            mults.append({i: v for i, v in mult.items() if v})
+        at = {f: k for k, f in enumerate(free)}
+        on_free = [{at[i]: v for i, v in m.items() if i in at} for m in mults]
+        units = [{k: field.one} for k in range(len(free))]
+        picked = [c - len(mults) for c in pivot_columns(field, on_free + units, len(free))
+                  if c >= len(mults)]
+        assert picked == extend_pivots(field, mults, null, ncols)
 
 
 def test_backend_name_is_consistent():

@@ -10,12 +10,17 @@ import pytest
 from koszul_lift import linalg
 from koszul_lift.algebra import GradedRing, PolyMatrix, graded_matrix_rows
 from koszul_lift.complexes import check_complex, homology_dims, is_minimal
-from koszul_lift.errors import DegreeBoundTooLowError, InvalidInputError
+from koszul_lift.errors import DegreeBoundTooLowError, InvalidInputError, KoszulLiftError
 from koszul_lift.fields import GF, QQ
 from koszul_lift.resolve import Presentation, resolve_over_R
 from koszul_lift.samples import random_presentation, random_regular_ring
 
-from oracles import coordinate_changed_ring, residue_ring, resolve_in_Q_coordinates
+from oracles import (
+    coordinate_changed_ring,
+    residue_ring,
+    resolve_by_full_kernels,
+    resolve_in_Q_coordinates,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -305,3 +310,124 @@ def test_coordinate_change_of_the_sequence_keeps_graded_betti_numbers(field):
     assert C.twists == resolve_over_R(plain, _residue_presentation(plain), 4, 7).twists
     checks, _ = cli._verify_input(changed, C, 7)
     assert len(checks) == 8 and all(c["ok"] for c in checks), checks
+
+
+def _recording_kernels(monkeypatch):
+    """Patch ``linalg.nullspace_columns`` to record (columns, rows) of every
+    kernel that resolve computes."""
+    nullspace_columns = linalg.nullspace_columns
+    kernels = []
+
+    def recording(field, cols, nrows):
+        kernels.append((len(cols), nrows))
+        return nullspace_columns(field, cols, nrows)
+
+    monkeypatch.setattr(linalg, "nullspace_columns", recording)
+    return kernels
+
+
+def test_kernels_are_computed_only_where_a_generator_appears(monkeypatch):
+    # the lift-fp workload's ring, k[x,y,z,w] with f the four squares, at
+    # length 5 and bound 6.  A kernel of d_{n-1} is computed in degree d
+    # only when the multiples of the generators below d fall short of
+    # dim K_d, that is, exactly where a generator of degree d is picked: 4
+    # kernels, where taking one in every degree took 18.  Each is the
+    # kernel of the multiples alone, the columns of d_{n-1} but for its
+    # generators of degree d
+    ring = GradedRing(
+        GF(32003), ["x", "y", "z", "w"], sequence=["x^2", "y^2", "z^2", "w^2"]
+    )
+    kernels = _recording_kernels(monkeypatch)
+    C = resolve_over_R(ring, _residue_presentation(ring), 5, 6)
+    assert C.twists == {n: (n,) * len(C.twists[n]) for n in range(6)}
+
+    def dim(twists, d):
+        return sum(len(ring.quotient_basis(d - a)[0]) for a in twists)
+
+    expected = [
+        (dim([a for a in C.twists[n - 1] if a < d], d), dim(C.twists[n - 2], d))
+        for n in range(2, 6)
+        for d in sorted(set(C.twists[n]))
+    ]
+    assert kernels == expected and len(kernels) == 4
+    monkeypatch.undo()
+    assert resolve_by_full_kernels(ring, _residue_presentation(ring), 5, 6).diffs == C.diffs
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_a_kernel_short_of_the_counted_rank_is_an_error(monkeypatch, field):
+    # the rank identity as a check: the kernel of d_{n-1} in degree d must
+    # have the dim K_d free columns that step n-1's elimination left.  A
+    # kernel that drops a vector fails with the step and the degree, and
+    # no complex is returned
+    nullspace_columns = linalg.nullspace_columns
+
+    def short(fld, cols, nrows):
+        return nullspace_columns(fld, cols, nrows)[:-1]
+
+    monkeypatch.setattr(linalg, "nullspace_columns", short)
+    ring = residue_ring(field)
+    with pytest.raises(KoszulLiftError, match=r"^syzygies at position 2, degree 2: .* has 8 vectors, .* left 9 free columns"):
+        resolve_over_R(ring, _residue_presentation(ring), 4, 7)
+
+
+def _with_redundant_columns(rng, ring, pres):
+    """``pres`` with columns that add no generator: a variable times a
+    column, three times that column, and (x + y) times it for two
+    variables x and y.  Step one must read their ranks in the degrees above the
+    given ones."""
+    columns = pres.relations.column_nonzeros()
+    base = [dict(col) for col in columns if col]
+    if not base:
+        return pres
+    x = ring.parse(ring.variables[rng.randrange(ring.nvars)])
+    col = rng.choice(base)
+    up = {i: ring.mul(x, p) for i, p in col.items()}
+    extra = [up, {i: p * 3 for i, p in col.items()}]
+    y = ring.parse(ring.variables[rng.randrange(ring.nvars)])
+    extra.append({i: p + ring.mul(y, col[i]) for i, p in up.items()})
+    n = len(pres.twists)
+    rows = [
+        [pres.relations.entry(i, j) for j in range(pres.relations.ncols)]
+        + [c.get(i, ring.zero) for c in extra]
+        for i in range(n)
+    ]
+    return Presentation(pres.twists, PolyMatrix.from_rows(rows, ncols=pres.relations.ncols + 3))
+
+
+def _counting_cases():
+    """(name, ring, presentation, length, bound): seeded ``samples`` inputs
+    over F_7, F_32003 and Q, each also with redundant columns, and their
+    rings after ``coordinate_changed_ring`` where it applies."""
+    rng = Random(1201)
+    for field in (GF(7), GF(32003), QQ):
+        for k in range(6):
+            c = k % 3
+            nvars = rng.randint(max(c, 1), 3)
+            ring = random_regular_ring(rng, field, nvars, c)
+            pres = random_presentation(rng, ring, 3, 3)
+            yield f"F{field.char}/sample{k}", ring, pres, 4, 9
+            yield f"F{field.char}/sample{k}+redundant", ring, _with_redundant_columns(rng, ring, pres), 4, 9
+        ring = coordinate_changed_ring(residue_ring(field))
+        yield f"F{field.char}/changed", ring, _residue_presentation(ring), 4, 8
+        pres = _with_redundant_columns(rng, ring, _residue_presentation(ring))
+        yield f"F{field.char}/changed+redundant", ring, pres, 4, 8
+
+
+def test_counting_resolve_matches_the_full_kernel_path():
+    # counting skips kernels but keeps every pick: twists and differentials
+    # equal the path that took a kernel in every degree, and a bound that is
+    # too low fails on both
+    resolved = 0
+    for name, ring, pres, length, bound in _counting_cases():
+        try:
+            old = resolve_by_full_kernels(ring, pres, length, bound)
+        except DegreeBoundTooLowError:
+            with pytest.raises(DegreeBoundTooLowError):
+                resolve_over_R(ring, pres, length, bound)
+            continue
+        new = resolve_over_R(ring, pres, length, bound)
+        assert new.twists == old.twists, name
+        assert new.diffs == old.diffs, name
+        resolved += 1
+    assert resolved >= 30, resolved
