@@ -3,11 +3,11 @@ solve and nullspace over F_p and over Q.
 
 Rows are dicts {column: nonzero entry}: ints in [0, p) over F_p; over Q,
 Fractions or ints.  ``echelon`` is the forward pass and finds the pivot
-columns, which is all a rank needs; ``_reduced_rows`` adds the back
-substitution, and ``gauss_jordan`` and ``kernel_basis`` read their results
-off its rows.  The reduced row echelon form of a matrix is unique for its
-column order, so the order in which rows become pivots does not change the
-result.
+columns, which is all a rank needs; ``reduced_rows`` adds the back
+substitution, and ``gauss_jordan``, ``kernel_basis`` and
+``algebra.GradedRing.quotient_basis`` read their results off its rows.
+The reduced row echelon form of a matrix is unique for its column order,
+so the order in which rows become pivots does not change the result.
 
 Over Q the elimination runs on primitive integer rows (integer-preserving
 elimination, Bareiss 1968, in the primitive-row form with content removal).
@@ -23,7 +23,7 @@ only at the kernel's boundary: ``gauss_jordan`` divides each reduced row by
 its lead, one ``Fraction`` per nonzero; ``kernel_basis`` builds one negated
 ``Fraction`` per kernel-vector entry straight from the integer rows; and
 ``echelon`` hands back its integer pivot rows, of which callers read only
-the keys.
+the keys.  ``quotient_basis`` reads R's forms off the integer rows as ints.
 
 ``linalg.pivot_columns`` and ``linalg.nullspace_columns`` (resolve's
 counting and Nakayama pick, and its syzygy kernel, both on R-coordinate
@@ -149,10 +149,11 @@ def echelon(rows, char: int) -> dict:
     return pivots
 
 
-def _reduced_rows(rows, char: int) -> dict:
+def reduced_rows(rows, char: int) -> dict:
     """``echelon``, then each pivot row cleared in the other pivot columns,
-    last pivot first: the reduced row echelon form, over Q up to the scale
-    of each (primitive integer) row.  ``rows`` are modified."""
+    last pivot first: the reduced row echelon form as {pivot column: row},
+    with a 1 in each pivot column over F_p and, over Q, up to the scale of
+    each (primitive integer) row.  ``rows`` are modified."""
     pivots = echelon(rows, char)
     for col in reversed(pivots):
         row = pivots[col]
@@ -171,7 +172,7 @@ def gauss_jordan(rows, char: int) -> list:
     entry in any other pivot column; over Q its entries are Fractions.
     ``rows`` are modified.
     """
-    pivots = _reduced_rows(rows, char)
+    pivots = reduced_rows(rows, char)
     if char:
         return list(pivots.items())
     return [
@@ -185,7 +186,7 @@ def kernel_basis(rows, ncols: int, char: int) -> list:
     sparse vector per free column fc in ascending order: 1 at fc, then
     -R[r][fc] at the pivot column of each row r of the RREF R, built once
     from the integer rows over Q.  ``rows`` are modified."""
-    pivots = _reduced_rows(rows, char)
+    pivots = reduced_rows(rows, char)
     one = 1 if char else Fraction(1)
     basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
     for col, row in pivots.items():

@@ -7,7 +7,7 @@ Polynomials are stored as J-reduced representatives in P; arithmetic that
 must land back in Q goes through ``GradedRing.normal_form`` or
 ``GradedRing.mul``.  R = Q/(f) has no monomial basis in general;
 ``GradedRing.quotient_basis`` gives each R_d a basis of monomials of Q_d
-and the normal form of every monomial in it.
+and, as ints, one ``den`` times the normal form of every monomial in it.
 
 ``PolyMatrix`` is sparse: each row is a ``{column: Poly}`` dict of the
 nonzero entries only, and no stored entry is zero.  Products walk those
@@ -472,7 +472,6 @@ class GradedRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
         self._quotient_cache: dict[int, tuple] = {}
-        self._integer_forms_cache: dict[int, tuple] = {}
         self._shift_cache: dict[tuple, tuple] = {}
         self._quotient_shift_cache: dict[tuple, tuple] = {}
 
@@ -641,49 +640,33 @@ class GradedRing:
         ``span_map``), are brought to reduced row echelon form once, with
         columns in ``monomial_basis(d)`` order.  The monomials that are not
         pivots form a basis of R_d (the Macaulay-matrix normal form;
-        Macaulay 1916, Lazard 1983).  Returns ``(basis, forms)``: ``basis``
-        lists those monomials in ``monomial_basis(d)`` order, and ``forms``
-        maps every monomial of Q_d to its class in R_d as a sparse dict
-        {index into ``basis``: nonzero coefficient}.  Cached per degree;
-        callers must not mutate the result.
+        Macaulay 1916, Lazard 1983).  Returns ``(basis, forms, den)``:
+        ``basis`` lists those monomials in ``monomial_basis(d)`` order, and
+        ``forms`` maps every monomial of Q_d to ``den`` times its class in
+        R_d, a sparse dict {index into ``basis``: nonzero int}.  Over F_p
+        ``den`` is 1; over Q it is the lcm of the leads of the primitive
+        integer rows of ``_kernel.reduced_rows``, so that of the rational
+        forms' denominators.  Cached per degree; do not mutate the result.
         """
         cached = self._quotient_cache.get(d)
         if cached is None:
             monos = self.monomial_basis(d)
             gens = graded_columns(self, *span_map(self, (0,)), (0,), d)
-            pivots = dict(_kernel.gauss_jordan(gens, self.field.char))
+            pivots = _kernel.reduced_rows(gens, self.field.char)
             basis = tuple(m for i, m in enumerate(monos) if i not in pivots)
             index = {m: k for k, m in enumerate(basis)}
+            den = lcm(*[row[i] for i, row in pivots.items()])  # 1 over F_p
             neg = self.field.neg
             forms = {}
             for i, m in enumerate(monos):
                 row = pivots.get(i)
                 if row is None:
-                    forms[m] = {index[m]: self.field.one}
+                    forms[m] = {index[m]: den}
                 else:
-                    # m = (m - row) modulo (f)_d, and m - row lies on the basis
-                    forms[m] = {index[monos[k]]: neg(v) for k, v in row.items() if k != i}
-            cached = self._quotient_cache[d] = (basis, forms)
-        return cached
-
-    def quotient_integer_forms(self, d: int) -> tuple:
-        """``(den, forms)``: the ``forms`` of ``quotient_basis(d)`` times
-        ``den``.  Over Q, ``den`` is the lcm of their denominators and every
-        coefficient an int; over F_p, ``den`` is 1 and ``forms`` the very
-        dict of ``quotient_basis(d)``.  Cached per degree; callers must not
-        mutate the result."""
-        cached = self._integer_forms_cache.get(d)
-        if cached is None:
-            forms = self.quotient_basis(d)[1]
-            if self.field.char:
-                cached = (1, forms)
-            else:
-                den = lcm(*[v.denominator for form in forms.values() for v in form.values()])
-                cached = (den, {
-                    m: {k: v.numerator * (den // v.denominator) for k, v in form.items()}
-                    for m, form in forms.items()
-                })
-            self._integer_forms_cache[d] = cached
+                    # m = (m - row / lead) modulo (f)_d, which lies on the basis
+                    scale = den // row[i]
+                    forms[m] = {index[monos[k]]: neg(v) * scale for k, v in row.items() if k != i}
+            cached = self._quotient_cache[d] = (basis, forms, den)
         return cached
 
     # -- shift tables ----------------------------------------------------------
@@ -703,28 +686,30 @@ class GradedRing:
         return table
 
     def quotient_shift_table(self, m0: Monomial, e: int) -> tuple:
-        """For each monomial mu of ``quotient_basis(e)[0]``, the normal form
-        of m0 * mu in R_{e + |m0|} as a dict of
-        ``quotient_integer_forms(e + |m0|)[1]`` (integer forms over Q), or
-        None when m0 * mu lies in J."""
+        """For each monomial mu of ``quotient_basis(e)[0]``, the integer form
+        of m0 * mu in R_{e + |m0|}, a dict of ``quotient_basis(e + |m0|)[1]``,
+        or None when m0 * mu lies in J."""
         key = (m0, e)
         table = self._quotient_shift_cache.get(key)
         if table is None:
-            get = self.quotient_integer_forms(e + sum(m0))[1].get
+            get = self.quotient_basis(e + sum(m0))[1].get
             table = tuple(get(mono_mul(m0, mu)) for mu in self.quotient_basis(e)[0])
             self._quotient_shift_cache[key] = table
         return table
 
     def in_sequence_ideal(self, p: Poly) -> bool:
         """Membership of p (taken mod J) in the ideal (f_1..f_c) of Q: every
-        homogeneous part of p has normal form zero in R."""
-        field = self.field
+        homogeneous part of p has normal form zero in R.  Sums plain ints:
+        p's coefficients, scaled to ints, times the forms of ``quotient_basis``."""
+        char = self.field.char
+        terms = dict(self.normal_form(p).terms)
+        _kernel.clear_denominators(terms)  # 1 over F_p, whose elements are ints
         acc: dict = {}
-        for m, c in self.normal_form(p).terms.items():
+        for m, c in terms.items():
             d = sum(m)
             for k, v in self.quotient_basis(d)[1][m].items():
-                acc[d, k] = field.add(acc.get((d, k), field.zero), field.mul(c, v))
-        return not any(acc.values())
+                acc[d, k] = acc.get((d, k), 0) + c * v
+        return not any(v % char for v in acc.values()) if char else not any(acc.values())
 
     # -- serialization -------------------------------------------------------
 
@@ -1128,8 +1113,8 @@ def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     The sums are left as they fall: a cell may hold 0, and over F_p it is
     not reduced mod p.  Over Q a column of source generator j is the
     rational column times ``column_denominator(columns[j])`` times the lcm
-    of the ``den`` of ``GradedRing.quotient_integer_forms`` over every
-    target block, so it spans the same line.  The last factor is common to
+    of the ``den`` of ``GradedRing.quotient_basis`` over every target
+    block, so it spans the same line.  The last factor is common to
     all columns, so a kernel vector of the sums becomes one of the rational
     matrix when each coordinate of generator j is multiplied by
     ``column_denominator(columns[j])``, which is how ``resolve`` reads its
@@ -1137,14 +1122,14 @@ def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     ``complexes.homology_dims`` ranks their ``dense_rows``.
     """
     char = ring.field.char
-    dens = [ring.quotient_integer_forms(d - b)[0] for b in tgt_twists]
-    top = lcm(*dens)
+    blocks = [ring.quotient_basis(d - b) for b in tgt_twists]
+    top = lcm(*[den for _, _, den in blocks])
     targets = []
     nrows = 0
-    for b, den in zip(tgt_twists, dens):
+    for b, (basis, _, den) in zip(tgt_twists, blocks):
         # the block's scale travels with its row offset
         targets.append(((nrows, top // den), b))
-        nrows += len(ring.quotient_basis(d - b)[0])
+        nrows += len(basis)
     out = []
     for j, a in enumerate(src_twists):
         cols = [{} for _ in ring.quotient_basis(d - a)[0]]

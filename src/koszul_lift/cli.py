@@ -17,6 +17,7 @@ deterministic for a fixed input and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from random import Random
@@ -554,7 +555,10 @@ def _cmd_vandermonde(args) -> int:
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="koszul-lift",
         description=(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 
 
 class Field:
@@ -29,7 +29,8 @@ class Field:
         self.one = Fraction(1) if char == 0 else 1
 
     def __call__(self, value):
-        """Coerce an int, Fraction, or string to a field element."""
+        """Coerce an int, Fraction, or string to a field element.  Over F_p
+        a Fraction with p in its denominator is an InvalidInputError."""
         p = self.char
         if p == 0:
             if isinstance(value, Fraction):
@@ -47,12 +48,14 @@ class Field:
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
+                raise InvalidInputError(
+                    f"coefficient {value} has a denominator divisible by {p}"
+                )
             return value.numerator % p * pow(den, p - 2, p) % p
         if isinstance(value, str):
             try:
                 return self(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, InvalidInputError) as exc:
                 raise _literal_error("coefficient", value, exc) from exc
         raise ParseError(f"cannot coerce {value!r} to F_{p}")
 

@@ -207,23 +207,23 @@ def reference_quotient_rows(ring, columns, src_twists, tgt_twists, d):
     """The map of ``algebra.quotient_columns`` read over the field, cell by
     cell: for each basis monomial mu of R_{d-a} (``quotient_basis``) and each entry p of the source column, the
     product p * mu reduced mod J, its every term replaced by that
-    monomial's normal form in R_{d-b}, on the target block of the entry's
-    row.  Dense list rows."""
+    monomial's normal form in R_{d-b} (the integer form over its ``den``),
+    on the target block of the entry's row.  Dense list rows."""
     field = ring.field
     blocks = [ring.quotient_basis(d - b) for b in tgt_twists]
-    offsets = [sum(len(basis) for basis, _ in blocks[:i]) for i in range(len(blocks))]
-    nrows = sum(len(basis) for basis, _ in blocks)
+    offsets = [sum(len(basis) for basis, _, _ in blocks[:i]) for i in range(len(blocks))]
+    nrows = sum(len(basis) for basis, _, _ in blocks)
     cols = []
     for j, a in enumerate(src_twists):
         entries = dict(columns[j])
         for mu in ring.quotient_basis(d - a)[0]:
             vec = [field.zero] * nrows
-            for i, (_, forms) in enumerate(blocks):
+            for i, (_, forms, den) in enumerate(blocks):
                 p = ring.mul(entries.get(i, ring.zero), monomial(ring, mu))
                 for m, c in p.terms.items():
                     for k, v in forms[m].items():
                         r = offsets[i] + k
-                        vec[r] = field.add(vec[r], field.mul(c, v))
+                        vec[r] = field.add(vec[r], field.mul(c, field(Fraction(v, den))))
             cols.append(vec)
     return [[col[r] for col in cols] for r in range(nrows)]
 

@@ -132,6 +132,24 @@ def test_parse_table(text, over_q, over_f7):
             assert str(parse_poly(ring, text)) == want
 
 
+def test_fp_coefficient_with_p_in_its_denominator():
+    # a rational whose denominator p divides has no value in F_p: as a
+    # Fraction it is an InvalidInputError naming the value and p, and as
+    # text it keeps the ParseError of a bad literal
+    ring = GradedRing(GF(7), ["x", "y"])
+    for value in (Fraction(1, 7), Fraction(5, 14)):
+        message = f"coefficient {value} has a denominator divisible by 7"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            Poly(ring, {(1, 0): value})
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            GF(7)(value)
+    for parse in (GF(7), lambda text: Poly(ring, {(1, 0): text}), lambda text: ring.parse(f"{text}*x")):
+        with pytest.raises(ParseError) as exc:
+            parse("5/7")
+        assert str(exc.value) == "bad coefficient literal '5/7'"
+    assert Poly(ring, {(1, 0): Fraction(1, 3)}).terms == {(1, 0): 5}
+
+
 def test_parse_respects_monomial_relations():
     # x^2 dies in Q = k[x,y]/(x^2)
     assert parse_poly(RING, "x^2 + y").terms == parse_poly(RING, "y").terms
@@ -270,14 +288,18 @@ def test_in_sequence_ideal_membership():
 def test_in_sequence_ideal_against_rank_oracle():
     # p is in (f) iff every homogeneous part p_d is in (f)_d, and p_d is in
     # (f)_d iff appending its coordinate vector to the f-span does not grow
-    # the rank
+    # the rank.  The last sequence, fixtures/rational_ring.json's, has
+    # rational coefficients, so over Q p's denominators are cleared first
     rng = Random(106)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    rational = json.loads((fixtures / "rational_ring.json").read_text())["sequence"]
     outcomes = set()
     for field in (QQ, GF(32003)):
         for relations, sequence in [
             (["x^3"], ["x*y", "y^2"]),
             ([], ["x^2 + y*z", "y^2 + x*z"]),
             (["z^3"], ["x^2 + y*z", "y^3"]),
+            ([], rational),
         ]:
             ring = GradedRing(field, ["x", "y", "z"], relations=relations, sequence=sequence)
 
@@ -299,8 +321,8 @@ def test_in_sequence_ideal_against_rank_oracle():
                 p = sum(parts.values(), ring.zero)
                 want = all(in_span(part, d) for d, part in parts.items())
                 assert ring.in_sequence_ideal(p) == want
-                outcomes.add(want)
-    assert outcomes == {True, False}
+                outcomes.add((sequence is rational, want))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
 
 # The rings of the benchmark workloads, with the Hilbert functions of R.
@@ -328,24 +350,26 @@ def test_quotient_basis_sizes_are_the_hilbert_function(name):
 def test_quotient_normal_forms_differ_from_monomials_by_the_span(field):
     # basis monomials are their own normal forms; every monomial minus its
     # normal form lies in (f)_d; and the basis has dim Q_d - dim (f)_d
-    # elements, taken in monomial_basis order
+    # elements, taken in monomial_basis order.  The forms are ints, den
+    # times the normal forms, with den 1 over F_p
     ring = GradedRing(field, ["x", "y", "z"], relations=["z^3"], sequence=["x^2 + y*z", "y^3"])
     p = field.char
     for d in range(-1, 8):
-        basis, forms = ring.quotient_basis(d)
+        basis, forms, den = ring.quotient_basis(d)
         monos = ring.monomial_basis(d)
         span = [list(col) for col in ring.sequence_span_columns(d)]
         base = naive_rank_over(p, span)
         assert len(basis) == len(monos) - base
         assert list(basis) == [m for m in monos if m in basis]
         assert set(forms) == set(monos)
+        assert type(den) is int and den >= 1 and (den == 1 or not p)
         for k, m in enumerate(basis):
-            assert forms[m] == {k: field.one}
+            assert forms[m] == {k: den}
         index = ring.basis_index(d)
         for m in monos:
-            vec = coords(ring, monomial(ring, m), d)
+            vec = [den * c for c in coords(ring, monomial(ring, m), d)]
             for k, c in forms[m].items():
-                assert c
+                assert type(c) is int and c
                 vec[index[basis[k]]] -= c
             assert naive_rank_over(p, span + [vec]) == base
 

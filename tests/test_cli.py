@@ -727,6 +727,25 @@ def test_usage_error_is_exit_2():
     assert out.returncode == 2
 
 
+def test_one_parser_serves_repeated_calls(capsys):
+    # main builds its parser on the first call and reuses it; a usage error,
+    # a run with options and the same usage error again behave as the first
+    # time: same exit code, same stdout and stderr
+    from koszul_lift import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    usage = ["resolve", "--presentation", RES_PRES, "--length", "2"]
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(usage)
+        first = capsys.readouterr()
+        assert cli.main(["vandermonde", "2", "3", "1", "--format", "json"]) == 0
+        seen.append((exc.value.code, first.out, first.err, capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2 and "--ring" in seen[0][2] and '"koszul-lift/1"' in seen[0][3].out
+
+
 @pytest.mark.skipif(
     shutil.which("koszul-lift") is None, reason="console script not installed"
 )

@@ -1,7 +1,7 @@
 """Exact row reduction against naive textbook references."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from random import Random
 
 import numpy as np
@@ -362,23 +362,27 @@ def test_qq_kernel_matches_textbook_rref_on_big_entries():
 
 def test_qq_quotient_basis_forms_are_the_textbook_normal_forms():
     # R_d is read off the reduced generators of (f)_d; over Q the forms
-    # hold Fractions, those of the textbook reduction of the generators
+    # hold ints, den times those of the textbook reduction of the
+    # generators, where den is the lcm of the textbook forms' denominators
     ring = GradedRing(
         QQ, ["x", "y", "z"], sequence=["3/2*x^2 - 5/7*y*z", "-4/9*x*y + 11*z^2"]
     )
+    dens = []
     for d in range(6):
         monos = ring.monomial_basis(d)
         gens = graded_columns(ring, *span_map(ring, (0,)), (0,), d)
         red, pivots = naive_rref([[g.get(i, 0) for i in range(len(monos))] for g in gens])
-        basis, forms = ring.quotient_basis(d)
+        basis, forms, den = ring.quotient_basis(d)
         assert basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
         index = {m: k for k, m in enumerate(basis)}
+        want = {m: {index[m]: Fraction(1)} for m in basis}
         for r, pc in enumerate(pivots):
-            want = {index[monos[k]]: -v for k, v in enumerate(red[r]) if v and k != pc}
-            assert forms[monos[pc]] == want
-        for m in basis:
-            assert forms[m] == {index[m]: 1}
-        assert all(type(v) is Fraction for form in forms.values() for v in form.values())
+            want[monos[pc]] = {index[monos[k]]: -v for k, v in enumerate(red[r]) if v and k != pc}
+        assert den == lcm(*[v.denominator for form in want.values() for v in form.values()])
+        assert forms == {m: {k: den * v for k, v in form.items()} for m, form in want.items()}
+        assert all(type(v) is int for form in forms.values() for v in form.values())
+        dens.append(den)
+    assert max(dens) > 1
 
 
 def _hilbert(n):
