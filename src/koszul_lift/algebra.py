@@ -451,13 +451,15 @@ class GradedRing:
         relations: Iterable = (),
         sequence: Iterable = (),
     ):
+        if not isinstance(field, Field):
+            raise InvalidInputError(f"field must be QQ or GF(p), got {field!r}")
         self.field = field
         self.variables = tuple(variables)
         if not self.variables:
             raise InvalidInputError("need at least one variable")
         seen = set()
         for name in self.variables:
-            if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", name):
+            if not isinstance(name, str) or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", name):
                 raise InvalidInputError(f"bad variable name {name!r}")
             if name in seen:
                 raise InvalidInputError(f"duplicate variable {name!r}")
@@ -475,12 +477,18 @@ class GradedRing:
         self._shift_cache: dict[tuple, tuple] = {}
         self._quotient_shift_cache: dict[tuple, tuple] = {}
 
+        if isinstance(sequence, Mapping) or not isinstance(sequence, Iterable):
+            raise InvalidInputError(f"sequence must be a list of polynomials, got {sequence!r}")
         seq = []
         for f in sequence:
             if isinstance(f, str):
                 f = parse_poly(self, f)
-            else:
+            elif isinstance(f, Poly):
                 f = self.normal_form(Poly(self, f.terms))
+            else:
+                raise InvalidInputError(
+                    f"sequence entry must be a polynomial string or a Poly, got {f!r}"
+                )
             d = f.degree()
             if d is None or d < 1:
                 raise InvalidInputError(

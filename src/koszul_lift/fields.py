@@ -123,13 +123,17 @@ _gf_cache: dict[int, Field] = {}
 
 
 def GF(p: int) -> Field:
-    """The prime field F_p, one instance per p."""
+    """The prime field F_p, one instance per p.  Anything but an int prime
+    in (1, 2^31) is an InvalidInputError; a bool is 0 or 1, so the range
+    rejects it."""
+    if not isinstance(p, int):
+        raise InvalidInputError(f"prime must be an integer, got {p!r}")
     field = _gf_cache.get(p)
     if field is None:
         if not (1 < p < 2**31):
-            raise ValueError(f"prime must lie in (1, 2^31), got {p}")
+            raise InvalidInputError(f"prime must lie in (1, 2^31), got {p}")
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InvalidInputError(f"{p} is not prime")
         field = _gf_cache[p] = Field(p)
     return field
 
@@ -143,6 +147,6 @@ def field_from_spec(spec) -> Field:
     if isinstance(spec, int):
         try:
             return GF(spec)
-        except ValueError as exc:
+        except InvalidInputError as exc:
             raise ParseError(f"bad field spec: {exc}") from exc
     raise ParseError(f"unknown field spec {spec!r}")

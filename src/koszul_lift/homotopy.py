@@ -17,15 +17,16 @@ maps of size < L determine the pair sums, and the size-L maps enter
 linearly.  At matrix entry (r, s) of entry degree e, the unknowns
 t^mu[r][s] are hit by (-1)**(L-1) times the Koszul differential
 K_L -> K_{L-1} on f, so the system is the degree-e strand of that
-differential with (-1)**L times the pair sums on the right.  One
-position's entries of one entry degree share that strand and are
-eliminated together.  Echelon form with free variables pinned to zero
-makes the result deterministic.  Only the entries where some pair sum is
-nonzero enter the strand solve: with a zero right-hand side that
-solution is zero, so every other entry of the new maps is zero without
-an elimination.  Each pair sum and each full left-hand
-side of the relation is one ``algebra.product_sum`` call, which builds
-no intermediate matrix.
+differential with (-1)**L times the pair sums on the right.  The strand
+depends on L and e, not on the position, so each level makes one
+``solve_graded_linear`` call per entry degree, over the entries of every
+position.  Free variables are pinned to zero and the reduced echelon form
+is unique, so an entry's solution does not depend on the entries solved
+beside it.  Only the entries where some pair sum is nonzero enter the
+strand solve: with a zero right-hand side that solution is zero, so every
+other entry of the new maps is zero without an elimination.  Each pair
+sum and each full left-hand side of the relation is one
+``algebra.product_sum`` call, which builds no intermediate matrix.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
     c = ring.c
     if F.over != "Q":
         raise InvalidInputError("solve_homotopies expects a complex over Q")
+    level = exact_int(level, "homotopy level")
     if not (0 <= level <= c):
         raise InvalidInputError(f"level must lie in 0..{c}, got {level}")
     bad = next(homogeneity_failures(F), None)
@@ -220,65 +222,45 @@ def solve_homotopies(F: FreeComplex, level: int) -> HomotopyFamily:
     for size in range(1, level + 1):
         gammas = list(subsets_of_size(c, size - 1))
         mus = list(subsets_of_size(c, size))
-        new_maps = {mu: {} for mu in mus}
+        # entry degree -> ({(n, r, s): column}, one {column: rhs} row per
+        # gamma), where K x = (-1)**size * (pair sum)
+        shapes, groups = {}, {}
         for n in F.positions():
-            src_rank = F.known_rank(n)
-            tgt_rank = F.known_rank(n - size - 1)
-            if not src_rank or not tgt_rank:
+            shape = (F.known_rank(n - size - 1), F.known_rank(n))
+            if not all(shape):
                 continue
-            residuals = [pair_sum(H, gamma, n) for gamma in gammas]
-            if None in residuals:
-                continue
-            nonzero = [{(r, s_): p for r, s_, p in res.nonzeros()} for res in residuals]
-            cells = sorted(set().union(*nonzero))
-            src_tw = F.twists[n]
-            tgt_tw = F.known_twist(n - size - 1)
-            # one degree group per entry degree, ordered as the degrees first
-            # occur in the row-major grid, so each row of a map is written in
-            # the same order whichever of its cells are zero
-            rank, src_kinds = {}, dict.fromkeys(src_tw)
-            for b in tgt_tw:
-                for a in src_kinds:
-                    rank.setdefault(a - b, len(rank))
-            degrees = {src_tw[s_] - tgt_tw[r] for r, s_ in cells}
-            groups = {e: [] for e in sorted(degrees, key=rank.get)}
-            for r, s_ in cells:
-                groups[src_tw[s_] - tgt_tw[r]].append((r, s_))
-            entries = {mu: [{} for _ in range(tgt_rank)] for mu in mus}
-            failed = []
-            for e, group in groups.items():
-                rhs_rows = []  # K x = (-1)**size * (pair sum)
-                for res in nonzero:
-                    row = {}
-                    for k, cell in enumerate(group):
-                        p = res.get(cell)
-                        if p is not None:
-                            row[k] = -p if size % 2 else p
-                    rhs_rows.append(row)
-                rhs = PolyMatrix._from_sparse(len(gammas), len(group), rhs_rows, ring.zero)
-                sols = solve_graded_linear(
-                    ring, kos.diffs[size], kos.twists[size], kos.twists[size - 1], e, rhs
-                )
-                for (r, s_), sol in zip(group, sols):
-                    if sol is None:
-                        failed.append((r, s_))
-                        continue
-                    for k, p in sol:
-                        entries[mus[k]][r][s_] = p
-            if failed:
-                r, s_ = min(failed)
-                raise InvalidInputError(
-                    f"homotopy system inconsistent at level {size}, "
-                    f"position {n}, entry ({r},{s_}); the input is "
-                    "not a lift of an R-complex"
-                )
-            for mu in mus:
-                new_maps[mu][n] = PolyMatrix._from_sparse(
-                    tgt_rank, src_rank, entries[mu], ring.zero
-                )
-        merged = dict(H.maps)
-        merged.update(new_maps)
-        H = HomotopyFamily(F, size, merged)
+            shapes[n] = shape
+            src_tw, tgt_tw = F.twists[n], F.known_twist(n - size - 1)
+            # both end ranks are known, so no pair sum between them is None
+            for k, gamma in enumerate(gammas):
+                for r, s_, p in pair_sum(H, gamma, n).nonzeros():
+                    e = src_tw[s_] - tgt_tw[r]
+                    cells, rows = groups.setdefault(e, ({}, [{} for _ in gammas]))
+                    j = cells.setdefault((n, r, s_), len(cells))
+                    rows[k][j] = -p if size % 2 else p
+        solved = {}
+        for e, (cells, rows) in groups.items():
+            rhs = PolyMatrix._from_sparse(len(gammas), len(cells), rows, ring.zero)
+            sols = solve_graded_linear(
+                ring, kos.diffs[size], kos.twists[size], kos.twists[size - 1], e, rhs
+            )
+            solved.update(zip(cells, sols))
+        failed = [cell for cell, sol in solved.items() if sol is None]
+        if failed:
+            n, r, s_ = min(failed)
+            raise InvalidInputError(
+                f"homotopy system inconsistent at level {size}, "
+                f"position {n}, entry ({r},{s_}); the input is "
+                "not a lift of an R-complex"
+            )
+        entries = {(mu, n): [{} for _ in range(shapes[n][0])] for mu in mus for n in shapes}
+        for n, r, s_ in sorted(solved):
+            for k, p in solved[n, r, s_]:
+                entries[mus[k], n][r][s_] = p
+        maps = {**H.maps, **{mu: {} for mu in mus}}
+        for (mu, n), rows in entries.items():
+            maps[mu][n] = PolyMatrix._from_sparse(*shapes[n], rows, ring.zero)
+        H = HomotopyFamily(F, size, maps)
     return H
 
 

@@ -475,7 +475,8 @@ def dense_grid_homotopies(F, level):
     cells are solved together by one ``solve_graded_linear`` call whose
     right-hand sides are (-1)**level times the pair sums at the cells.
     Degree groups are taken in the order their degrees first occur in the
-    row-major grid, and cells row-major within a group."""
+    row-major grid, and cells row-major within a group; each row of a map
+    holds its columns in ascending order."""
     from koszul_lift.algebra import PolyMatrix, solve_graded_linear
     from koszul_lift.homotopy import HomotopyFamily, pair_sum
     from koszul_lift.koszul import koszul_complex, subsets_of_size
@@ -518,9 +519,8 @@ def dense_grid_homotopies(F, level):
                     for k, p in sol:
                         entries[mus[k]][r][s] = p
             for mu in mus:
-                new_maps[mu][n] = PolyMatrix._from_sparse(
-                    tgt_rank, src_rank, entries[mu], ring.zero
-                )
+                rows = [dict(sorted(row.items())) for row in entries[mu]]
+                new_maps[mu][n] = PolyMatrix._from_sparse(tgt_rank, src_rank, rows, ring.zero)
         merged = dict(H.maps)
         merged.update(new_maps)
         H = HomotopyFamily(F, size, merged)

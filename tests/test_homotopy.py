@@ -24,12 +24,22 @@ from koszul_lift.homotopy import (
     HomotopyFamily,
     checkable_gammas,
     eisenbud_operator_checks,
+    pair_sum,
     solve_homotopies,
     verify_relation,
 )
+from koszul_lift.koszul import koszul_complex, subsets_of_size
+from koszul_lift.resolve import Presentation, resolve_over_R
 from koszul_lift.samples import random_regular_ring, random_resolved_complex
 
-from oracles import dense_grid_homotopies, entries, finite_complex_cases, monomial
+from oracles import (
+    coordinate_changed_ring,
+    dense_grid_homotopies,
+    entries,
+    finite_complex_cases,
+    monomial,
+    residue_ring,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -502,3 +512,86 @@ def test_solve_writes_each_row_in_the_dense_grid_order():
     assert _strs(t) == [["-y^2", "-y"], ["-y", "-1"]]
     assert list(t._rows[1]) == [0, 1]
     _assert_family_is_the_dense_grid(F, 1)
+
+
+# -- one strand solve per level and entry degree ------------------------------------
+
+
+def _residue_lift(ring, length, bound):
+    """The lift of the minimal resolution of the residue field of R."""
+    pres = Presentation((0,), PolyMatrix.from_rows([[ring.parse(v) for v in ring.variables]]))
+    return lift_to_Q(resolve_over_R(ring, pres, length, bound))
+
+
+def _lift_fp_ring():
+    return GradedRing(GF(32003), ["x", "y", "z", "w"], sequence=["x^2", "y^2", "z^2", "w^2"])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _fixture_lift("mixed", "resolve_mixed_length4.json"),
+        lambda: _residue_lift(_lift_fp_ring(), 5, 6),
+    ],
+    ids=["mixed", "lift-fp"],
+)
+def test_solve_makes_one_call_per_level_and_entry_degree(monkeypatch, make):
+    # the strand of K_L -> K_{L-1} depends on the level L and the entry
+    # degree e alone, so the cells of every position with a nonzero pair sum
+    # at (L, e) share one elimination
+    F = make()
+    c = F.ring.c
+    kos = koszul_complex(F.ring)
+    calls = []
+
+    def counting(ring, mat, src, tgt, d, rhs):
+        calls.append((next(L for L in range(1, c + 1) if mat == kos.diffs[L]), d))
+        return algebra.solve_graded_linear(ring, mat, src, tgt, d, rhs)
+
+    monkeypatch.setattr(homotopy, "solve_graded_linear", counting)
+    fam = solve_homotopies(F, c)
+    wanted = {}  # (L, e) -> the positions with a nonzero pair sum there
+    for L in range(1, c + 1):
+        below = HomotopyFamily(F, L - 1, {a: m for a, m in fam.maps.items() if len(a) < L})
+        for n in F.positions():
+            if not (F.known_rank(n) and F.known_rank(n - L - 1)):
+                continue
+            tgt_tw = F.known_twist(n - L - 1)
+            for gamma in subsets_of_size(c, L - 1):
+                for r, s_, _ in pair_sum(below, gamma, n).nonzeros():
+                    wanted.setdefault((L, F.twists[n][s_] - tgt_tw[r]), set()).add(n)
+    assert sorted(calls) == sorted(wanted)
+    # a solve per position would call more than once at these
+    assert any(len(positions) > 1 for positions in wanted.values())
+
+
+def test_solver_names_the_lowest_inconsistent_position():
+    # over k[x,y,z] with f = x^2, d_1 d_2 = [x^2, x*z] and d_2 d_3 =
+    # [[x*y], [0]]: one entry degree, 2, fails at position 2, entry (0,1),
+    # and at position 3, entry (0,0); the lower position is named
+    ring = GradedRing(QQ, ["x", "y", "z"], sequence=["x^2"])
+    x, y, z, zero = ring.parse("x"), ring.parse("y"), ring.parse("z"), ring.zero
+    F = FreeComplex(
+        ring,
+        "Q",
+        (0, 3),
+        {0: (0,), 1: (1, 1), 2: (2, 2), 3: (3,)},
+        {1: PolyMatrix.from_rows([[x, y]]),
+         2: PolyMatrix.from_rows([[x, z], [zero, zero]]),
+         3: PolyMatrix.from_rows([[y], [zero]])},
+        is_lift=True,
+    )
+    with pytest.raises(InvalidInputError) as exc:
+        solve_homotopies(F, 1)
+    assert str(exc.value) == (
+        "homotopy system inconsistent at level 1, position 2, entry (0,1); "
+        "the input is not a lift of an R-complex"
+    )
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_solve_equals_the_dense_grid_at_scale(field):
+    ring = residue_ring(field)
+    _assert_family_is_the_dense_grid(_residue_lift(ring, 6, 12), ring.c)
+    ring = coordinate_changed_ring(ring)
+    _assert_family_is_the_dense_grid(_residue_lift(ring, 5, 9), ring.c)
