@@ -27,13 +27,13 @@ the keys.  ``quotient_basis`` reads R's forms off the integer rows as ints.
 
 ``linalg.pivot_columns`` and ``linalg.nullspace_columns`` (resolve's
 counting and Nakayama pick, and its syzygy kernel, both on R-coordinate
-columns) and ``linalg.extend_pivots`` transpose sparse columns into dict
-rows; ``linalg.rank`` (for
-``complexes.homology_dims``) and ``linalg.nullspace`` (kept for the
-benchmark's tracer) scan dense list rows into them.  All hand those rows
-straight to ``echelon`` or ``kernel_basis``.  ``rref_mod`` wraps
-``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p takes
-that route, and only the homotopy solve calls it.  This module does not
+columns, and the ranks of ``complexes.homology_dims`` over Q) and
+``linalg.extend_pivots`` transpose sparse columns into dict rows;
+``linalg.rank`` (for ``homology_dims`` over R) and ``linalg.nullspace``
+(kept for the benchmark's tracer) scan dense list rows into them.  All
+hand those rows straight to ``echelon`` or ``kernel_basis``.  ``rref_mod``
+wraps ``gauss_jordan`` for an int64 array; only ``linalg.rref`` over F_p
+takes that route, and only the homotopy solve calls it.  This module does not
 import numpy: ``rref_mod`` uses nothing but the methods of the array it is
 handed, so numpy is loaded only when ``linalg.rref`` first builds one.  The
 array stays, and numpy with it, because ``perfbench/tracing.py`` probes

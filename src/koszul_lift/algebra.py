@@ -22,10 +22,10 @@ the rational ones up to a nonzero scalar each; ``quotient_sums`` is its
 loop, before the zero cells go).  ``coords_to_columns`` turns coordinate
 vectors on either kind of basis back into such columns.  One dense view,
 ``dense_rows``, turns sparse columns into list rows for the eliminations
-that still take them: ``graded_matrix_rows`` for
-``linalg.rank`` in ``homology_dims`` over Q and ``linalg.rref`` in
+that still take them: ``graded_matrix_rows`` for ``linalg.rref`` in
 ``solve_graded_linear``, and the sums of ``quotient_sums`` for
-``linalg.rank`` in ``homology_dims`` over R.
+``linalg.rank`` in ``homology_dims`` over R.  ``homology_dims`` over Q
+ranks the sparse columns of ``graded_columns`` and builds no list row.
 
 Both builders read multiplication by a monomial m0 from the ring's shift
 tables (``GradedRing.shift_table`` and ``GradedRing.quotient_shift_table``),
@@ -436,6 +436,14 @@ def matrix_to_json(mat: "PolyMatrix") -> list:
     return out
 
 
+def _list_argument(value, what: str, items: str) -> tuple:
+    """``value`` as a tuple.  A str (which would be read one character at a
+    time), a mapping or a non-iterable is an InvalidInputError naming it."""
+    if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+        raise InvalidInputError(f"{what} must be a list of {items}, got {value!r}")
+    return tuple(value)
+
+
 class GradedRing:
     """Q = k[x_1..x_n]/J together with a homogeneous sequence f_1..f_c.
 
@@ -454,7 +462,7 @@ class GradedRing:
         if not isinstance(field, Field):
             raise InvalidInputError(f"field must be QQ or GF(p), got {field!r}")
         self.field = field
-        self.variables = tuple(variables)
+        self.variables = _list_argument(variables, "variables", "names")
         if not self.variables:
             raise InvalidInputError("need at least one variable")
         seen = set()
@@ -468,7 +476,9 @@ class GradedRing:
         self.zero = Poly._of(self, {})
         self.one = Poly._of(self, {(0,) * self.nvars: field.one})
 
-        self.relations = self._canonical_relations(relations)
+        self.relations = self._canonical_relations(
+            _list_argument(relations, "relations", "monomials")
+        )
         self._nf_zero_cache: dict[Monomial, bool] = {}
         self._product_monomials = _ProductMonomials(self.nvars, self.relations)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
@@ -477,10 +487,8 @@ class GradedRing:
         self._shift_cache: dict[tuple, tuple] = {}
         self._quotient_shift_cache: dict[tuple, tuple] = {}
 
-        if isinstance(sequence, Mapping) or not isinstance(sequence, Iterable):
-            raise InvalidInputError(f"sequence must be a list of polynomials, got {sequence!r}")
         seq = []
-        for f in sequence:
+        for f in _list_argument(sequence, "sequence", "polynomials"):
             if isinstance(f, str):
                 f = parse_poly(self, f)
             elif isinstance(f, Poly):
@@ -1086,11 +1094,12 @@ def dense_rows(cols, nrows: int) -> list:
 
 
 def graded_matrix_rows(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
-    """``graded_columns`` as dense list rows, for the eliminations that
-    take list rows: ``linalg.rank`` in ``complexes.homology_dims`` and
-    ``linalg.rref`` in ``solve_graded_linear``.  They stay dense because
-    ``perfbench/tracing.py`` counts the cells of ``rank``'s rows and reads
-    the array that ``rref`` builds over F_p; see ``linalg``."""
+    """``graded_columns`` as dense list rows, for ``linalg.rref`` in
+    ``solve_graded_linear``, the homotopy solve, and the tracer-only
+    ``GradedRing.sequence_span_columns``.  They stay dense because
+    ``perfbench/tracing.py`` reads the array that ``rref`` builds over F_p;
+    see ``linalg``.  ``complexes.homology_dims`` ranks ``graded_columns``
+    itself."""
     cols = graded_columns(ring, columns, src_twists, tgt_twists, d)
     return dense_rows(cols, module_dim(ring, tgt_twists, d))
 
@@ -1127,7 +1136,9 @@ def quotient_sums(ring: GradedRing, columns, src_twists, tgt_twists, d: int):
     matrix when each coordinate of generator j is multiplied by
     ``column_denominator(columns[j])``, which is how ``resolve`` reads its
     syzygies.  ``quotient_columns`` reduces the sums;
-    ``complexes.homology_dims`` ranks their ``dense_rows``.
+    ``complexes.homology_dims`` over R ranks their ``dense_rows``, the one
+    homology computation left on list rows, for the tracer's
+    ``linalg.rank`` cells.
     """
     char = ring.field.char
     blocks = [ring.quotient_basis(d - b) for b in tgt_twists]

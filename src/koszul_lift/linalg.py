@@ -10,9 +10,10 @@ dict rows in one transpose, ``_transpose``.  ``pivot_columns``,
 ``extend_pivots`` and ``nullspace_columns`` take sparse columns.
 ``resolve`` calls ``pivot_columns`` and ``nullspace_columns`` alone, on the
 R-coordinate columns of ``algebra.quotient_columns``, so its path builds no
-list row.  ``extend_pivots`` is the greedy choice that ``resolve``'s
-pivots make; no library code calls it now, and ``perfbench/tracing.py``
-probes it by name.
+list row.  ``complexes.homology_dims`` over Q ranks with ``pivot_columns``
+too, on the columns of ``algebra.graded_columns``.  ``extend_pivots`` is
+the greedy choice that ``resolve``'s pivots make; no library code calls it
+now, and ``perfbench/tracing.py`` probes it by name.
 
 ``rank``, ``rref`` and ``nullspace`` take dense list rows and scan them
 into dict rows (``_dict_rows``), which keeps each nonzero cell as it is
@@ -20,8 +21,8 @@ over Q.  ``perfbench/tracing.py`` probes all three by name and counts their
 list-row cells or reads the array of ``_kernel.rref_mod``, and the
 benchmark's own tests require a traced instance to record ``linalg.rank``
 cells under ``homology_dims`` and ``rref_mod`` calls.  So
-``complexes.homology_dims`` keeps calling ``rank`` and
-``algebra.solve_graded_linear`` keeps calling ``rref`` on list rows until
+``complexes.homology_dims`` keeps calling ``rank`` over R alone, and
+``algebra.solve_graded_linear`` keeps calling ``rref``, on list rows until
 those probes count dict rows.  ``nullspace`` has no library caller left; it
 is the list-row adapter of ``nullspace_columns``, kept for the tracer.
 

@@ -151,6 +151,45 @@ def homology_dim_in_Q_coordinates(C, n, d):
     return dim - block_rank(n) + naive_rank_over(p, span(n - 1)) - block_rank(n + 1)
 
 
+def dense_homology_dims(C, positions, degree_bound):
+    """``complexes.homology_dims`` on dense list rows: every d_n on a
+    degree-d piece becomes the list rows of ``graded_matrix_rows`` over Q,
+    or the ``dense_rows`` of ``quotient_sums`` over R, ranked by
+    ``linalg.rank``.  Same keys as ``homology_dims``: the requested
+    positions (taken as interior) and every degree from the least twist of
+    C, or from 0 when C has no generator, up to ``degree_bound``."""
+    from koszul_lift import linalg
+    from koszul_lift.algebra import (
+        dense_rows,
+        graded_matrix_rows,
+        module_dim,
+        quotient_module_dim,
+        quotient_sums,
+    )
+
+    ring = C.ring
+    ranks = {}
+
+    def rank(n, d):
+        if (n, d) not in ranks:
+            args = (C.differential(n).column_nonzeros(), C.known_twist(n),
+                    C.known_twist(n - 1), d)
+            if C.over == "R":
+                rows = dense_rows(*quotient_sums(ring, *args))
+            else:
+                rows = graded_matrix_rows(ring, *args)
+            ranks[(n, d)] = linalg.rank(ring.field, rows)
+        return ranks[(n, d)]
+
+    piece_dim = quotient_module_dim if C.over == "R" else module_dim
+    lowest = min((a for n in C.positions() for a in C.twists[n]), default=0)
+    return {
+        (n, d): piece_dim(ring, C.known_twist(n), d) - rank(n, d) - rank(n + 1, d)
+        for n in sorted(set(positions))
+        for d in range(lowest, degree_bound + 1)
+    }
+
+
 # -- elements and cells, spelled out -------------------------------------------
 
 

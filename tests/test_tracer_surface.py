@@ -7,9 +7,12 @@ package, makes one traced ``PolyMatrix.mul``, and checks that the span is
 recorded with its counts and that uninstalling restores every function.  It
 then traces the CLI pipeline that the benchmark times, ``resolve`` and
 ``verify --format json`` on the mixed fixture, and checks the spans that the
-benchmark's own tests require of a traced instance, that the homotopy
-solve still reaches the F_p elimination kernel, and that each of verify's
-homology computations ranks through ``linalg.rank``.
+benchmark's own tests require of a traced instance, and that the homotopy
+solve still reaches the F_p elimination kernel.  Of verify's three homology
+computations, the one over R ranks list rows through ``linalg.rank``, whose
+cells are the benchmark's ``complexes.homology_dims.cells``; the Koszul
+check and the product, both over Q, rank sparse columns and build no list
+row (neither ``linalg.rank`` nor ``complexes.graded_matrix_rows``).
 """
 
 import contextlib
@@ -121,10 +124,20 @@ def test_tracer_spans_the_resolve_and_verify_pipeline(tmp_path):
     assert any(
         s.name == "modp.rref_mod" and under(s, "homotopy.solve_homotopies") for s in spans
     )
-    # verify takes homology three times (the Koszul check, the product over
-    # Q and the input over R), and each must rank on linalg.rank, whose
-    # cells are the benchmark's complexes.homology_dims.cells
-    homology = [s.id for s in spans[first_verify_span:] if s.name == "complexes.homology_dims"]
-    ranked = {p for s in spans if s.name == "linalg.rank" for p in _ancestors(spans, s)}
-    assert len(homology) == 3 and set(homology) <= ranked
+    # verify takes homology three times: the Koszul check and the product,
+    # over Q, rank sparse columns; the input over R ranks on linalg.rank,
+    # whose cells are the benchmark's complexes.homology_dims.cells
+    homology = [s for s in spans[first_verify_span:] if s.name == "complexes.homology_dims"]
+    assert len(homology) == 3
+
+    def below(name):
+        return {p for s in spans if s.name == name for p in _ancestors(spans, s)}
+
+    # the Koszul check runs under check_regular_up_to; of the other two, verify
+    # takes the product's homology first, then the input's
+    (koszul,) = [s for s in homology if under(s, "koszul.check_regular_up_to")]
+    product, over_r = [s for s in homology if s is not koszul]
+    ranked, dense = below("linalg.rank"), below("complexes.graded_matrix_rows")
+    assert over_r.id in ranked
+    assert not {koszul.id, product.id} & (ranked | dense)
     assert _wrapped() == untraced

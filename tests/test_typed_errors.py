@@ -70,6 +70,14 @@ MALFORMED_ARGUMENTS = [
      "sequence must be a list of polynomials, got None"),
     ("ring-sequence-dict", lambda: GradedRing(QQ, ["x"], sequence={"x": 1}), InvalidInputError,
      "sequence must be a list of polynomials, got {'x': 1}"),
+    ("ring-variables-str", lambda: GradedRing(QQ, "xy"), InvalidInputError,
+     "variables must be a list of names, got 'xy'"),
+    ("ring-sequence-str", lambda: GradedRing(QQ, ["x"], sequence="x"), InvalidInputError,
+     "sequence must be a list of polynomials, got 'x'"),
+    ("ring-sequence-str-power", lambda: GradedRing(QQ, ["x"], sequence="x^2"),
+     InvalidInputError, "sequence must be a list of polynomials, got 'x^2'"),
+    ("ring-relations-str", lambda: GradedRing(QQ, ["x"], relations="x^2"), InvalidInputError,
+     "relations must be a list of monomials, got 'x^2'"),
     ("solve-level-float", lambda: solve_homotopies(_lift(), 1.0), InvalidInputError,
      "homotopy level must be an integer, got 1.0"),
     ("solve-level-str", lambda: solve_homotopies(_lift(), "1"), InvalidInputError,
